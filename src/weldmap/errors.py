@@ -93,6 +93,3 @@ class SeamMismatch(WeldmapError):
 class ConfigError(WeldmapError):
     code = "CONFIG_ERROR"
 
-
-class IoError(WeldmapError):
-    code = "IO_ERROR"

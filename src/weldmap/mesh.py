@@ -51,13 +51,6 @@ class TriangleMesh:
     def face_areas(self):
         return face_areas(self.vertices, self.faces)
 
-    def edges(self):
-        """Unique undirected edges as an (e, 2) array with e0 < e1."""
-        f = self.faces
-        e = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        e.sort(axis=1)
-        return np.unique(e, axis=0)
-
 
 def face_areas(vertices, faces):
     """Unsigned triangle areas; works for 2D and 3D vertex arrays."""
@@ -83,11 +76,22 @@ def signed_face_areas_2d(vertices, faces):
     return 0.5 * cross
 
 
-def directed_edge_counts(faces):
-    """Map (u, v) directed edge -> count, as a dict keyed by packed int pairs."""
+def _directed_edges(faces):
+    """Face edges as parallel arrays (u, v), each directed u -> v along its face."""
     u = np.concatenate([faces[:, 0], faces[:, 1], faces[:, 2]])
     v = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0]])
     return u, v
+
+
+def edge_face_counts(faces, n_vertices):
+    """Number of faces on each distinct undirected edge of a face set.
+
+    Edges are packed into 1-D keys min * n_vertices + max, so the length of
+    the result is the edge count of the face set.
+    """
+    u, v = _directed_edges(faces)
+    keys = np.minimum(u, v) * n_vertices + np.maximum(u, v)
+    return np.unique(keys, return_counts=True)[1]
 
 
 def build_mesh(vertices, faces):
@@ -119,50 +123,54 @@ def build_mesh(vertices, faces):
                 raise WrongTopology("2D mesh is clockwise oriented; expected CCW")
             raise NonManifold("2D mesh has mixed face orientations")
 
-    u, v = directed_edge_counts(faces)
     # Directed-edge multiset: each directed edge at most once, each undirected
     # edge at most twice and never twice in the same direction.
-    directed = u * len(vertices) + v
-    uniq, counts = np.unique(directed, return_counts=True)
+    u, v = _directed_edges(faces)
+    _, counts = np.unique(u * len(vertices) + v, return_counts=True)
     if np.any(counts > 1):
         raise NonManifold("an edge appears twice with the same direction")
-    undirected = np.minimum(u, v) * len(vertices) + np.maximum(u, v)
-    _, ucounts = np.unique(undirected, return_counts=True)
+    ucounts = edge_face_counts(faces, len(vertices))
     if np.any(ucounts > 2):
         raise NonManifold("an edge is shared by more than 2 faces")
 
-    loops = _boundary_loops(vertices, faces, u, v, directed)
+    loops = walk_boundary_loops(faces, len(vertices))
     if not loops:
         raise WrongTopology("closed surface (no boundary)")
 
-    n_e = len(np.unique(undirected))
-    chi = len(vertices) - n_e + len(faces)
+    chi = len(vertices) - len(ucounts) + len(faces)
     k = len(loops) - 1
     if chi != 1 - k:
         raise WrongTopology(
             f"Euler characteristic {chi} incompatible with genus-0 surface "
             f"with {k + 1} boundary loops (expected {1 - k})"
         )
+    # Outer loop = largest 3D perimeter; stable for all fixtures.
+    perimeters = [
+        float(np.linalg.norm(vertices[lp] - vertices[np.roll(lp, -1)], axis=1).sum())
+        for lp in loops
+    ]
+    outer = max(range(len(loops)), key=lambda i: (perimeters[i], -i))
+    loops.insert(0, loops.pop(outer))
     return TriangleMesh(vertices=vertices, faces=faces, boundary_loops=loops)
 
 
-def _boundary_loops(vertices, faces, u, v, directed):
-    """Extract boundary loops following face orientation; outer loop first.
+def walk_boundary_loops(faces, n_vertices):
+    """Boundary loops of a face set, directed by face orientation.
 
-    A boundary directed edge is a face edge whose reversal is absent.
+    A boundary directed edge is a face edge whose reversal is absent. Each
+    loop starts at its smallest vertex id, and loops are ordered by that
+    start. Raises NonManifold when the boundary branches at a vertex.
     """
-    n = len(vertices)
-    reverse = v * n + u
-    is_boundary = ~np.isin(reverse, directed)
+    u, v = _directed_edges(faces)
+    is_boundary = ~np.isin(v * n_vertices + u, u * n_vertices + v)
     bu = u[is_boundary]
     bv = v[is_boundary]
     uniq_bu, bu_counts = np.unique(bu, return_counts=True)
     if np.any(bu_counts > 1):
         bad = int(uniq_bu[np.argmax(bu_counts > 1)])
         raise NonManifold(f"boundary vertex {bad} has two outgoing boundary edges")
-    nxt = dict(zip(bu.tolist(), bv.tolist()))
+    remaining = dict(zip(bu.tolist(), bv.tolist()))
     loops = []
-    remaining = dict(nxt)
     while remaining:
         start = min(remaining)
         loop = [start]
@@ -173,15 +181,7 @@ def _boundary_loops(vertices, faces, u, v, directed):
                 raise NonManifold("boundary edges do not close into loops")
             cur = remaining.pop(cur)
         loops.append(np.asarray(loop, dtype=np.int64))
-
-    def perimeter(loop):
-        pts = vertices[loop]
-        return float(np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1).sum())
-
-    # Outer loop = largest 3D perimeter; stable for all fixtures.
-    outer = max(range(len(loops)), key=lambda i: (perimeter(loops[i]), -i))
-    order = [outer] + [i for i in range(len(loops)) if i != outer]
-    return [loops[i] for i in order]
+    return loops
 
 
 # ---------------------------------------------------------------------------

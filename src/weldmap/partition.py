@@ -11,7 +11,7 @@ component before hole circularization.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,8 +22,9 @@ from .errors import (
     NoValidPlan,
     ParseError,
     SubmeshWithTwoHoles,
+    WeldmapError,
 )
-from .mesh import TriangleMesh, build_mesh
+from .mesh import TriangleMesh, build_mesh, edge_face_counts
 
 
 @dataclass
@@ -119,11 +120,8 @@ def _faces_connected(face_ids, adj):
 def region_hole_count(mesh, face_ids):
     """Number of inner holes of the region spanned by face_ids (Euler count)."""
     faces = mesh.faces[face_ids]
-    verts = np.unique(faces)
-    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    e.sort(axis=1)
-    n_e = len(np.unique(e, axis=0))
-    chi = len(verts) - n_e + len(faces)
+    n_e = len(edge_face_counts(faces, mesh.n_vertices))
+    chi = len(np.unique(faces)) - n_e + len(faces)
     return 1 - chi
 
 
@@ -136,7 +134,6 @@ class Submesh:
     mesh: TriangleMesh
     to_parent: np.ndarray  # local vertex id -> parent vertex id
     label: int
-    parent_to_local: dict = field(default_factory=dict)
 
 
 def extract_submeshes(mesh, labels):
@@ -150,14 +147,7 @@ def extract_submeshes(mesh, labels):
         local = np.full(mesh.n_vertices, -1, dtype=np.int64)
         local[verts] = np.arange(len(verts))
         sub = build_mesh(mesh.vertices[verts], local[faces])
-        subs.append(
-            Submesh(
-                mesh=sub,
-                to_parent=verts,
-                label=lab,
-                parent_to_local={int(p): i for i, p in enumerate(verts)},
-            )
-        )
+        subs.append(Submesh(mesh=sub, to_parent=verts, label=lab))
     return subs
 
 
@@ -174,8 +164,6 @@ class WeldSpec:
     arcs: list  # parent-vertex paths (np arrays), ordered along the cut
     arc_kind: str  # "continuous" | "two-arc-multiply-connected"
     hole_loop: int | None = None  # parent boundary-loop index enclosed by this weld
-    side_a: list = field(default_factory=list)  # (submesh id, local vid) per arc point
-    side_b: list = field(default_factory=list)
 
 
 @dataclass
@@ -214,7 +202,6 @@ def _shared_arcs(mesh, labels, comp_a, comp_b, cut_cache):
         used.add(start)
         cur = start
         while True:
-            nxt = [x for x in nbr[cur] if x not in used or (x == path[0] and len(path) > 2)]
             nxt = [x for x in nbr[cur] if x not in used]
             if not nxt:
                 break
@@ -223,11 +210,6 @@ def _shared_arcs(mesh, labels, comp_a, comp_b, cut_cache):
             path.append(cur)
         arcs.append(np.asarray(path, dtype=np.int64))
     return arcs
-
-
-def _region_holes(mesh, labels, comp):
-    mask = np.isin(labels.face_label, list(comp))
-    return region_hole_count(mesh, np.flatnonzero(mask))
 
 
 def _touching_labels(mesh, labels):
@@ -244,10 +226,10 @@ def _touching_labels(mesh, labels):
 def build_weld_specs(mesh, labels, submeshes):
     """Plan the pairwise welds (phase 1 encloses holes, phase 2 joins the rest).
 
-    Returns a WeldPlan; raises NoValidPlan when the partition cannot be welded
-    with pairwise continuous/two-arc welds.
+    submeshes are extract_submeshes(mesh, labels), which has validated the
+    labels. Returns a WeldPlan; raises NoValidPlan when the partition cannot
+    be welded with pairwise continuous/two-arc welds.
     """
-    labels.validate(mesh)
     eu, ev, ef0, ef1 = _interior_edges(mesh.faces)
     ela = labels.face_label[ef0]
     elb = labels.face_label[ef1]
@@ -260,8 +242,11 @@ def build_weld_specs(mesh, labels, submeshes):
     holes_memo = {}
 
     def region_holes(comp):
+        if len(comp) == 1:
+            return submeshes[next(iter(comp))].mesh.n_holes
         if comp not in holes_memo:
-            holes_memo[comp] = _region_holes(mesh, labels, comp)
+            mask = np.isin(labels.face_label, list(comp))
+            holes_memo[comp] = region_hole_count(mesh, np.flatnonzero(mask))
         return holes_memo[comp]
 
     def comp_of(lab, current):
@@ -298,7 +283,6 @@ def build_weld_specs(mesh, labels, submeshes):
         comps.remove(spec.left)
         comps.remove(spec.right)
         comps.append(spec.left | spec.right)
-        _attach_sides(spec, submeshes)
         welds.append(spec)
 
     # Phase 1: every inner hole must end up surrounded by a single component.
@@ -351,20 +335,6 @@ def build_weld_specs(mesh, labels, submeshes):
     return WeldPlan(welds=welds, n_pre=n_pre, hole_owner=hole_owner)
 
 
-def _attach_sides(spec, submeshes):
-    """Resolve arcs to (submesh id, local vertex id) pairs on both sides."""
-    def resolve(comp, parent_vid):
-        for lab in sorted(comp):
-            sub = submeshes[lab]
-            loc = sub.parent_to_local.get(int(parent_vid))
-            if loc is not None:
-                return (lab, loc)
-        raise AssertionError(f"parent vertex {parent_vid} not in component")
-
-    spec.side_a = [[resolve(spec.left, v) for v in arc] for arc in spec.arcs]
-    spec.side_b = [[resolve(spec.right, v) for v in arc] for arc in spec.arcs]
-
-
 # ---------------------------------------------------------------------------
 # Built-in partition heuristic
 
@@ -379,28 +349,21 @@ def default_partition(mesh, target_parts):
         raise ParseError("target_parts must be >= 1")
     n_holes = mesh.n_holes
     adj = face_adjacency(mesh.faces)
+    one_part = np.zeros(mesh.n_faces, dtype=np.int64)
+    base = _hole_voronoi(mesh, adj) if n_holes else one_part
 
-    candidates = []
-    if n_holes >= 1:
-        base = _hole_voronoi(mesh, adj)
-        candidates.append(base)
-        if target_parts > n_holes:
-            candidates.insert(0, _split_regions(mesh, adj, base, target_parts))
-    else:
-        if target_parts > 1:
-            ones = np.zeros(mesh.n_faces, dtype=np.int64)
-            candidates.append(_split_regions(mesh, adj, ones, target_parts))
-        candidates.append(np.zeros(mesh.n_faces, dtype=np.int64))
-
-    for cand in candidates:
-        lab = _relabel(cand)
-        part = PartitionLabeling(face_label=lab)
+    if target_parts > max(n_holes, 1):
+        split = _split_regions(mesh, adj, base, target_parts)
+        if split is not None:
+            return PartitionLabeling(face_label=_relabel(split))
+    if n_holes:
+        part = PartitionLabeling(face_label=_relabel(base))
         try:
             part.validate(mesh, adj=adj)
             return part
-        except Exception:
-            continue
-    return PartitionLabeling(face_label=np.zeros(mesh.n_faces, dtype=np.int64))
+        except WeldmapError:
+            pass
+    return PartitionLabeling(face_label=one_part)
 
 
 def _relabel(raw):
@@ -429,8 +392,13 @@ def _hole_voronoi(mesh, adj):
 
 
 def _split_regions(mesh, adj, base, target_parts):
-    """Split the largest regions in two (far-apart BFS seeds) until target."""
+    """Split the largest regions in two (far-apart BFS seeds) until target.
+
+    Returns the last labeling that passed validation, or None when no split
+    of base passed.
+    """
     label = base.copy()
+    accepted = False
     next_label = int(label.max()) + 1
     guard = 0
     while len(np.unique(label)) < target_parts and guard < 4 * target_parts:
@@ -448,7 +416,7 @@ def _split_regions(mesh, adj, base, target_parts):
         part = PartitionLabeling(face_label=_relabel(trial))
         try:
             part.validate(mesh, adj=adj)
-        except Exception:
+        except WeldmapError:
             # Mark the region unsplittable by leaving it; try next biggest.
             counts_sorted = labs[np.argsort(-counts)]
             done = True
@@ -464,10 +432,11 @@ def _split_regions(mesh, adj, base, target_parts):
                 part = PartitionLabeling(face_label=_relabel(trial))
                 try:
                     part.validate(mesh, adj=adj)
-                except Exception:
+                except WeldmapError:
                     continue
                 label = trial
                 next_label += 1
+                accepted = True
                 done = False
                 break
             if done:
@@ -475,7 +444,8 @@ def _split_regions(mesh, adj, base, target_parts):
         else:
             label = trial
             next_label += 1
-    return label
+            accepted = True
+    return label if accepted else None
 
 
 def _bisect_region(face_ids, adj, new_label, old_label):

@@ -29,6 +29,7 @@ from .assemble import (
 )
 from .errors import (
     MisorderedArc,
+    NonManifold,
     NumericalBreakdown,
     PathInsidePolygon,
     WrongTopology,
@@ -40,7 +41,7 @@ from .flatten import (
     lsqc_flatten,
 )
 from .koebe import circularize_hole, circularize_outer, koebe_refine, loop_circularity
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, walk_boundary_loops
 from .partition import build_weld_specs, extract_submeshes
 from .welding import (
     BoundaryChain,
@@ -128,39 +129,7 @@ class _Tracker:
 
 
 # ---------------------------------------------------------------------------
-# Region boundary loops in parent indexing
-
-
-def _region_loops(all_faces, face_ids):
-    """Boundary loops of a face subset, directed by face orientation."""
-    f = all_faces[face_ids]
-    directed = set()
-    for a, b, c in f:
-        directed.add((int(a), int(b)))
-        directed.add((int(b), int(c)))
-        directed.add((int(c), int(a)))
-    nxt = {}
-    for u, v in directed:
-        if (v, u) not in directed:
-            if u in nxt:
-                raise WrongTopology(
-                    f"region boundary branches at parent vertex {u}"
-                )
-            nxt[u] = v
-    loops = []
-    seen = set()
-    for start in sorted(nxt):
-        if start in seen:
-            continue
-        loop = [start]
-        seen.add(start)
-        cur = nxt[start]
-        while cur != start:
-            loop.append(cur)
-            seen.add(cur)
-            cur = nxt[cur]
-        loops.append(np.asarray(loop, dtype=np.int64))
-    return loops
+# Weld sides in parent indexing
 
 
 def _rotate_to_arc(loop, arc):
@@ -298,12 +267,18 @@ def _orient_side(loops, arc, tracker, comp, want_ccw):
 
 
 def _run_weld(spec, mesh, labels, tracker):
-    faces_l = np.flatnonzero(np.isin(labels.face_label, sorted(spec.left)))
-    faces_r = np.flatnonzero(np.isin(labels.face_label, sorted(spec.right)))
-    loops_l = _region_loops(mesh.faces, faces_l)
-    loops_r = _region_loops(mesh.faces, faces_r)
+    try:
+        loops_l, loops_r = [
+            walk_boundary_loops(
+                mesh.faces[np.isin(labels.face_label, sorted(comp))], mesh.n_vertices
+            )
+            for comp in (spec.left, spec.right)
+        ]
+    except NonManifold as err:
+        raise WrongTopology(f"weld side boundary: {err}", stage="weld") from err
 
-    if spec.arc_kind == "two-arc-multiply-connected":
+    two_arc = spec.arc_kind == "two-arc-multiply-connected"
+    if two_arc:
         # The stretch of boundary between the end of the first arc and the
         # start of the second must be this side's share of the hole rim (the
         # other gap is outer boundary); pick the arc order accordingly.
@@ -347,26 +322,10 @@ def _run_weld(spec, mesh, labels, tracker):
             "weld sides have the same planar orientation", stage="weld"
         )
 
-    pairs = []  # (parent vid, value on A, value on B)
-    if spec.arc_kind == "continuous":
-        k = len(arc1) - 1
-        last_err = None
-        for q in _DENSIFY:
-            dp_a, sel_a = _subdivide_runs(pos_a, [(0, k)], q)
-            dp_b, sel_b = _subdivide_runs(pos_b, [(0, k)], q)
-            try:
-                st_a, st_b, ch_a, ch_b = partial_weld(dp_a, dp_b, k * q)
-            except NumericalBreakdown as err:
-                last_err = err
-                continue
-            break
-        else:
-            raise last_err
-        out_a = st_a.z[: len(dp_a)][sel_a]
-        out_b = st_b.z[: len(dp_b)][sel_b]
-        for j in range(k + 1):
-            pairs.append((int(loop_a[j]), out_a[j], out_b[j]))
-    else:
+    r = len(arc1) - 1
+    runs_a = [(0, r)]
+    runs_b = [(0, r)]
+    if two_arc:
         arc2 = set(int(v) for v in spec.arcs[1 - first])
         idx_a = sorted(i for i, v in enumerate(loop_a) if int(v) in arc2)
         idx_b = sorted(i for i, v in enumerate(loop_b) if int(v) in arc2)
@@ -381,48 +340,37 @@ def _run_weld(spec, mesh, labels, tracker):
                 "second weld arc is inconsistent between the two sides",
                 stage="weld",
             )
-        r = len(arc1) - 1
-        last_err = None
-        for q in _DENSIFY:
-            dp_a, sel_a = _subdivide_runs(pos_a, [(0, r), (s_a, t_a)], q)
-            dp_b, sel_b = _subdivide_runs(pos_b, [(0, r), (s_b, t_b)], q)
-            r_q = int(sel_a[r])
-            sa_q, ta_q = int(sel_a[s_a]), int(sel_a[t_a])
-            sb_q, tb_q = int(sel_b[s_b]), int(sel_b[t_b])
-            try:
-                straight_ok = _chord_clear(dp_a, r_q, sa_q) and _chord_clear(
-                    dp_b, r_q, sb_q
+        runs_a.append((s_a, t_a))
+        runs_b.append((s_b, t_b))
+
+    last_err = None
+    for q in _DENSIFY:
+        dp_a, sel_a = _subdivide_runs(pos_a, runs_a, q)
+        dp_b, sel_b = _subdivide_runs(pos_b, runs_b, q)
+        try:
+            if two_arc:
+                dn_a, dn_b, ch_a, ch_b = _two_arc_weld(
+                    dp_a, dp_b, int(sel_a[r]), int(sel_a[s_a]), int(sel_a[t_a]),
+                    int(sel_b[s_b]), int(sel_b[t_b]),
                 )
-                if straight_ok:
-                    try:
-                        dn_a, dn_b, ch_a, ch_b = multiconnected_weld(
-                            dp_a, dp_b, r_q, sa_q, ta_q, s_b=sb_q, t_b=tb_q
-                        )
-                    except PathInsidePolygon:
-                        straight_ok = False
-                if not straight_ok:
-                    # The straight bridge between the rim-arc endpoints clips
-                    # the polygon (jagged hole mouths); detour just outside
-                    # the rim.
-                    count = max(1, (sa_q - r_q + sb_q - r_q) // 2 - 1)
-                    aux_a = _detour_path(dp_a, r_q, sa_q, count)
-                    aux_b = _detour_path(dp_b, r_q, sb_q, count)
-                    dn_a, dn_b, ch_a, ch_b = multiconnected_weld(
-                        dp_a, dp_b, r_q, sa_q, ta_q, s_b=sb_q, t_b=tb_q,
-                        aux_a=aux_a, aux_b=aux_b,
-                    )
-            except NumericalBreakdown as err:
-                last_err = err
-                continue
-            break
-        else:
-            raise last_err
-        out_a = dn_a[sel_a]
-        out_b = dn_b[sel_b]
-        for j in range(r + 1):
-            pairs.append((int(loop_a[j]), out_a[j], out_b[j]))
-        for i in range(t_a - s_a + 1):
-            pairs.append((int(loop_a[s_a + i]), out_a[s_a + i], out_b[s_b + i]))
+            else:
+                st_a, st_b, ch_a, ch_b = partial_weld(dp_a, dp_b, r * q)
+                dn_a, dn_b = st_a.z[: len(dp_a)], st_b.z[: len(dp_b)]
+        except NumericalBreakdown as err:
+            last_err = err
+            continue
+        break
+    else:
+        raise last_err
+    out_a = dn_a[sel_a]
+    out_b = dn_b[sel_b]
+
+    pairs = [(int(loop_a[j]), out_a[j], out_b[j]) for j in range(r + 1)]
+    if two_arc:
+        pairs += [
+            (int(loop_a[s_a + i]), out_a[s_a + i], out_b[s_b + i])
+            for i in range(t_a - s_a + 1)
+        ]
 
     tracker.transport(spec.left, ch_a)
     tracker.transport(spec.right, ch_b)
@@ -431,6 +379,27 @@ def _run_weld(spec, mesh, labels, tracker):
     both = spec.left | spec.right
     for vid, va, vb in pairs:
         tracker.overwrite([vid], [0.5 * (va + vb)], both)
+
+
+def _two_arc_weld(dp_a, dp_b, r_q, sa_q, ta_q, sb_q, tb_q):
+    """Two-arc weld around a hole rim, bridging the rim gap straight when the
+    chord is clear on both sides and by a detour outside the rim otherwise."""
+    if _chord_clear(dp_a, r_q, sa_q) and _chord_clear(dp_b, r_q, sb_q):
+        try:
+            return multiconnected_weld(
+                dp_a, dp_b, r_q, sa_q, ta_q, s_b=sb_q, t_b=tb_q
+            )
+        except PathInsidePolygon:
+            pass
+    # The straight bridge between the rim-arc endpoints clips the polygon
+    # (jagged hole mouths); detour just outside the rim.
+    count = max(1, (sa_q - r_q + sb_q - r_q) // 2 - 1)
+    aux_a = _detour_path(dp_a, r_q, sa_q, count)
+    aux_b = _detour_path(dp_b, r_q, sb_q, count)
+    return multiconnected_weld(
+        dp_a, dp_b, r_q, sa_q, ta_q, s_b=sb_q, t_b=tb_q,
+        aux_a=aux_a, aux_b=aux_b,
+    )
 
 
 def _weld_batches(welds):

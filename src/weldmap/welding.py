@@ -813,13 +813,3 @@ def multiconnected_weld(a_points, b_points, r, s_a, t_a, s_b=None, t_b=None,
     out_b = np.concatenate([st_b.z[: r + 1], rim_b, st_b.z[r + 1 + aux_count :][: len(b_points) - s_b]])
     return out_a, out_b, chain_a, chain_b
 
-
-def dump_chain_csv(path, chain_state):
-    """Debug dump of a boundary chain as index, re, im rows."""
-    with open(path, "w") as fh:
-        fh.write("index,re,im\n")
-        for i, (z, inf) in enumerate(zip(chain_state.z, chain_state.at_inf)):
-            if inf:
-                fh.write(f"{i},inf,inf\n")
-            else:
-                fh.write(f"{i},{z.real!r},{z.imag!r}\n")

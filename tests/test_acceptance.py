@@ -428,6 +428,7 @@ def test_criterion_10_scale(two_hole):
     )
     assert dt <= 120.0
     assert rss_gb <= 8.0
+    assert res.report.flipped_faces == 0
     assert agree <= 1e-9
 
 

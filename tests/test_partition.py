@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+import weldmap.partition as partition
 from weldmap.errors import DisconnectedSubmesh, NoValidPlan, SubmeshWithTwoHoles
+from weldmap.mesh import build_mesh
 from weldmap.partition import (
     PartitionLabeling,
     build_weld_specs,
     default_partition,
     extract_submeshes,
+    region_hole_count,
 )
 
-from fixtures import annulus_mesh, disk_mesh, grid_mesh, square_hole
+from fixtures import annulus_mesh, disk_mesh, grid_mesh, square_hole, two_hole_grid
 
 
 def split_by_x(mesh, x0):
@@ -127,15 +130,46 @@ def test_default_partition_deterministic():
     assert np.array_equal(p1.face_label, p2.face_label)
 
 
-def test_weld_spec_sides_resolve():
-    m = disk_mesh()
-    part = split_by_x(m, 0.0)
-    subs = extract_submeshes(m, part)
-    plan = build_weld_specs(m, part, subs)
-    w = plan.welds[0]
-    for arc, sa, sb in zip(w.arcs, w.side_a, w.side_b):
-        assert len(arc) == len(sa) == len(sb)
-        for pv, (la, ia), (lb, ib) in zip(arc, sa, sb):
-            assert la in w.left and lb in w.right
-            assert subs[la].to_parent[ia] == pv
-            assert subs[lb].to_parent[ib] == pv
+def _built_holes(mesh, face_ids):
+    """Hole count of the face subset as build_mesh sees it."""
+    faces = mesh.faces[face_ids]
+    verts = np.unique(faces)
+    local = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    local[verts] = np.arange(len(verts))
+    return build_mesh(mesh.vertices[verts], local[faces]).n_holes
+
+
+@pytest.mark.parametrize(
+    "make, cuts, whole, regions",
+    [
+        (disk_mesh, [0.0], 0, {(0,): 0, (1,): 0}),
+        # The halves only touch the hole rim; together they surround it.
+        (annulus_mesh, [0.0], 1, {(0,): 0, (1,): 0, (0, 1): 1}),
+        # Strips x < 0.75, 0.75..1.5 and > 1.5: the first two each touch
+        # hole 1 and together surround it; the third surrounds hole 2.
+        (lambda: two_hole_grid(20), [0.75, 1.5], 2, {(0,): 0, (1,): 0, (0, 1): 1, (2,): 1}),
+    ],
+)
+def test_region_hole_count_matches_build_mesh(make, cuts, whole, regions):
+    m = make()
+    label = np.digitize(m.vertices[m.faces].mean(axis=1)[:, 0], cuts)
+    assert region_hole_count(m, np.arange(m.n_faces)) == m.n_holes == whole
+    for labs, want in regions.items():
+        face_ids = np.flatnonzero(np.isin(label, labs))
+        assert region_hole_count(m, face_ids) == _built_holes(m, face_ids) == want, labs
+
+
+@pytest.mark.parametrize(
+    "mesh, parts",
+    [
+        (grid_mesh(8, 8), 3),  # validation inside the region splitter
+        (grid_mesh(14, 7, hole_cells=square_hole(2, 2, 2) | square_hole(10, 2, 2)), 2),
+    ],
+)
+def test_default_partition_raises_validation_bugs(monkeypatch, mesh, parts):
+    def broken(mesh, face_ids):
+        raise ValueError("bug inside validation")
+
+    monkeypatch.setattr(partition, "region_hole_count", broken)
+    with pytest.raises(ValueError, match="bug inside validation"):
+        default_partition(mesh, parts)

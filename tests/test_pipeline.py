@@ -14,11 +14,11 @@ from weldmap.cli import (
     main,
     run_pipeline,
 )
-from weldmap.errors import ConfigError
-from weldmap.partition import default_partition
-from weldmap.pipeline import compute_parameterization
+from weldmap.errors import ConfigError, WrongTopology
+from weldmap.partition import PartitionLabeling, WeldSpec, default_partition
+from weldmap.pipeline import _run_weld, compute_parameterization
 
-from fixtures import annulus_mesh, smooth_beltrami, two_hole_grid
+from fixtures import annulus_mesh, grid_mesh, smooth_beltrami, two_hole_grid
 
 
 def _zero_mu(mesh):
@@ -152,3 +152,16 @@ def test_snapshot_deterministic(tmp_path):
     emit_snapshot(str(a), loops)
     emit_snapshot(str(b), loops)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_weld_side_with_branching_boundary_is_wrong_topology():
+    # 2x2 grid; each side is two diagonal cells that touch only at the centre
+    # vertex, so both side boundaries branch there.
+    mesh = grid_mesh(2, 2)
+    labels = PartitionLabeling(face_label=np.array([0, 0, 1, 1, 1, 1, 0, 0]))
+    spec = WeldSpec(
+        left=frozenset({0}), right=frozenset({1}),
+        arcs=[np.array([1, 4, 7])], arc_kind="continuous",
+    )
+    with pytest.raises(WrongTopology, match="branch|outgoing"):
+        _run_weld(spec, mesh, labels, tracker=None)
