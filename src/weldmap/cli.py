@@ -196,6 +196,11 @@ def run_pipeline(config):
     if config.partition.startswith("auto:"):
         n = int(config.partition.split(":", 1)[1])
         labels = default_partition(mesh, n)
+        if labels.n_parts != n:
+            log.info(
+                "partition auto:%d gave %d parts (mesh has %d holes)",
+                n, labels.n_parts, mesh.n_holes,
+            )
     else:
         labels = load_labels(config.partition, mesh.n_faces)
     if config.mu == "zero":

@@ -9,6 +9,7 @@ which is the orientation all downstream signed-area formulas assume.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,13 +163,18 @@ def walk_boundary_loops(faces, n_vertices):
     start. Raises NonManifold when the boundary branches at a vertex.
     """
     u, v = _directed_edges(faces)
-    is_boundary = ~np.isin(v * n_vertices + u, u * n_vertices + v)
+    keys = np.sort(u * n_vertices + v)
+    reverse = v * n_vertices + u
+    # Keys are >= 0, so the -1 past the end never matches a reversed edge.
+    is_boundary = np.append(keys, -1)[np.searchsorted(keys, reverse)] != reverse
     bu = u[is_boundary]
     bv = v[is_boundary]
-    uniq_bu, bu_counts = np.unique(bu, return_counts=True)
-    if np.any(bu_counts > 1):
-        bad = int(uniq_bu[np.argmax(bu_counts > 1)])
-        raise NonManifold(f"boundary vertex {bad} has two outgoing boundary edges")
+    sorted_bu = np.sort(bu)
+    repeated = sorted_bu[1:][sorted_bu[1:] == sorted_bu[:-1]]
+    if len(repeated):
+        raise NonManifold(
+            f"boundary vertex {int(repeated[0])} has two outgoing boundary edges"
+        )
     remaining = dict(zip(bu.tolist(), bv.tolist()))
     loops = []
     while remaining:
@@ -212,35 +218,82 @@ def load_mesh(path, fmt=None):
     return build_mesh(vertices, faces)
 
 
+# OBJ records are matched on the text with its line breaks normalised to
+# "\n" and one "\n" put in front, so every line starts after a "\n" (a
+# literal start lets the regex engine skip between lines). A vertex line is
+# "v" and 2 or more coordinates, of which the first 3 are read; a face line
+# is "f" and exactly 3 tokens, each an index optionally followed by "/vt",
+# "/vt/vn" or "//vn".
+_WS = r"[^\S\n]"  # whitespace inside a line, as str.split() splits on
+_OBJ_KIND = re.compile(rf"\n{_WS}*([vf])(?!\S)")
+_OBJ_V = re.compile(rf"\n{_WS}*v{_WS}+(\S+{_WS}+\S+(?:{_WS}+\S+)?)")
+_OBJ_F = re.compile(rf"\n{_WS}*f{_WS}+(\S+{_WS}+\S+{_WS}+\S+){_WS}*(?![^\n])")
+_OBJ_SUFFIX = re.compile(r"/\S*")
+
+
 def _parse_obj(text):
-    vertices = []
-    faces = []
+    """Vertex and face arrays of an OBJ text; other records are ignored.
+
+    A relative (negative) face index counts back from the vertices defined
+    before its face line.
+    """
+    lines = "\n" + "\n".join(text.splitlines())
+    kinds = np.frombuffer("".join(_OBJ_KIND.findall(lines)).encode(), np.uint8)
+    is_vertex = kinds == ord("v")
+    n_vertices = int(np.count_nonzero(is_vertex))
+    rows = _OBJ_V.findall(lines)
+    face_rows = _OBJ_F.findall(lines)
+    try:
+        coords = np.array(" ".join(rows).split(), dtype=np.float64)
+        index = np.array(
+            _OBJ_SUFFIX.sub("", " ".join(face_rows)).split(), dtype=np.int64
+        )
+    except (ValueError, OverflowError):
+        raise _obj_error(text) from None
+    # Every matched vertex row holds 2 or 3 coordinates, so all rows hold the
+    # same number exactly when the total is 2 or 3 per row.
+    if (
+        n_vertices == 0
+        or len(rows) != n_vertices
+        or len(coords) not in (2 * n_vertices, 3 * n_vertices)
+        or len(face_rows) != len(kinds) - n_vertices
+        or len(index) != 3 * len(face_rows)
+    ):
+        raise _obj_error(text)
+    index = index.reshape(-1, 3)
+    seen = np.cumsum(is_vertex)[~is_vertex]
+    faces = np.where(index > 0, index - 1, seen[:, None] + index)
+    return coords.reshape(n_vertices, -1), faces
+
+
+def _obj_error(text):
+    """ParseError naming the first OBJ line that breaks the accepted subset.
+
+    Only called after a failed read, to report where the file went wrong.
+    """
+    dims = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if parts[0] == "v":
+        if parts[:1] == ["v"]:
             if len(parts) < 3:
-                raise ParseError(f"OBJ line {lineno}: bad vertex")
-            vertices.append([float(x) for x in parts[1:4]] if len(parts) >= 4
-                            else [float(parts[1]), float(parts[2])])
-        elif parts[0] == "f":
+                return ParseError(f"OBJ line {lineno}: bad vertex")
+            try:
+                dims.add(len([float(x) for x in parts[1:4]]))
+            except ValueError:
+                return ParseError(f"OBJ line {lineno}: bad vertex coordinate")
+        elif parts[:1] == ["f"]:
             if len(parts) != 4:
-                raise ParseError(f"OBJ line {lineno}: only triangles supported")
-            idx = []
+                return ParseError(f"OBJ line {lineno}: only triangles supported")
             for tok in parts[1:]:
                 try:
-                    i = int(tok.split("/")[0])
-                except ValueError as exc:
-                    raise ParseError(f"OBJ line {lineno}: bad face token {tok!r}") from exc
-                idx.append(i - 1 if i > 0 else len(vertices) + i)
-            faces.append(idx)
-    if not vertices:
-        raise ParseError("OBJ file contains no vertices")
-    dims = {len(v) for v in vertices}
+                    int(tok.split("/")[0])
+                except ValueError:
+                    return ParseError(f"OBJ line {lineno}: bad face token {tok!r}")
+    if not dims:
+        return ParseError("OBJ file contains no vertices")
     if len(dims) != 1:
-        raise ParseError("OBJ vertices mix 2D and 3D coordinates")
-    return np.asarray(vertices, dtype=np.float64), np.asarray(faces, dtype=np.int64)
+        return ParseError("OBJ vertices mix 2D and 3D coordinates")
+    return ParseError("OBJ face index out of range")
 
 
 def _parse_off(text):
@@ -270,19 +323,25 @@ def _parse_off(text):
     return vertices, np.asarray(faces, dtype=np.int64)
 
 
+# Rows formatted per write: bounds the transient tuple and string of one
+# write to a few MB on any mesh.
+_WRITE_ROWS = 1 << 14
+
+
 def save_obj_with_uv(path, mesh, uv):
     """Write the mesh with per-vertex UV as `vt` records and `f v/vt` faces."""
     uv = np.asarray(uv, dtype=np.float64)
-    lines = []
-    for p in mesh.vertices:
-        coords = " ".join(f"{x:.17g}" for x in p)
-        if mesh.is_planar:
-            coords += " 0"
-        lines.append(f"v {coords}")
-    for q in uv:
-        lines.append(f"vt {q[0]:.17g} {q[1]:.17g}")
-    for f in mesh.faces:
-        a, b, c = (int(i) + 1 for i in f)
-        lines.append(f"f {a}/{a} {b}/{b} {c}/{c}")
+    v_record = "v %.17g %.17g 0\n" if mesh.is_planar else "v %.17g %.17g %.17g\n"
+    # Each face corner is "i/i": its 1-based vertex index twice.
+    corners = np.broadcast_to((mesh.faces + 1)[:, :, None], (mesh.n_faces, 3, 2))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        _write_records(fh, v_record, mesh.vertices)
+        _write_records(fh, "vt %.17g %.17g\n", uv[:, :2])
+        _write_records(fh, "f %d/%d %d/%d %d/%d\n", corners)
+
+
+def _write_records(fh, record, rows):
+    """Write one %-formatted record per row of rows, _WRITE_ROWS at a time."""
+    for start in range(0, len(rows), _WRITE_ROWS):
+        chunk = rows[start : start + _WRITE_ROWS]
+        fh.write(record * len(chunk) % tuple(chunk.ravel().tolist()))

@@ -55,12 +55,15 @@ class PartitionLabeling:
             raise ParseError("label count does not match face count")
         if self.face_label.min() < 0:
             raise ParseError("negative partition label")
-        present = np.unique(self.face_label)
-        if not np.array_equal(present, np.arange(len(present))):
+        # Consecutive labels from 0 never exceed the face count, which also
+        # bounds the bincount below.
+        if self.face_label.max() >= len(self.face_label) or not np.all(
+            np.bincount(self.face_label)
+        ):
             raise ParseError("partition labels must be consecutive from 0")
         if adj is None:
             adj = face_adjacency(mesh.faces)
-        for lab in present:
+        for lab in range(self.n_parts):
             face_ids = np.flatnonzero(self.face_label == lab)
             if not _faces_connected(face_ids, adj):
                 raise DisconnectedSubmesh(f"submesh {lab} is not edge-connected")
@@ -121,7 +124,8 @@ def region_hole_count(mesh, face_ids):
     """Number of inner holes of the region spanned by face_ids (Euler count)."""
     faces = mesh.faces[face_ids]
     n_e = len(edge_face_counts(faces, mesh.n_vertices))
-    chi = len(np.unique(faces)) - n_e + len(faces)
+    n_v = np.count_nonzero(np.bincount(faces.ravel(), minlength=mesh.n_vertices))
+    chi = n_v - n_e + len(faces)
     return 1 - chi
 
 
@@ -143,7 +147,7 @@ def extract_submeshes(mesh, labels):
     for lab in range(labels.n_parts):
         face_ids = np.flatnonzero(labels.face_label == lab)
         faces = mesh.faces[face_ids]
-        verts = np.unique(faces)
+        verts = np.flatnonzero(np.bincount(faces.ravel(), minlength=mesh.n_vertices))
         local = np.full(mesh.n_vertices, -1, dtype=np.int64)
         local[verts] = np.arange(len(verts))
         sub = build_mesh(mesh.vertices[verts], local[faces])
@@ -173,7 +177,7 @@ class WeldPlan:
     hole_owner: dict  # parent loop index -> frozenset of labels at circularization
 
 
-def _shared_arcs(mesh, labels, comp_a, comp_b, cut_cache):
+def _shared_arcs(comp_a, comp_b, cut_cache):
     """Cut edges between two label sets, chained into maximal vertex paths."""
     cu, cv, cla, clb = cut_cache
     in_a = np.isin(cla, sorted(comp_a))
@@ -256,7 +260,7 @@ def build_weld_specs(mesh, labels, submeshes):
         raise AssertionError
 
     def try_merge(p, q):
-        arcs = _shared_arcs(mesh, labels, p, q, cut_cache)
+        arcs = _shared_arcs(p, q, cut_cache)
         if arcs is None:
             return None
         hp = region_holes(p)
@@ -342,8 +346,10 @@ def build_weld_specs(mesh, labels, submeshes):
 def default_partition(mesh, target_parts):
     """Greedy BFS face-growth partition honoring the one-hole restriction.
 
-    May return fewer parts than requested; falls back to one part when no
-    valid finer partition is found.
+    The part count may differ from target_parts. A mesh with more holes than
+    target_parts gets one part per hole (each part may hold at most one
+    hole). Fewer parts than asked come back when splitting stops early, and
+    one part when no valid finer partition is found.
     """
     if target_parts < 1:
         raise ParseError("target_parts must be >= 1")

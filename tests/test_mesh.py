@@ -7,9 +7,24 @@ from weldmap.errors import (
     ParseError,
     WrongTopology,
 )
-from weldmap.mesh import build_mesh, load_mesh, save_obj_with_uv
+from weldmap.mesh import (
+    _parse_obj,
+    build_mesh,
+    load_mesh,
+    save_obj_with_uv,
+    walk_boundary_loops,
+)
 
-from fixtures import annulus_mesh, disk_mesh, grid_mesh, square_hole
+from fixtures import (
+    annulus_mesh,
+    curved_annulus,
+    disk_mesh,
+    grid_mesh,
+    hemisphere_cap,
+    single_triangle,
+    square_hole,
+    two_hole_grid,
+)
 
 
 def test_square_grid_boundary():
@@ -85,3 +100,204 @@ def test_off_parse(tmp_path):
     path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
     m = load_mesh(path)
     assert m.n_faces == 1
+
+
+# ---------------------------------------------------------------------------
+# OBJ reader contract
+
+_SQUARE_2D = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+_SQUARE_FACES = np.array([[0, 1, 2], [0, 2, 3]])
+
+
+def _check_square(text, vertices=_SQUARE_2D):
+    v, f = _parse_obj(text)
+    assert v.dtype == np.float64 and f.dtype == np.int64
+    assert np.array_equal(v, vertices)
+    assert np.array_equal(f, _SQUARE_FACES)
+
+
+def test_obj_face_tokens_with_texture_and_normal_indices():
+    head = "v 0 0\nv 1 0\nv 1 1\nv 0 1\n"
+    _check_square(head + "f 1/1/1 2/2/1 3/3/1\nf 1/1/1 3/3/1 4/4/1\n")
+    _check_square(head + "f 1//1 2//1 3//1\nf 1//1 3//1 4//1\n")
+    _check_square(head + "f 1/5 2/6 3/7\nf 1/5 3/7 4/8\n")
+
+
+def test_obj_negative_indices_count_vertices_defined_so_far():
+    _check_square("v 0 0\nv 1 0\nv 1 1\nf -3 -2 -1\nv 0 1\nf 1 -2 -1\n")
+    _check_square("v 0 0\nv 1 0\nv 1 1\nv 0 1\nf -4 -3 -2\nf -4/1 -2//3 -1\n")
+
+
+def test_obj_ignores_comments_blank_lines_and_other_records():
+    text = (
+        "# a square\n\n   \no square\ng grp\ns 1\n"
+        "v 0 0\nvt 0 0\nvn 0 0 1\nv 1 0\n#v 9 9\n  v\t1 1\nv 0 1   \n"
+        "\tf 1 2 3\n# f 1 1 1\nf 1 3 4\n"
+    )
+    _check_square(text)
+    _check_square(text.replace("\n", "\r\n"))
+    _check_square(text.replace("\n", "\r"))
+
+
+def test_obj_vertex_colors_and_3d_files():
+    square_3d = np.column_stack([_SQUARE_2D, [0.5, -0.0, 1e-300, 2.0]])
+    colors = "v 0 0 0.5 1 0 0\nv 1 0 -0.0 0 1 0\nv 1 1 1e-300 0 0 1\nv 0 1 2 1 1 1\n"
+    _check_square(colors + "f 1 2 3\nf 1 3 4\n", square_3d)
+    plain = "v 0 0 0.5\nv 1 0 -0.0\nv 1 1 1e-300\nv 0 1 2\nf 1 2 3\nf 1 3 4\n"
+    _check_square(plain, square_3d)
+    assert np.signbit(_parse_obj(plain)[0][1, 2])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("v 0 0\nv 1 0 0\nv 1 1\nf 1 2 3\n", "mix 2D and 3D"),
+        ("v 0 0\nv 1 0\nv 1 1\nv 0 1\nf 1 2 3 4\n", "line 5: only triangles"),
+        ("v 0 0\nv 1 0\nv 1 1\nf 1 2\n", "line 4: only triangles"),
+        ("v 0 0\nv 1 0\nv 1 1\nf 1 x 3\n", "line 4: bad face token 'x'"),
+        ("v 0 0\nv 1 0\nv 1 1\nf 1 /2 3\n", "line 4: bad face token '/2'"),
+        ("v 0 0\nv 1\nv 1 1\nf 1 2 3\n", "line 2: bad vertex"),
+        ("# nothing\nvt 0 0\n", "no vertices"),
+        ("", "no vertices"),
+    ],
+)
+def test_obj_parse_errors(text, message):
+    with pytest.raises(ParseError, match=message):
+        _parse_obj(text)
+
+
+def test_obj_bad_coordinate_is_parse_error():
+    with pytest.raises(ParseError, match="line 2: bad vertex coordinate"):
+        _parse_obj("v 0 0\nv 1 zero\nv 1 1\nf 1 2 3\n")
+
+
+def test_obj_without_faces_has_no_faces(tmp_path):
+    assert _parse_obj("v 0 0\nv 1 0\n")[1].shape == (0, 3)
+    path = tmp_path / "points.obj"
+    path.write_text("v 0 0\nv 1 0\nv 1 1\n")
+    with pytest.raises(WrongTopology, match="no faces"):
+        load_mesh(path)
+
+
+def _reference_parse_obj(text):
+    """Line-at-a-time reading of the same OBJ subset, for comparison."""
+    vertices, faces = [], []
+    for line in text.splitlines():
+        parts = line.split()
+        if parts[:1] == ["v"]:
+            vertices.append([float(x) for x in parts[1:4]])
+        elif parts[:1] == ["f"]:
+            idx = [int(tok.split("/")[0]) for tok in parts[1:]]
+            faces.append([i - 1 if i > 0 else len(vertices) + i for i in idx])
+    return np.array(vertices), np.array(faces, dtype=np.int64)
+
+
+def test_obj_reader_matches_line_reference(tmp_path):
+    for m in (two_hole_grid(30), hemisphere_cap()):
+        uv = m.vertices[:, :2] / 7.0
+        path = tmp_path / "m.obj"
+        save_obj_with_uv(path, m, uv)
+        text = path.read_text()
+        v, f = _parse_obj(text)
+        v_ref, f_ref = _reference_parse_obj(text)
+        assert np.array_equal(v.view(np.int64), v_ref.view(np.int64))
+        assert np.array_equal(f, f_ref)
+
+
+# ---------------------------------------------------------------------------
+# OBJ writer
+
+
+def test_save_obj_golden_bytes_2d(tmp_path):
+    m = build_mesh(np.array([[-0.0, 0.1], [1.0, 1e-300], [1 / 3, 1.0]]), np.array([[0, 1, 2]]))
+    uv = np.array([[0.1, 1 / 3], [-0.0, 1e-300], [0.5, -2.5]])
+    path = tmp_path / "tri.obj"
+    save_obj_with_uv(path, m, uv)
+    assert path.read_bytes() == (
+        b"v -0 0.10000000000000001 0\n"
+        b"v 1 1e-300 0\n"
+        b"v 0.33333333333333331 1 0\n"
+        b"vt 0.10000000000000001 0.33333333333333331\n"
+        b"vt -0 1e-300\n"
+        b"vt 0.5 -2.5\n"
+        b"f 1/1 2/2 3/3\n"
+    )
+
+
+def test_save_obj_golden_bytes_3d(tmp_path):
+    m = build_mesh(
+        np.array([[0.0, 0.0, 0.1], [1.0, -0.0, 1 / 3], [1.0, 1.0, 1e-300], [0.0, 1.0, -2.0]]),
+        np.array([[0, 1, 2], [0, 2, 3]]),
+    )
+    uv = np.array([[0.0, 0.0], [1 / 3, -0.0], [1.0, 0.1], [1e-300, 1.0]])
+    path = tmp_path / "square.obj"
+    save_obj_with_uv(path, m, uv)
+    assert path.read_bytes() == (
+        b"v 0 0 0.10000000000000001\n"
+        b"v 1 -0 0.33333333333333331\n"
+        b"v 1 1 1e-300\n"
+        b"v 0 1 -2\n"
+        b"vt 0 0\n"
+        b"vt 0.33333333333333331 -0\n"
+        b"vt 1 0.10000000000000001\n"
+        b"vt 1e-300 1\n"
+        b"f 1/1 2/2 3/3\n"
+        b"f 1/1 3/3 4/4\n"
+    )
+
+
+def test_save_obj_matches_line_reference_across_chunks(tmp_path):
+    m = grid_mesh(100, 100)  # 10,201 vertices and 20,000 faces
+    uv = np.random.default_rng(0).standard_normal((m.n_vertices, 2)) * 1e-5
+    path = tmp_path / "grid.obj"
+    save_obj_with_uv(path, m, uv)
+    lines = [f"v {x:.17g} {y:.17g} 0" for x, y in m.vertices.tolist()]
+    lines += [f"vt {x:.17g} {y:.17g}" for x, y in uv.tolist()]
+    lines += [f"f {a}/{a} {b}/{b} {c}/{c}" for a, b, c in (m.faces + 1).tolist()]
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Boundary loop walk
+
+
+def test_bow_tie_vertex_is_non_manifold():
+    faces = np.array([[0, 1, 2], [0, 3, 4]])
+    with pytest.raises(NonManifold, match="boundary vertex 0"):
+        walk_boundary_loops(faces, 5)
+
+
+_FIXTURES = [
+    lambda: single_triangle([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    lambda: grid_mesh(6, 4),
+    lambda: grid_mesh(8, 8, hole_cells=square_hole(3, 3, 2)),
+    lambda: two_hole_grid(20),
+    disk_mesh,
+    annulus_mesh,
+    hemisphere_cap,
+    curved_annulus,
+]
+
+
+@pytest.mark.parametrize("make", _FIXTURES)
+def test_loops_start_at_smallest_vertex_in_order(make):
+    m = make()
+    loops = walk_boundary_loops(m.faces, m.n_vertices)
+    assert len(loops) == m.n_holes + 1
+    starts = [int(lp[0]) for lp in loops]
+    assert starts == [int(lp.min()) for lp in loops]
+    assert starts == sorted(starts)
+
+
+@pytest.mark.parametrize("make", _FIXTURES)
+def test_each_boundary_edge_in_exactly_one_loop(make):
+    m = make()
+    directed = {(a, b) for f in m.faces.tolist() for a, b in zip(f, f[1:] + f[:1])}
+    boundary = {(a, b) for a, b in directed if (b, a) not in directed}
+    loop_edges = [
+        (a, b)
+        for lp in walk_boundary_loops(m.faces, m.n_vertices)
+        for a, b in zip(lp.tolist(), np.roll(lp, -1).tolist())
+    ]
+    assert len(loop_edges) == len(set(loop_edges))
+    assert set(loop_edges) == boundary

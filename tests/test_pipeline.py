@@ -1,6 +1,7 @@
 """End-to-end pipeline and CLI tests."""
 
 import json
+import logging
 import os
 import xml.etree.ElementTree as ET
 
@@ -165,3 +166,17 @@ def test_weld_side_with_branching_boundary_is_wrong_topology():
     )
     with pytest.raises(WrongTopology, match="branch|outgoing"):
         _run_weld(spec, mesh, labels, tracker=None)
+
+
+def test_auto_partition_with_more_holes_than_parts_is_logged(tmp_path, caplog):
+    mesh = two_hole_grid(40)
+    assert default_partition(mesh, 1).n_parts == 2  # one part per hole
+    obj = tmp_path / "two_hole.obj"
+    _write_obj(obj, mesh)
+    cfg = PipelineConfig(
+        input_path=str(obj), partition="auto:1", qc_correction=False,
+        deterministic=True, out_dir=str(tmp_path / "out"),
+    )
+    with caplog.at_level(logging.INFO, logger="weldmap"):
+        assert run_pipeline(cfg) == 0
+    assert "partition auto:1 gave 2 parts (mesh has 2 holes)" in caplog.messages
