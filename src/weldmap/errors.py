@@ -74,10 +74,6 @@ class MisorderedArc(WeldmapError):
     code = "MISORDERED_ARC"
 
 
-class BadAxisPoints(WeldmapError):
-    code = "BAD_AXIS_POINTS"
-
-
 class ZeroXi(WeldmapError):
     code = "ZERO_XI"
 

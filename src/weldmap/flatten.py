@@ -300,9 +300,3 @@ def compose_beltrami(source_vertices, faces, image_uv, mu_target):
         bad = int(np.argmax(am))
         raise MuOutOfRange(f"composed coefficient |nu|={am[bad]:.6f} on face {bad}")
     return nu
-
-
-def compose_beltrami_forward(mu_f, tau, mu_g):
-    """Composition rule: Beltrami coefficient of g o f from mu_f, mu_g, tau."""
-    t = np.asarray(tau, dtype=np.complex128)
-    return (mu_f + mu_g * t) / (1.0 + np.conj(mu_f) * mu_g * t)

@@ -13,14 +13,14 @@ import numpy as np
 
 from .errors import MisorderedArc, NumericalBreakdown
 from .welding import (
-    BoundaryChain,
     InitialRoot,
-    MapChain,
     MobiusMap,
     Primitive,
     SquareClosing,
     _interior_point,
+    _pack_state,
     _polygon_area,
+    _unpack,
     geodesic_basic,
 )
 
@@ -72,50 +72,16 @@ class SlitToDisk(Primitive):
         d = np.where(at_inf, -1.0 + 0j, d)
         return d, np.zeros_like(at_inf), np.zeros_like(on_axis)
 
-    def inverse_points(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        w = (1.0 - z) / (1.0 + z)
-        return w * w
 
-
-def _pack_state(boundary, anchor_at_inf, passengers):
-    """Build one BoundaryChain holding boundary, an anchor slot, and all
-    passenger arrays; returns (state, offsets) for later unpacking."""
-    parts = [np.asarray(boundary, dtype=np.complex128), np.zeros(1, np.complex128)]
-    offsets = []
-    pos = len(parts[0]) + 1
-    for p in passengers:
-        p = np.asarray(p, dtype=np.complex128)
-        offsets.append((pos, pos + len(p)))
-        parts.append(p)
-        pos += len(p)
-    st = BoundaryChain.from_points(np.concatenate(parts))
-    n = len(boundary)
-    if anchor_at_inf:
-        st.set_inf(n)
-    return st, offsets
-
-
-def _unpack(st, n, offsets):
-    boundary = st.z[:n].copy()
-    passengers = [st.z[a:b].copy() for a, b in offsets]
-    return boundary, passengers
-
-
-def _closed_geodesic(st, n, anchor_idx):
+def _closed_geodesic(st, n):
     """Unzip the closed boundary (state entries 0..n-1, counter-clockwise)
-    and map the enclosed domain onto the unit disk with the anchor entry at
-    the origin. Returns (state, MapChain)."""
-    chain = MapChain([])
-    g1 = InitialRoot(st.z[0], st.z[1], +1)
-    st = g1.apply_state(st)
-    chain.append(g1)
+    and map the enclosed domain onto the unit disk with the anchor (entry n)
+    at the origin. Returns the mapped state."""
+    st = InitialRoot(st.z[0], st.z[1], +1).apply_state(st)
     st.set_exact(1, 0.0, on_axis=True)
     st.set_inf(0, on_axis=True)
     for j in range(2, n):
-        g = geodesic_basic(st.z[j], +1)
-        st = g.apply_state(st)
-        chain.append(g)
+        st = geodesic_basic(st.z[j], +1).apply_state(st)
         st.set_exact(j, 0.0, on_axis=True)
     if st.at_inf[0]:
         closing = SquareClosing(None)
@@ -126,16 +92,11 @@ def _closed_geodesic(st, n, anchor_idx):
             )
         closing = SquareClosing(st.z[0])
     st = closing.apply_state(st)
-    chain.append(closing)
-    unfold = SlitToDisk(side=+1)
-    st = unfold.apply_state(st)
-    chain.append(unfold)
-    a = st.z[anchor_idx]
-    if st.at_inf[anchor_idx] or abs(a) >= 1.0:
+    st = SlitToDisk(side=+1).apply_state(st)
+    a = st.z[n]
+    if st.at_inf[n] or abs(a) >= 1.0:
         raise NumericalBreakdown("anchor left the unit disk", stage="koebe")
-    center = MobiusMap(1.0, -a, -np.conj(a), 1.0)
-    st = center.apply_state(st)
-    chain.append(center)
+    st = MobiusMap(1.0, -a, -np.conj(a), 1.0).apply_state(st)
     # The boundary samples are on the unit circle up to roundoff; project
     # them exactly (marker-style snap, the interior is untouched).
     mags = np.abs(st.z[:n])
@@ -143,15 +104,15 @@ def _closed_geodesic(st, n, anchor_idx):
         raise NumericalBreakdown("boundary images strayed off the circle",
                                  stage="koebe")
     st.z[:n] = st.z[:n] / mags
-    return st, chain
+    return st
 
 
 def disk_map_interior(boundary, passengers=(), anchor=None):
     """Riemann map of the interior of a closed counter-clockwise boundary
     onto the unit disk, anchor point to 0.
 
-    Returns (boundary images, passenger images, MapChain). The anchor
-    defaults to a representative interior point of the polygon.
+    Returns (boundary images, passenger images). The anchor defaults to a
+    representative interior point of the polygon.
     """
     boundary = np.asarray(boundary, dtype=np.complex128)
     n = len(boundary)
@@ -161,11 +122,8 @@ def disk_map_interior(boundary, passengers=(), anchor=None):
         raise MisorderedArc("boundary must be counter-clockwise")
     if anchor is None:
         anchor = _interior_point(boundary)
-    st, offsets = _pack_state(boundary, False, passengers)
-    st.z[n] = anchor
-    st, chain = _closed_geodesic(st, n, n)
-    out_b, out_p = _unpack(st, n, offsets)
-    return out_b, out_p, chain
+    st, offsets = _pack_state(np.append(boundary, anchor), passengers)
+    return _unpack(_closed_geodesic(st, n), n, offsets)
 
 
 def circularize_hole(hole, passengers=()):
@@ -176,46 +134,40 @@ def circularize_hole(hole, passengers=()):
     The exterior problem is conjugated to an interior one by the inversion
     1/(z - c) about an interior point c of the hole.
 
-    Returns (hole images, passenger images, MapChain).
+    Returns (hole images, passenger images).
     """
     hole = np.asarray(hole, dtype=np.complex128)
     n = len(hole)
     if n < 3:
         raise MisorderedArc("hole boundary needs at least 3 points")
     c = _interior_point(hole)
-    inv = MobiusMap(0.0, 1.0, 1.0, -c)
-    st, offsets = _pack_state(hole, True, passengers)
-    st = inv.apply_state(st)
-    chain = MapChain([inv])
+    # The anchor slot holds infinity, which the inversion sends to 0.
+    st, offsets = _pack_state(np.append(hole, 0.0), passengers)
+    st.set_inf(n)
+    st = MobiusMap(0.0, 1.0, 1.0, -c).apply_state(st)
     # The inversion swaps interior and exterior, so the inverted hole runs
     # clockwise when the input runs counter-clockwise; unzip it in whichever
     # order is counter-clockwise.
     flipped = _polygon_area(st.z[:n]) < 0
     if flipped:
         st.z[:n] = st.z[:n][::-1]
-    st, sub = _closed_geodesic(st, n, n)
-    chain.extend(sub)
-    back = MobiusMap(0.0, 1.0, 1.0, 0.0)
-    st = back.apply_state(st)
-    chain.append(back)
+    st = _closed_geodesic(st, n)
+    st = MobiusMap(0.0, 1.0, 1.0, 0.0).apply_state(st)
     if flipped:
         st.z[:n] = st.z[:n][::-1]
-    out_h, out_p = _unpack(st, n, offsets)
-    return out_h, out_p, chain
+    return _unpack(st, n, offsets)
 
 
 def circularize_outer(outer, passengers=(), anchor=None):
     """Map the interior of the outer boundary onto the unit disk; the outer
     loop lands exactly on the unit circle, everything else strictly inside."""
-    out_b, out_p, chain = disk_map_interior(outer, passengers, anchor=anchor)
+    out_b, out_p = disk_map_interior(outer, passengers, anchor=anchor)
     worst = max((np.abs(p).max() for p in out_p if len(p)), default=0.0)
     if worst >= 1.0 - 1e-12:
-        s = (1.0 - 1e-12) / worst
-        scale = MobiusMap(s, 0.0, 0.0, 1.0)
-        out_b = scale.apply_points(out_b)
-        out_p = [scale.apply_points(p) for p in out_p]
-        chain.append(scale)
-    return out_b, out_p, chain
+        scale = MobiusMap((1.0 - 1e-12) / worst, 0.0, 0.0, 1.0)
+        st, offsets = _pack_state(out_b, out_p)
+        out_b, out_p = _unpack(scale.apply_state(st), len(out_b), offsets)
+    return out_b, out_p
 
 
 def koebe_refine(outer, holes, extras=(), passes=0, target=CIRCULARITY_TARGET):
@@ -223,29 +175,26 @@ def koebe_refine(outer, holes, extras=(), passes=0, target=CIRCULARITY_TARGET):
     boundary, for up to `passes` full cycles; stop early once every hole
     meets the circularity target.
 
-    Returns (outer, holes, extras, history, MapChain) where history is the
-    list of per-hole CircularityReport lists recorded after each pass
-    (history[0] is the state before any refinement).
+    Returns (outer, holes, extras, history) where history is the list of
+    per-hole CircularityReport lists recorded after each pass (history[0] is
+    the state before any refinement).
     """
     outer = np.asarray(outer, dtype=np.complex128)
     holes = [np.asarray(h, dtype=np.complex128) for h in holes]
     extras = [np.asarray(e, dtype=np.complex128) for e in extras]
-    chain = MapChain([])
     history = [[loop_circularity(h) for h in holes]]
     for _ in range(passes):
         if all(r.circularity <= target for r in history[-1]):
             break
         for j in range(len(holes)):
             others = [outer] + holes[:j] + holes[j + 1 :] + extras
-            holes[j], moved, sub = circularize_hole(holes[j], others)
-            chain.extend(sub)
+            holes[j], moved = circularize_hole(holes[j], others)
             outer = moved[0]
             for i, h in enumerate(moved[1 : len(holes)]):
                 holes[i if i < j else i + 1] = h
             extras = moved[len(holes) :]
-        outer, moved, sub = circularize_outer(outer, holes + extras)
-        chain.extend(sub)
+        outer, moved = circularize_outer(outer, holes + extras)
         holes = moved[: len(holes)]
         extras = moved[len(holes) :]
         history.append([loop_circularity(h) for h in holes])
-    return outer, holes, extras, history, chain
+    return outer, holes, extras, history

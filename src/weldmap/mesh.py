@@ -296,31 +296,52 @@ def _obj_error(text):
     return ParseError("OBJ face index out of range")
 
 
+_OFF_COMMENT = re.compile(r"#[^\n]*")
+
+
 def _parse_off(text):
-    tokens = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
+    """Vertex and face arrays of an OFF text, read as one token stream:
+    the header "OFF", the vertex, face and (unused) edge counts, 3
+    coordinates per vertex, then "3 i j k" per face. A "#" starts a comment
+    that runs to the end of its line.
+    """
+    tokens = _OFF_COMMENT.sub("", "\n".join(text.splitlines())).split()
     if not tokens or tokens[0] != "OFF":
         raise ParseError("missing OFF header")
     try:
         nv, nf = int(tokens[1]), int(tokens[2])
-        pos = 4  # skip edge count
-        vertices = np.asarray(
-            [float(t) for t in tokens[pos : pos + 3 * nv]], dtype=np.float64
-        ).reshape(nv, 3)
-        pos += 3 * nv
-        faces = []
-        for _ in range(nf):
-            cnt = int(tokens[pos])
-            if cnt != 3:
-                raise ParseError("only triangular OFF faces supported")
-            faces.append([int(t) for t in tokens[pos + 1 : pos + 4]])
-            pos += 1 + cnt
+        if nv < 0 or nf < 0:
+            raise ValueError("negative vertex or face count")
+        pos = 4 + 3 * nv  # the edge count is skipped
+        vertices = np.array(tokens[4:pos], dtype=np.float64).reshape(nv, 3)
     except (ValueError, IndexError) as exc:
         raise ParseError(f"malformed OFF file: {exc}") from exc
-    return vertices, np.asarray(faces, dtype=np.int64)
+    try:
+        records = np.array(tokens[pos : pos + 4 * nf], dtype=np.int64).reshape(nf, 4)
+    except (ValueError, OverflowError):
+        raise _off_face_error(tokens, pos, nf) from None
+    if np.any(records[:, 0] != 3):
+        raise _off_face_error(tokens, pos, nf)
+    return vertices, records[:, 1:]
+
+
+def _off_face_error(tokens, pos, nf):
+    """ParseError naming what is wrong with the first bad OFF face record.
+
+    Only called after a failed read, to report where the file went wrong.
+    """
+    for start in range(pos, pos + 4 * nf, 4):
+        record = tokens[start : start + 4]
+        try:
+            if int(record[0]) != 3:
+                return ParseError("only triangular OFF faces supported")
+            if len(record) < 4:
+                raise IndexError("face record cut short")
+            for t in record[1:]:
+                int(t)
+        except (ValueError, IndexError) as exc:
+            return ParseError(f"malformed OFF file: {exc}")
+    return ParseError("malformed OFF file: face index out of int64 range")
 
 
 # Rows formatted per write: bounds the transient tuple and string of one

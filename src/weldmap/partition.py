@@ -80,7 +80,7 @@ def load_labels(path, n_faces):
         raise ParseError(f"cannot read labels from {path!r}: {exc}") from exc
     if raw.size != n_faces:
         raise ParseError(f"expected {n_faces} labels, found {raw.size}")
-    # Remap to consecutive ids preserving order of first appearance.
+    # Remap to consecutive ids in increasing label order: 5, 2, 5 -> 1, 0, 1.
     _, inv = np.unique(raw, return_inverse=True)
     return PartitionLabeling(face_label=inv)
 
@@ -398,7 +398,8 @@ def _hole_voronoi(mesh, adj):
 
 
 def _split_regions(mesh, adj, base, target_parts):
-    """Split the largest regions in two (far-apart BFS seeds) until target.
+    """Split regions in two (far-apart BFS seeds) until target: each round
+    splits the largest region whose split passes validation.
 
     Returns the last labeling that passed validation, or None when no split
     of base passed.
@@ -410,47 +411,25 @@ def _split_regions(mesh, adj, base, target_parts):
     while len(np.unique(label)) < target_parts and guard < 4 * target_parts:
         guard += 1
         labs, counts = np.unique(label, return_counts=True)
-        big = labs[np.argmax(counts)]
-        face_ids = np.flatnonzero(label == big)
-        if len(face_ids) < 8:
+        for lab in labs[np.argsort(-counts, kind="stable")]:
+            face_ids = np.flatnonzero(label == lab)
+            if len(face_ids) < 8:
+                continue
+            split = _bisect_region(face_ids, adj, next_label, int(lab))
+            if split is None:
+                continue
+            trial = label.copy()
+            trial[face_ids] = split
+            try:
+                PartitionLabeling(face_label=_relabel(trial)).validate(mesh, adj=adj)
+            except WeldmapError:
+                continue
             break
-        split = _bisect_region(face_ids, adj, next_label, big)
-        if split is None:
-            break
-        trial = label.copy()
-        trial[face_ids] = split
-        part = PartitionLabeling(face_label=_relabel(trial))
-        try:
-            part.validate(mesh, adj=adj)
-        except WeldmapError:
-            # Mark the region unsplittable by leaving it; try next biggest.
-            counts_sorted = labs[np.argsort(-counts)]
-            done = True
-            for alt in counts_sorted[1:]:
-                alt_ids = np.flatnonzero(label == alt)
-                if len(alt_ids) < 8:
-                    continue
-                split = _bisect_region(alt_ids, adj, next_label, int(alt))
-                if split is None:
-                    continue
-                trial = label.copy()
-                trial[alt_ids] = split
-                part = PartitionLabeling(face_label=_relabel(trial))
-                try:
-                    part.validate(mesh, adj=adj)
-                except WeldmapError:
-                    continue
-                label = trial
-                next_label += 1
-                accepted = True
-                done = False
-                break
-            if done:
-                break
         else:
-            label = trial
-            next_label += 1
-            accepted = True
+            break  # no region splits validly
+        label = trial
+        next_label += 1
+        accepted = True
     return label if accepted else None
 
 

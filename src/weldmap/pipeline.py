@@ -44,7 +44,6 @@ from .koebe import circularize_hole, circularize_outer, koebe_refine, loop_circu
 from .mesh import TriangleMesh, walk_boundary_loops
 from .partition import build_weld_specs, extract_submeshes
 from .welding import (
-    BoundaryChain,
     _polygon_area,
     multiconnected_weld,
     partial_weld,
@@ -71,8 +70,9 @@ class PipelineResult:
 class _Tracker:
     """Current planar position of every submesh boundary vertex.
 
-    Only boundary vertices ride through the welding and circularization
-    chains; submesh interiors are recreated later by the Dirichlet solves.
+    Only boundary vertices ride, as passengers, through the welding and
+    circularization maps; submesh interiors are recreated later by the
+    Dirichlet solves.
     """
 
     def __init__(self, submeshes, embeddings):
@@ -98,15 +98,22 @@ class _Tracker:
                 raise WrongTopology(f"parent vertex {int(v)} has no tracked copy")
         return out
 
-    def transport(self, comp, chain):
+    def positions(self, comp):
+        """Positions of every label of comp, concatenated in comp's order."""
+        return np.concatenate([self.pos[lab] for lab in comp])
+
+    def move(self, comp, moved):
+        """Store moved (a BoundaryChain), the images of positions(comp)."""
+        start = 0
         for lab in comp:
-            st = chain.apply_state(BoundaryChain.from_points(self.pos[lab]))
-            if st.at_inf.any():
+            stop = start + len(self.pos[lab])
+            if moved.at_inf[start:stop].any():
                 raise NumericalBreakdown(
-                    "a boundary vertex escaped to infinity in transport",
+                    "a boundary vertex escaped to infinity in the weld",
                     stage="weld", submesh=lab,
                 )
-            self.pos[lab] = st.z
+            self.pos[lab] = moved.z[start:stop]
+            start = stop
 
     def overwrite(self, vids, values, comp=None):
         for v, val in zip(vids, values):
@@ -343,18 +350,25 @@ def _run_weld(spec, mesh, labels, tracker):
         runs_a.append((s_a, t_a))
         runs_b.append((s_b, t_b))
 
+    # Every tracked position of both sides rides through the weld maps.
+    passengers = {
+        "passengers_a": tracker.positions(spec.left),
+        "passengers_b": tracker.positions(spec.right),
+    }
     last_err = None
     for q in _DENSIFY:
         dp_a, sel_a = _subdivide_runs(pos_a, runs_a, q)
         dp_b, sel_b = _subdivide_runs(pos_b, runs_b, q)
         try:
             if two_arc:
-                dn_a, dn_b, ch_a, ch_b = _two_arc_weld(
+                dn_a, dn_b, moved_a, moved_b = _two_arc_weld(
                     dp_a, dp_b, int(sel_a[r]), int(sel_a[s_a]), int(sel_a[t_a]),
-                    int(sel_b[s_b]), int(sel_b[t_b]),
+                    int(sel_b[s_b]), int(sel_b[t_b]), passengers,
                 )
             else:
-                st_a, st_b, ch_a, ch_b = partial_weld(dp_a, dp_b, r * q)
+                st_a, st_b, moved_a, moved_b = partial_weld(
+                    dp_a, dp_b, r * q, **passengers
+                )
                 dn_a, dn_b = st_a.z[: len(dp_a)], st_b.z[: len(dp_b)]
         except NumericalBreakdown as err:
             last_err = err
@@ -372,8 +386,8 @@ def _run_weld(spec, mesh, labels, tracker):
             for i in range(t_a - s_a + 1)
         ]
 
-    tracker.transport(spec.left, ch_a)
-    tracker.transport(spec.right, ch_b)
+    tracker.move(spec.left, moved_a)
+    tracker.move(spec.right, moved_b)
     tracker.overwrite(loop_a, out_a, spec.left)
     tracker.overwrite(loop_b, out_b, spec.right)
     both = spec.left | spec.right
@@ -381,13 +395,14 @@ def _run_weld(spec, mesh, labels, tracker):
         tracker.overwrite([vid], [0.5 * (va + vb)], both)
 
 
-def _two_arc_weld(dp_a, dp_b, r_q, sa_q, ta_q, sb_q, tb_q):
+def _two_arc_weld(dp_a, dp_b, r_q, sa_q, ta_q, sb_q, tb_q, passengers):
     """Two-arc weld around a hole rim, bridging the rim gap straight when the
-    chord is clear on both sides and by a detour outside the rim otherwise."""
+    chord is clear on both sides and by a detour outside the rim otherwise.
+    passengers holds the passengers_a / passengers_b keyword arguments."""
     if _chord_clear(dp_a, r_q, sa_q) and _chord_clear(dp_b, r_q, sb_q):
         try:
             return multiconnected_weld(
-                dp_a, dp_b, r_q, sa_q, ta_q, s_b=sb_q, t_b=tb_q
+                dp_a, dp_b, r_q, sa_q, ta_q, s_b=sb_q, t_b=tb_q, **passengers
             )
         except PathInsidePolygon:
             pass
@@ -398,7 +413,7 @@ def _two_arc_weld(dp_a, dp_b, r_q, sa_q, ta_q, sb_q, tb_q):
     aux_b = _detour_path(dp_b, r_q, sb_q, count)
     return multiconnected_weld(
         dp_a, dp_b, r_q, sa_q, ta_q, s_b=sb_q, t_b=tb_q,
-        aux_a=aux_a, aux_b=aux_b,
+        aux_a=aux_a, aux_b=aux_b, **passengers,
     )
 
 
@@ -529,7 +544,7 @@ def compute_parameterization(
             rim = mesh.boundary_loops[li]
             poly = tracker.parent_pos(rim, comp)
             members = sorted(comp)
-            out_h, out_p, _ = circularize_hole(
+            out_h, out_p = circularize_hole(
                 poly, [tracker.pos[lab] for lab in members]
             )
             return li, comp, rim, out_h, members, out_p
@@ -560,7 +575,7 @@ def compute_parameterization(
         rev = _polygon_area(poly) < 0
         if rev:
             poly = poly[::-1]
-        out_o, out_p, _ = circularize_outer(poly, [tracker.pos[l] for l in all_labels])
+        out_o, out_p = circularize_outer(poly, [tracker.pos[l] for l in all_labels])
         for lab, arr in zip(all_labels, out_p):
             tracker.pos[lab] = arr
         tracker.overwrite(outer_ids, out_o[::-1] if rev else out_o)
@@ -582,7 +597,7 @@ def compute_parameterization(
                 tracker.parent_pos(mesh.boundary_loops[li])
                 for li in sorted(plan.hole_owner)
             ]
-            out_o, out_h, out_e, history, _ = koebe_refine(
+            out_o, out_h, out_e, history = koebe_refine(
                 outer_poly,
                 hole_polys,
                 extras=[tracker.pos[l] for l in all_labels],

@@ -13,12 +13,11 @@ is handled by coefficient limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    BadAxisPoints,
     MisorderedArc,
     NumericalBreakdown,
     PathInsidePolygon,
@@ -48,23 +47,26 @@ class BoundaryChain:
     on_axis: np.ndarray  # bool; such points have z.real == 0 exactly
 
     @classmethod
-    def from_points(cls, pts, at_inf=None):
+    def from_points(cls, pts):
         pts = np.asarray(pts, dtype=np.complex128).copy()
         n = len(pts)
-        if at_inf is None:
-            at_inf = np.zeros(n, dtype=bool)
-        return cls(z=pts, at_inf=at_inf.copy(), on_axis=np.zeros(n, dtype=bool))
+        return cls(z=pts, at_inf=np.zeros(n, dtype=bool), on_axis=np.zeros(n, dtype=bool))
 
-    def copy(self):
-        return BoundaryChain(self.z.copy(), self.at_inf.copy(), self.on_axis.copy())
-
-    def diameter(self):
-        f = self.z[~self.at_inf]
+    def diameter(self, n=None):
+        """Diameter of the finite entries among the first n (all by default)."""
+        f = self.z[:n][~self.at_inf[:n]]
         if len(f) < 2:
             return 1.0
         return float(
             np.hypot(np.ptp(f.real), np.ptp(f.imag))
         ) or 1.0
+
+    def split(self, n):
+        """The first n entries and the rest, as two chains (views)."""
+        return (
+            BoundaryChain(self.z[:n], self.at_inf[:n], self.on_axis[:n]),
+            BoundaryChain(self.z[n:], self.at_inf[n:], self.on_axis[n:]),
+        )
 
     def set_exact(self, i, value, on_axis=False):
         self.z[i] = value
@@ -78,37 +80,14 @@ class BoundaryChain:
 
 
 class Primitive:
-    """A conformal map with forward/inverse action on point sets."""
+    """A conformal map acting on a BoundaryChain state."""
 
     def apply_state(self, st):
         z, at_inf, on_axis = self._apply(st.z, st.at_inf, st.on_axis)
         return BoundaryChain(z=z, at_inf=at_inf, on_axis=on_axis)
 
-    def apply_points(self, z):
-        n = len(z)
-        out, _, _ = self._apply(
-            np.asarray(z, dtype=np.complex128),
-            np.zeros(n, dtype=bool),
-            np.zeros(n, dtype=bool),
-        )
-        return out
-
     def _apply(self, z, at_inf, on_axis):
         raise NotImplementedError
-
-    def inverse_points(self, z):
-        raise NotImplementedError
-
-
-@dataclass
-class Translate(Primitive):
-    offset: complex
-
-    def _apply(self, z, at_inf, on_axis):
-        return np.where(at_inf, z, z + self.offset), at_inf.copy(), on_axis.copy()
-
-    def inverse_points(self, z):
-        return np.asarray(z) - self.offset
 
 
 @dataclass
@@ -133,10 +112,6 @@ class MobiusMap(Primitive):
             new_inf = pole
         return w, new_inf, np.zeros_like(on_axis)
 
-    def inverse_points(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        return (self.d * z - self.b) / (-self.c * z + self.a)
-
 
 @dataclass
 class InitialRoot(Primitive):
@@ -154,11 +129,6 @@ class InitialRoot(Primitive):
         ratio = np.where(at_inf, 1.0 + 0j, ratio)
         w = sqrt_branch(ratio, self.branch)
         return w, pole, np.zeros_like(on_axis)
-
-    def inverse_points(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        w2 = z * z
-        return (self.z1 - self.z0 * w2) / (1.0 - w2)
 
 
 @dataclass
@@ -226,11 +196,6 @@ class GeodesicStep(Primitive):
                 new_axis[axi] = True
         return w, new_inf, new_axis
 
-    def inverse_points(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        u = np.sqrt(z * z + 1.0)  # principal: L has nonnegative real part
-        return u / (self.re - 1j * self.im * u)
-
 
 @dataclass
 class ClosingMobius(Primitive):
@@ -265,11 +230,6 @@ class ClosingMobius(Primitive):
             idx = np.flatnonzero(axf)
             new_inf[idx[hit]] = True
         return w, new_inf, new_axis
-
-    def inverse_points(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        q = 1j * self.qy
-        return z / (1.0 + z / q)
 
 
 @dataclass
@@ -353,11 +313,6 @@ class WeldStep(Primitive):
                     new_axis[axi] = True
         return w, new_inf, new_axis
 
-    def inverse_points(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        t = np.sqrt(z * z - 1.0)  # principal: T keeps the right half-plane
-        return self.c1 * t / (1.0 + 1j * self.c2 * t)
-
 
 @dataclass
 class SquareClosing(Primitive):
@@ -379,64 +334,30 @@ class SquareClosing(Primitive):
         w = m * m
         return w, pole, np.zeros_like(on_axis)
 
-    def inverse_points(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        r = np.sqrt(z)
-        if self.q is None:
-            return r
-        return r / (1.0 + r / self.q)
+
+def _pack_state(points, passengers=()):
+    """One BoundaryChain holding points (boundary entries and markers)
+    followed by every passenger array; returns (state, offsets) for
+    _unpack. Passengers ride through each map of the state but are never
+    snapped, and no reduction over the boundary reads them."""
+    parts = [np.asarray(points, dtype=np.complex128)]
+    offsets = []
+    pos = len(parts[0])
+    for p in passengers:
+        p = np.asarray(p, dtype=np.complex128)
+        offsets.append((pos, pos + len(p)))
+        parts.append(p)
+        pos += len(p)
+    return BoundaryChain.from_points(np.concatenate(parts)), offsets
 
 
-@dataclass
-class MapChain:
-    """Ordered composition of primitives, applied left to right."""
-
-    maps: list = field(default_factory=list)
-
-    def append(self, prim):
-        self.maps.append(prim)
-
-    def extend(self, chain):
-        self.maps.extend(chain.maps)
-
-    def apply_state(self, st):
-        for m in self.maps:
-            st = m.apply_state(st)
-        return st
-
-    def apply_points(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        for m in self.maps:
-            z = m.apply_points(z)
-        return z
-
-    def inverse_points(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        for m in reversed(self.maps):
-            z = m.inverse_points(z)
-        return z
+def _unpack(st, n, offsets):
+    """Copies of the first n entries and of each passenger array."""
+    return st.z[:n].copy(), [st.z[a:b].copy() for a, b in offsets]
 
 
 # ---------------------------------------------------------------------------
 # Operations
-
-
-def mobius_align(alpha, beta, scale=1.0):
-    """Mobius map sending (alpha, 0, beta) to (i, 0, -i).
-
-    alpha must lie on the upper imaginary axis and beta on the lower one.
-    """
-    alpha = complex(alpha)
-    beta = complex(beta)
-    tol = 1e-9 * max(scale, 1e-300)
-    if abs(alpha.real) > tol or abs(beta.real) > tol:
-        raise BadAxisPoints("alignment points must lie on the imaginary axis")
-    a, b = alpha.imag, beta.imag
-    if not (a > 0 > b):
-        raise BadAxisPoints("need alpha on the upper axis and beta on the lower")
-    c1 = -2.0 * a * b / (a - b)
-    c2 = (a + b) / (a - b)
-    return MobiusMap(a=1.0, b=0.0, c=-1j * c2, d=c1)
 
 
 def geodesic_basic(xi, branch, scale=1.0):
@@ -448,32 +369,30 @@ def geodesic_basic(xi, branch, scale=1.0):
     return GeodesicStep(re=xi.real / r2, im=xi.imag / r2, branch=branch)
 
 
-def intermediate_form(points, k, branch, at_inf=None):
-    """Half-way geodesic transform: points 0..k end up on one imaginary
-    half-axis (upper for branch +1, lower for -1), index k at 0, index 0 at
-    infinity; everything stays in the closed right half-plane.
+def intermediate_form(st, k, branch, n=None):
+    """Half-way geodesic transform of a state whose first n entries (all by
+    default) are boundary points and markers, the rest passengers: points
+    0..k end up on one imaginary half-axis (upper for branch +1, lower for
+    -1), index k at 0, index 0 at infinity; the first n entries stay in the
+    closed right half-plane.
 
-    Returns (BoundaryChain, MapChain).
+    Returns the mapped BoundaryChain.
     """
-    st = BoundaryChain.from_points(points, at_inf=at_inf)
-    n = len(points)
+    if n is None:
+        n = len(st.z)
     if not (1 <= k < n - 1):
         raise MisorderedArc(f"marker k={k} out of range for {n} points")
-    scale = st.diameter()
-    chain = MapChain()
+    scale = st.diameter(n)
 
-    g1 = InitialRoot(z0=complex(points[0]), z1=complex(points[1]), branch=branch)
+    g1 = InitialRoot(z0=complex(st.z[0]), z1=complex(st.z[1]), branch=branch)
     st = g1.apply_state(st)
-    chain.append(g1)
     st.set_exact(1, 0.0, on_axis=True)
     st.set_inf(0, on_axis=True)
 
     for j in range(2, k + 1):
         if st.at_inf[j]:
             raise NumericalBreakdown(f"arc point {j} escaped to infinity")
-        gj = geodesic_basic(st.z[j], branch, scale=scale)
-        st = gj.apply_state(st)
-        chain.append(gj)
+        st = geodesic_basic(st.z[j], branch, scale=scale).apply_state(st)
         st.set_exact(j, 0.0, on_axis=True)
 
     # Closing Mobius sends the image of point 0 (on the axis) to infinity.
@@ -481,18 +400,17 @@ def intermediate_form(points, k, branch, at_inf=None):
         qy = st.z[0].imag
         if abs(qy) < _TINY:
             raise NumericalBreakdown("closing point collapsed to zero")
-        gc = ClosingMobius(qy=qy)
-        st = gc.apply_state(st)
-        chain.append(gc)
+        st = ClosingMobius(qy=qy).apply_state(st)
         st.set_inf(0, on_axis=True)
 
-    new_scale = st.diameter()
-    bad = (~st.at_inf) & (~st.on_axis) & (st.z.real < -AXIS_RTOL * new_scale)
+    new_scale = st.diameter(n)
+    head = st.split(n)[0]
+    bad = (~head.at_inf) & (~head.on_axis) & (head.z.real < -AXIS_RTOL * new_scale)
     if np.any(bad):
         raise NumericalBreakdown(
             f"{int(bad.sum())} points left the right half-plane"
         )
-    return st, chain
+    return st
 
 
 def _polygon_area(pts):
@@ -554,13 +472,23 @@ def _monotonize_axis(st, k, sign):
             st.set_exact(j + 1, 1j * sign * y[j], on_axis=True)
 
 
-def partial_weld(a_points, b_points, k):
+def _span(st, n):
+    """Largest finite magnitude among state entries 1..n-1."""
+    return np.abs(st.z[1:n][~st.at_inf[1:n]]).max()
+
+
+def partial_weld(a_points, b_points, k, passengers_a=(), passengers_b=()):
     """Weld two boundary chains along their shared arc (indices 0..k).
 
     a_points must run counter-clockwise around polygon A and b_points
     clockwise around polygon B, with a_j and b_j the two copies of the same
-    arc point.  Returns (state_a, state_b, chain_a, chain_b); the chains are
-    compositions of conformal primitives mapping original to welded positions.
+    arc point. passengers_a and passengers_b are further points of each
+    side's plane that ride through the same conformal maps.
+
+    Returns (state_a, state_b, moved_a, moved_b): the welded boundary states
+    (each with its two normalization markers appended) and the passengers'
+    images as BoundaryChains, whose at_inf flags mark passengers that went
+    to infinity.
     """
     a_points = np.asarray(a_points, dtype=np.complex128)
     b_points = np.asarray(b_points, dtype=np.complex128)
@@ -571,27 +499,24 @@ def partial_weld(a_points, b_points, k):
         raise MisorderedArc("chain A must be counter-clockwise")
     if _polygon_area(b_points) >= 0:
         raise MisorderedArc("chain B must be clockwise")
-    diam = max(
-        np.hypot(np.ptp(a_points.real), np.ptp(a_points.imag)),
-        np.hypot(np.ptp(b_points.real), np.ptp(b_points.imag)),
-    )
 
-    # Recenter so the auxiliary origin lies inside each polygon.
+    # Recenter so the auxiliary origin lies inside each polygon. Each side
+    # gets two markers: its new origin and, at infinity, the far field.
     ca = _interior_point(a_points)
     cb = _interior_point(b_points)
-    chain_a = MapChain([Translate(-ca)])
-    chain_b = MapChain([Translate(-cb)])
+    st_a, _ = _pack_state(
+        np.concatenate([a_points - ca, [0.0, 0.0]]),
+        [np.asarray(passengers_a, dtype=np.complex128) - ca],
+    )
+    st_b, _ = _pack_state(
+        np.concatenate([b_points - cb, [0.0, 0.0]]),
+        [np.asarray(passengers_b, dtype=np.complex128) - cb],
+    )
+    st_a.set_inf(m + 1)
+    st_b.set_inf(n + 1)
 
-    a_ext = np.concatenate([a_points - ca, [0.0, 0.0]])
-    b_ext = np.concatenate([b_points - cb, [0.0, 0.0]])
-    inf_a = np.zeros(m + 2, dtype=bool)
-    inf_b = np.zeros(n + 2, dtype=bool)
-    inf_a[-1] = inf_b[-1] = True
-
-    st_a, ch = intermediate_form(a_ext, k, +1, at_inf=inf_a)
-    chain_a.extend(ch)
-    st_b, ch = intermediate_form(b_ext, k, -1, at_inf=inf_b)
-    chain_b.extend(ch)
+    st_a = intermediate_form(st_a, k, +1, m + 2)
+    st_b = intermediate_form(st_b, k, -1, n + 2)
 
     _monotonize_axis(st_a, k, +1)
     _monotonize_axis(st_b, k, -1)
@@ -605,10 +530,7 @@ def partial_weld(a_points, b_points, k):
     for j in range(k - 1, 0, -1):
         a_val = st_a.z[j].imag
         b_val = st_b.z[j].imag
-        span_pre = max(
-            np.abs(st_a.z[1:][~st_a.at_inf[1:]]).max(),
-            np.abs(st_b.z[1:][~st_b.at_inf[1:]]).max(),
-        )
+        span_pre = max(_span(st_a, m + 2), _span(st_b, n + 2))
         if (
             not st_a.at_inf[j]
             and not st_b.at_inf[j]
@@ -642,18 +564,13 @@ def partial_weld(a_points, b_points, k):
             )
         st_a = wa.apply_state(st_a)
         st_b = wb.apply_state(st_b)
-        chain_a.append(wa)
-        chain_b.append(wb)
         st_a.set_exact(j, 0.0)
         st_b.set_exact(j, 0.0)
         # A far endpoint hugely beyond the rest of the picture carries no
         # usable digits (it came back from infinity through a near-zero
         # Mobius coefficient); pin it at infinity so noise cannot walk it
         # into a later welding window.
-        span = max(
-            np.abs(st_a.z[1:][~st_a.at_inf[1:]]).max(),
-            np.abs(st_b.z[1:][~st_b.at_inf[1:]]).max(),
-        )
+        span = max(_span(st_a, m + 2), _span(st_b, n + 2))
         mag_a = np.inf if st_a.at_inf[0] else abs(st_a.z[0])
         mag_b = np.inf if st_b.at_inf[0] else abs(st_b.z[0])
         if min(mag_a, mag_b) > 1e8 * span:
@@ -668,10 +585,7 @@ def partial_weld(a_points, b_points, k):
     elif not st_a.at_inf[0] and not st_b.at_inf[0]:
         qa = complex(st_a.z[0])
         qb = complex(st_b.z[0])
-        span = max(
-            np.abs(st_a.z[1:][~st_a.at_inf[1:]]).max(),
-            np.abs(st_b.z[1:][~st_b.at_inf[1:]]).max(),
-        )
+        span = max(_span(st_a, m + 2), _span(st_b, n + 2))
         if abs(qa - qb) > AXIS_RTOL * max(span, abs(qa)):
             raise NumericalBreakdown(
                 f"far ends of the weld arc disagree: {qa} vs {qb}"
@@ -681,8 +595,6 @@ def partial_weld(a_points, b_points, k):
         raise NumericalBreakdown("far ends of the weld arc are inconsistent")
     st_a = h0.apply_state(st_a)
     st_b = h0.apply_state(st_b)
-    chain_a.append(h0)
-    chain_b.append(h0)
     if h0.q is not None:
         st_a.set_inf(0)
         st_b.set_inf(0)
@@ -697,13 +609,13 @@ def partial_weld(a_points, b_points, k):
     norm = _three_point_mobius(p1, p2, p3)
     st_a = norm.apply_state(st_a)
     st_b = norm.apply_state(st_b)
-    chain_a.append(norm)
-    chain_b.append(norm)
     if st_a.at_inf[0] or st_b.at_inf[0]:
         raise NumericalBreakdown("weld arc endpoint remained at infinity")
 
-    _check_weld(st_a, st_b, k, diam)
-    return st_a, st_b, chain_a, chain_b
+    st_a, moved_a = st_a.split(m + 2)
+    st_b, moved_b = st_b.split(n + 2)
+    _check_weld(st_a, st_b, k)
+    return st_a, st_b, moved_a, moved_b
 
 
 def _three_point_mobius(p1, p2, p3):
@@ -715,7 +627,7 @@ def _three_point_mobius(p1, p2, p3):
     return MobiusMap(a=2.0 * kk - 1.0, b=p3 - 2.0 * kk * p1, c=1.0, d=-p3)
 
 
-def _check_weld(st_a, st_b, k, diam_in):
+def _check_weld(st_a, st_b, k):
     scale = max(st_a.diameter(), st_b.diameter())
     for j in range(k + 1):
         if st_a.at_inf[j] != st_b.at_inf[j]:
@@ -748,14 +660,16 @@ def auxiliary_path(a_r, a_s, count, polygon):
 
 
 def multiconnected_weld(a_points, b_points, r, s_a, t_a, s_b=None, t_b=None,
-                        aux_count=None, aux_a=None, aux_b=None):
+                        aux_count=None, aux_a=None, aux_b=None,
+                        passengers_a=(), passengers_b=()):
     """Weld along two arcs: indices 0..r and s..t on each chain, where the
     gap r..s is that chain's share of an inner hole rim (the two shares may
     have different lengths).  Auxiliary points bridge the gap so the
     single-arc welding algorithm applies; the bridged region is discarded
     afterwards, leaving a hole bounded by the images of both rim arcs.
 
-    Returns (welded a, welded b, chain_a, chain_b) in the original indexing.
+    Returns (welded a, welded b, moved_a, moved_b): the welded chains in the
+    original indexing and the passengers' images, as in partial_weld.
     """
     a_points = np.asarray(a_points, dtype=np.complex128)
     b_points = np.asarray(b_points, dtype=np.complex128)
@@ -803,13 +717,19 @@ def multiconnected_weld(a_points, b_points, r, s_a, t_a, s_b=None, t_b=None,
     aug_b = np.concatenate([b_points[: r + 1], aux_b, b_points[s_b:]])
     k_weld = r + aux_count + 1 + (t_a - s_a)
 
-    st_a, st_b, chain_a, chain_b = partial_weld(aug_a, aug_b, k_weld)
-
-    # Transport the rim points (excluded from the augmented polygon) as
-    # passengers and stitch the original indexing back together.
-    rim_a = chain_a.apply_points(a_points[r + 1 : s_a])
-    rim_b = chain_b.apply_points(b_points[r + 1 : s_b])
-    out_a = np.concatenate([st_a.z[: r + 1], rim_a, st_a.z[r + 1 + aux_count :][: len(a_points) - s_a]])
-    out_b = np.concatenate([st_b.z[: r + 1], rim_b, st_b.z[r + 1 + aux_count :][: len(b_points) - s_b]])
-    return out_a, out_b, chain_a, chain_b
-
+    # The rim points (excluded from the augmented polygon) ride as the first
+    # passengers; the original indexing is stitched back together after.
+    rim_a = a_points[r + 1 : s_a]
+    rim_b = b_points[r + 1 : s_b]
+    st_a, st_b, moved_a, moved_b = partial_weld(
+        aug_a, aug_b, k_weld,
+        passengers_a=np.concatenate([rim_a, np.asarray(passengers_a, dtype=np.complex128)]),
+        passengers_b=np.concatenate([rim_b, np.asarray(passengers_b, dtype=np.complex128)]),
+    )
+    rim_a, moved_a = moved_a.split(len(rim_a))
+    rim_b, moved_b = moved_b.split(len(rim_b))
+    if rim_a.at_inf.any() or rim_b.at_inf.any():
+        raise NumericalBreakdown("a hole rim point escaped to infinity")
+    out_a = np.concatenate([st_a.z[: r + 1], rim_a.z, st_a.z[r + 1 + aux_count :][: len(a_points) - s_a]])
+    out_b = np.concatenate([st_b.z[: r + 1], rim_b.z, st_b.z[r + 1 + aux_count :][: len(b_points) - s_b]])
+    return out_a, out_b, moved_a, moved_b

@@ -155,7 +155,7 @@ def test_criterion_03_hole_circularity(two_hole_run):
     th = np.linspace(0, 2 * np.pi, 140, endpoint=False)
     h1 = -1.6 + (0.7 + 0.08 * np.cos(2 * th)) * np.exp(1j * th)
     h2 = 1.7 + 0.4j + (0.5 + 0.06 * np.sin(3 * th)) * np.exp(1j * th)
-    _, _, _, hist, _ = koebe_refine(outer, [h1, h2], passes=3, target=0.0)
+    _, _, _, hist = koebe_refine(outer, [h1, h2], passes=3, target=0.0)
     after3 = max(rep.circularity for rep in hist[-1])
     monotone = all(
         b.circularity <= a.circularity + 1e-9
@@ -260,7 +260,8 @@ def test_criterion_06_mu_preservation(two_hole_conformal):
             "per-face Beltrami drift is dominated by the O(1) discretization "
             "error of faces touching weld-slit tips; the stage maps "
             "themselves preserve mu to 1e-6 away from their singular points "
-            "(see the module-level chain/refinement preservation tests)"
+            "(see the passenger mu-preservation tests of the weld and the "
+            "Koebe refinement)"
         )
     assert drift <= 1e-5
 
@@ -284,8 +285,10 @@ def test_criterion_07_weld_exactness(two_hole, two_hole_stitched):
     a, b, k = _chord_split_disk()
     st_a, st_b, _, _ = partial_weld(a, b, k)
     weld_gap = float(np.abs(st_a.z[: k + 1] - st_b.z[: k + 1]).max())
-    finite = st_a.z[~st_a.at_inf]
-    chain_diam = float(np.abs(finite[:, None] - finite[None, ::7]).max())
+    # Diameter of the welded boundary only: the far-field marker sits ~1e14
+    # away and would make the bound vacuous.
+    boundary = st_a.z[: len(a)]
+    chain_diam = float(np.abs(boundary[:, None] - boundary[None, :]).max())
 
     mesh, labels, _ = two_hole
     res = two_hole_stitched

@@ -7,7 +7,6 @@ from weldmap.flatten import (
     area_form_faces,
     beltrami_per_face,
     compose_beltrami,
-    compose_beltrami_forward,
     cotan_laplacian,
     dncp_flatten,
     generalized_laplacian,
@@ -213,6 +212,12 @@ def test_beltrami_3d_frames():
     )
     fd = beltrami_per_face(flat3d.vertices, flat3d.faces, m.vertices[:, :2])
     assert np.abs(fd.mu_face).max() < 1e-12
+
+
+def compose_beltrami_forward(mu_f, tau, mu_g):
+    """Composition rule: Beltrami coefficient of g o f from mu_f, mu_g, tau."""
+    t = np.asarray(tau, dtype=np.complex128)
+    return (mu_f + mu_g * t) / (1.0 + np.conj(mu_f) * mu_g * t)
 
 
 def test_compose_beltrami_roundtrip():

@@ -9,6 +9,7 @@ from weldmap.errors import (
 )
 from weldmap.mesh import (
     _parse_obj,
+    _parse_off,
     build_mesh,
     load_mesh,
     save_obj_with_uv,
@@ -100,6 +101,69 @@ def test_off_parse(tmp_path):
     path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
     m = load_mesh(path)
     assert m.n_faces == 1
+
+
+# ---------------------------------------------------------------------------
+# OFF reader contract
+
+_SQUARE_OFF = "OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2 3\n"
+
+
+def test_off_comments_are_skipped():
+    text = (
+        "# a square\nOFF # header\n4 2 0\n0 0 0\n1 0 0 # corner\n#1 9 9\n"
+        "  1 1 0\n\n0 1 0\n3 0 1 2\n3 0 2 3 # last\n"
+    )
+    for t in (text, text.replace("\n", "\r\n"), text.replace("\n", "\r")):
+        v, f = _parse_off(t)
+        assert v.dtype == np.float64 and f.dtype == np.int64
+        assert np.array_equal(v, np.column_stack([_SQUARE_2D, np.zeros(4)]))
+        assert np.array_equal(f, _SQUARE_FACES)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n", "only triangular"),
+        (_SQUARE_OFF.replace("3 0 1 2\n", "4 0 1 2 3\n"), "only triangular"),
+        (_SQUARE_OFF.replace("3 0 2 3\n", ""), "malformed OFF file"),
+        (_SQUARE_OFF.replace("3 0 2 3\n", "3 0 2\n"), "malformed OFF file"),
+        ("OFF\n4 2 0\n0 0 0\n1 0 0\n1 1\n", "malformed OFF file"),
+        (_SQUARE_OFF.replace("3 0 2 3", "3 0 x 3"), "malformed OFF file"),
+        (_SQUARE_OFF.replace("1 1 0", "1 one 0"), "malformed OFF file"),
+        ("OFF\n4\n", "malformed OFF file"),
+        (_SQUARE_OFF.replace("OFF\n", ""), "missing OFF header"),
+        (_SQUARE_OFF.replace("OFF", "COFF"), "missing OFF header"),
+        ("# only a comment\n", "missing OFF header"),
+    ],
+)
+def test_off_parse_errors(text, message):
+    with pytest.raises(ParseError, match=message):
+        _parse_off(text)
+
+
+def test_off_without_faces_has_no_faces(tmp_path):
+    text = "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n"
+    assert _parse_off(text)[1].shape == (0, 3)
+    path = tmp_path / "points.off"
+    path.write_text(text)
+    with pytest.raises(WrongTopology, match="no faces"):
+        load_mesh(path)
+
+
+def test_off_reader_matches_obj_reader(tmp_path):
+    m = two_hole_grid(30)
+    obj = tmp_path / "m.obj"
+    save_obj_with_uv(obj, m, m.vertices)
+    off = tmp_path / "m.off"
+    with open(off, "w", encoding="utf-8") as fh:
+        fh.write(f"OFF\n{m.n_vertices} {m.n_faces} 0\n")
+        fh.writelines(f"{x!r} {y!r} 0\n" for x, y in m.vertices.tolist())
+        fh.writelines(f"3 {a} {b} {c}\n" for a, b, c in m.faces.tolist())
+    v_obj, f_obj = _parse_obj(obj.read_text())
+    v_off, f_off = _parse_off(off.read_text())
+    assert np.array_equal(v_off.view(np.int64), v_obj.view(np.int64))
+    assert np.array_equal(f_off, f_obj)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from weldmap.partition import (
     build_weld_specs,
     default_partition,
     extract_submeshes,
+    load_labels,
     region_hole_count,
 )
 
@@ -173,3 +174,9 @@ def test_default_partition_raises_validation_bugs(monkeypatch, mesh, parts):
     monkeypatch.setattr(partition, "region_hole_count", broken)
     with pytest.raises(ValueError, match="bug inside validation"):
         default_partition(mesh, parts)
+
+
+def test_load_labels_numbers_labels_in_sorted_order(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("5\n2\n5\n")
+    assert load_labels(path, 3).face_label.tolist() == [1, 0, 1]

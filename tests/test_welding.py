@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from weldmap.errors import (
-    BadAxisPoints,
     MisorderedArc,
     PathInsidePolygon,
     ZeroXi,
@@ -12,7 +11,6 @@ from weldmap.welding import (
     auxiliary_path,
     geodesic_basic,
     intermediate_form,
-    mobius_align,
     multiconnected_weld,
     partial_weld,
     point_in_polygon,
@@ -96,29 +94,6 @@ def annulus_halves(r0=0.4, r1=1.0, nseam=13, nrim=17, nout=33):
 
 
 # ---------------------------------------------------------------------------
-# mobius_align
-
-
-def test_align_symmetric_is_identity():
-    T = mobius_align(1j, -1j)
-    z = np.array([0.3 + 0.4j, 2.0, 5j])
-    np.testing.assert_allclose(T.apply_points(z), z, rtol=1e-14)
-
-
-def test_align_two_one():
-    T = mobius_align(2j, -1j)
-    got = T.apply_points(np.array([2j, 0.0, -1j]))
-    np.testing.assert_allclose(got, [1j, 0.0, -1j], atol=1e-14)
-
-
-def test_align_rejects_off_axis():
-    with pytest.raises(BadAxisPoints):
-        mobius_align(1 + 1j, -1j)
-    with pytest.raises(BadAxisPoints):
-        mobius_align(-1j, 1j)  # wrong sides
-
-
-# ---------------------------------------------------------------------------
 # geodesic_basic / intermediate_form
 
 
@@ -126,7 +101,7 @@ def test_geodesic_zeroes_xi():
     for xi in (1.0 + 0j, 0.5 + 2j, 3.0 - 1j):
         g = geodesic_basic(xi, +1)
         # sqrt halves the achievable precision at its zero
-        assert abs(g.apply_points(np.array([xi]))[0]) < 1e-7
+        assert abs(g.apply_state(BoundaryChain.from_points([xi])).z[0]) < 1e-7
 
 
 def test_geodesic_rejects_zero():
@@ -136,7 +111,8 @@ def test_geodesic_rejects_zero():
 
 def test_geodesic_infinity_limit():
     g = geodesic_basic(1.0 + 1j, +1)
-    st = BoundaryChain.from_points([0j], at_inf=np.array([True]))
+    st = BoundaryChain.from_points([0j])
+    st.set_inf(0)
     out = g.apply_state(st)
     assert not out.at_inf[0]
     # Mobius limit: L(inf) = re/(i*im) = -i, so the image is sqrt(-2) on
@@ -147,7 +123,7 @@ def test_geodesic_infinity_limit():
 
 def test_intermediate_form_three_points():
     pts = np.exp(1j * np.array([2.0, 1.0, 0.0, -1.5]))
-    st, chain = intermediate_form(pts, 1, +1)
+    st = intermediate_form(BoundaryChain.from_points(pts), 1, +1)
     assert st.at_inf[0] and st.on_axis[0]
     assert st.z[1] == 0 and st.on_axis[1]
 
@@ -155,13 +131,13 @@ def test_intermediate_form_three_points():
 def test_intermediate_form_semicircle_monotone():
     th = np.linspace(np.pi, 0.0, 50)
     pts = np.concatenate([np.exp(1j * th), [2.0 - 1j]])
-    st, chain = intermediate_form(pts, 49, +1)
+    st = intermediate_form(BoundaryChain.from_points(pts), 49, +1)
     ys = st.z[1:50].imag
     assert np.all(st.on_axis[1:50])
     assert np.all(ys[:-1] > ys[1:])  # strictly decreasing to 0
     assert ys[-1] == 0
     # lower half-axis for the other branch
-    st2, _ = intermediate_form(pts, 49, -1)
+    st2 = intermediate_form(BoundaryChain.from_points(pts), 49, -1)
     ys2 = st2.z[1:50].imag
     assert np.all(ys2[:-1] < ys2[1:]) and ys2[-1] == 0
 
@@ -169,7 +145,7 @@ def test_intermediate_form_semicircle_monotone():
 def test_intermediate_form_right_half_plane():
     a, _, k = disk_halves()
     ext = np.concatenate([a - 0.5, [0.0]])
-    st, _ = intermediate_form(ext, k, +1)
+    st = intermediate_form(BoundaryChain.from_points(ext), k, +1)
     fin = ~st.at_inf & ~st.on_axis
     assert np.all(st.z[fin].real >= -1e-8 * st.diameter())
 
@@ -180,7 +156,7 @@ def test_intermediate_form_right_half_plane():
 
 def test_weld_disk_halves():
     a, b, k = disk_halves()
-    st_a, st_b, ch_a, ch_b = partial_weld(a, b, k)
+    st_a, st_b, _, _ = partial_weld(a, b, k)
     scale = st_a.diameter()
     assert np.abs(st_a.z[: k + 1] - st_b.z[: k + 1]).max() <= 1e-8 * scale
     # interior markers of the normalization
@@ -255,32 +231,37 @@ def test_weld_rejects_wrong_orientation():
         partial_weld(a, b[::-1], k)  # B made counter-clockwise
 
 
-def test_chain_inverse_roundtrip():
-    a, b, k = chord_split_disk()
-    _, _, ch_a, ch_b = partial_weld(a, b, k)
-    rng = np.random.default_rng(5)
-    pts = []
-    while len(pts) < 40:
-        z = complex(rng.uniform(0.4, 0.9), rng.uniform(-0.5, 0.5))
-        if abs(z) < 0.95:
-            pts.append(z)
-    pts = np.array(pts)
-    back = ch_a.inverse_points(ch_a.apply_points(pts))
-    assert np.abs(back - pts).max() <= 1e-9
-
-
 def test_chain_preserves_beltrami():
-    # A conformal map chain transports a mesh without changing per-face mu.
+    # The weld maps carry a mesh as passengers without changing per-face mu.
     from weldmap.flatten import beltrami_per_face
 
     a, b, k = chord_split_disk()
-    _, _, ch_a, _ = partial_weld(a, b, k)
     mesh = grid_mesh(10, 10, width=0.4, height=0.6)
     verts = mesh.vertices + np.array([0.45, -0.3])
     z = verts[:, 0] + 1j * verts[:, 1]
-    img = ch_a.apply_points(z)
+    _, _, moved, _ = partial_weld(a, b, k, passengers_a=z)
+    assert not moved.at_inf.any()
+    img = moved.z
     fd = beltrami_per_face(verts, mesh.faces, np.column_stack([img.real, img.imag]))
     assert np.abs(fd.mu_face).max() <= 1e-6
+
+
+def test_passenger_on_boundary_point_lands_on_its_welded_image():
+    # A passenger sitting on a side-A boundary point off the weld arcs goes
+    # through the same maps as that point, so it lands on its welded image.
+    a, b, k = chord_split_disk()
+    st_a, _, moved, _ = partial_weld(a, b, k, passengers_a=a[k + 1 :])
+    welded = st_a.z[k + 1 : len(a)]
+    diam = st_a.diameter(len(a))
+    assert not moved.at_inf.any()
+    assert np.abs(moved.z - welded).max() <= 1e-12 * diam
+
+    a, b, r, s, t = annulus_halves()
+    off_arcs = np.r_[r + 1 : s, t + 1 : len(a)]  # hole rim share, outer arc
+    out_a, _, moved, _ = multiconnected_weld(a, b, r, s, t, passengers_a=a[off_arcs])
+    diam = np.abs(out_a[:, None] - out_a[None, :]).max()
+    assert not moved.at_inf.any()
+    assert np.abs(moved.z - out_a[off_arcs]).max() <= 1e-12 * diam
 
 
 # ---------------------------------------------------------------------------
