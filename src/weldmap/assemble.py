@@ -91,19 +91,6 @@ def laplace_dirichlet(mesh, boundary_values):
     return PlanarEmbedding(uv=uv)
 
 
-def harmonic_residual(mesh, embedding, boundary_ids=None):
-    """Relative residual of the interior Laplacian rows; diagnostic."""
-    if boundary_ids is None:
-        boundary_ids = mesh.boundary_vertices()
-    free = np.setdiff1d(np.arange(mesh.n_vertices), boundary_ids)
-    if len(free) == 0:
-        return 0.0
-    L = cotan_laplacian(mesh).tocsr()
-    full = L[free] @ embedding.uv
-    ref = np.linalg.norm(L[free][:, boundary_ids] @ embedding.uv[boundary_ids])
-    return float(np.linalg.norm(full) / max(ref, 1e-300))
-
-
 # ---------------------------------------------------------------------------
 # Quasi-conformal correction (kept-best)
 
@@ -319,19 +306,3 @@ def mobius_area_correct(vertices, faces, uv, grid=17, levels=3):
         return uv.copy(), 0.0 + 0.0j
     w = disk_automorphism(z, best_alpha)
     return np.column_stack([w.real, w.imag]), complex(best_alpha)
-
-
-def fit_circle(points):
-    """Algebraic least-squares circle through complex samples.
-
-    Returns (center, radius, max residual of |z - c| - r). Insensitive to
-    uneven spacing along the circle, unlike the centroid-based circularity.
-    """
-    z = np.asarray(points, dtype=np.complex128)
-    A = np.column_stack([2 * z.real, 2 * z.imag, np.ones(len(z))])
-    b = np.abs(z) ** 2
-    (cx, cy, c0), *_ = np.linalg.lstsq(A, b, rcond=None)
-    center = complex(cx, cy)
-    radius = float(np.sqrt(max(c0 + cx * cx + cy * cy, 0.0)))
-    resid = float(np.abs(np.abs(z - center) - radius).max())
-    return center, radius, resid

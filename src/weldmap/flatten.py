@@ -176,11 +176,6 @@ def area_form_faces(mesh):
     return Q
 
 
-def quadratic_form_value(Q, u, v):
-    x = np.concatenate([u, v])
-    return float(x @ (Q @ x))
-
-
 def pick_pins(mesh):
     """Two outer-loop vertices at maximal cyclic distance along the loop."""
     loop = mesh.boundary_loops[0]

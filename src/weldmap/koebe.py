@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import MisorderedArc, NumericalBreakdown
 from .welding import (
-    InitialRoot,
     MobiusMap,
     Primitive,
     SquareClosing,
@@ -21,7 +20,7 @@ from .welding import (
     _pack_state,
     _polygon_area,
     _unpack,
-    geodesic_basic,
+    _unzip,
 )
 
 CIRCULARITY_TARGET = 1e-3
@@ -77,12 +76,7 @@ def _closed_geodesic(st, n):
     """Unzip the closed boundary (state entries 0..n-1, counter-clockwise)
     and map the enclosed domain onto the unit disk with the anchor (entry n)
     at the origin. Returns the mapped state."""
-    st = InitialRoot(st.z[0], st.z[1], +1).apply_state(st)
-    st.set_exact(1, 0.0, on_axis=True)
-    st.set_inf(0, on_axis=True)
-    for j in range(2, n):
-        st = geodesic_basic(st.z[j], +1).apply_state(st)
-        st.set_exact(j, 0.0, on_axis=True)
+    st = _unzip(st, n - 1, +1)
     if st.at_inf[0]:
         closing = SquareClosing(None)
     else:
@@ -141,21 +135,20 @@ def circularize_hole(hole, passengers=()):
     if n < 3:
         raise MisorderedArc("hole boundary needs at least 3 points")
     c = _interior_point(hole)
-    # The anchor slot holds infinity, which the inversion sends to 0.
-    st, offsets = _pack_state(np.append(hole, 0.0), passengers)
-    st.set_inf(n)
-    st = MobiusMap(0.0, 1.0, 1.0, -c).apply_state(st)
-    # The inversion swaps interior and exterior, so the inverted hole runs
-    # clockwise when the input runs counter-clockwise; unzip it in whichever
-    # order is counter-clockwise.
-    flipped = _polygon_area(st.z[:n]) < 0
+    st, offsets = _pack_state(hole, passengers)
+    # A passenger at c goes to infinity and raises here.
+    inv, inv_p = _unpack(MobiusMap(0.0, 1.0, 1.0, -c).apply_state(st), n, offsets)
+    # The inversion swaps interior and exterior and sends infinity to 0, so
+    # the inverted hole runs clockwise when the input runs counter-clockwise;
+    # map the interior of whichever order is counter-clockwise.
+    flipped = _polygon_area(inv) < 0
     if flipped:
-        st.z[:n] = st.z[:n][::-1]
-    st = _closed_geodesic(st, n)
-    st = MobiusMap(0.0, 1.0, 1.0, 0.0).apply_state(st)
+        inv = inv[::-1]
+    out, out_p = disk_map_interior(inv, inv_p, anchor=0.0)
     if flipped:
-        st.z[:n] = st.z[:n][::-1]
-    return _unpack(st, n, offsets)
+        out = out[::-1]
+    st, offsets = _pack_state(out, out_p)
+    return _unpack(MobiusMap(0.0, 1.0, 1.0, 0.0).apply_state(st), n, offsets)
 
 
 def circularize_outer(outer, passengers=(), anchor=None):

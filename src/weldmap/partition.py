@@ -40,15 +40,6 @@ class PartitionLabeling:
     def n_parts(self):
         return int(self.face_label.max()) + 1 if self.face_label.size else 0
 
-    def cut_edges(self, mesh):
-        """Interior edges between differently labeled faces, as (e, 2) array."""
-        u, v, f0, f1 = _interior_edges(mesh.faces)
-        cut = self.face_label[f0] != self.face_label[f1]
-        if not np.any(cut):
-            return np.empty((0, 2), dtype=np.int64)
-        out = np.column_stack([u[cut], v[cut]])
-        return out[np.lexsort((out[:, 1], out[:, 0]))]
-
     def validate(self, mesh, adj=None):
         """Check connectivity and the at-most-one-hole restriction per part."""
         if len(self.face_label) != mesh.n_faces:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import logging
 import time
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .errors import (
     MisorderedArc,
     NonManifold,
     NumericalBreakdown,
-    PathInsidePolygon,
     WrongTopology,
 )
 from .flatten import (
@@ -43,12 +41,7 @@ from .flatten import (
 from .koebe import circularize_hole, circularize_outer, koebe_refine, loop_circularity
 from .mesh import TriangleMesh, walk_boundary_loops
 from .partition import build_weld_specs, extract_submeshes
-from .welding import (
-    _polygon_area,
-    multiconnected_weld,
-    partial_weld,
-    point_in_polygon,
-)
+from .welding import _polygon_area, multiconnected_weld, partial_weld
 
 log = logging.getLogger("weldmap")
 
@@ -68,71 +61,85 @@ class PipelineResult:
 
 
 class _Tracker:
-    """Current planar position of every submesh boundary vertex.
+    """Current planar position of every submesh boundary vertex: one per
+    parent vertex per welded component (a frozenset of labels).
 
     Only boundary vertices ride, as passengers, through the welding and
     circularization maps; submesh interiors are recreated later by the
-    Dirichlet solves.
+    Dirichlet solves. Each component keeps its parent ids sorted, so a
+    lookup is one searchsorted.
     """
 
-    def __init__(self, submeshes, embeddings):
-        self.pos = []
-        self.index = []  # per label: local vid -> slot
-        self.owner = defaultdict(list)  # parent vid -> [(label, slot)]
-        for lab, (sub, emb) in enumerate(zip(submeshes, embeddings)):
-            ids = sub.mesh.boundary_vertices()
-            uv = emb.uv[ids]
-            self.pos.append(uv[:, 0] + 1j * uv[:, 1])
-            self.index.append({int(v): k for k, v in enumerate(ids)})
-            for k, v in enumerate(ids):
-                self.owner[int(sub.to_parent[v])].append((lab, k))
+    def __init__(self, submeshes, charts):
+        self.comps = {}
+        for lab, (sub, chart) in enumerate(zip(submeshes, charts)):
+            # boundary_vertices is sorted and to_parent increasing, so the
+            # parent ids come out sorted.
+            local = sub.mesh.boundary_vertices()
+            uv = chart.uv[local]
+            self.comps[frozenset({lab})] = (
+                sub.to_parent[local], uv[:, 0] + 1j * uv[:, 1]
+            )
 
-    def parent_pos(self, vids, comp=None):
-        out = np.empty(len(vids), dtype=np.complex128)
-        for i, v in enumerate(vids):
-            for lab, k in self.owner[int(v)]:
-                if comp is None or lab in comp:
-                    out[i] = self.pos[lab][k]
-                    break
-            else:
-                raise WrongTopology(f"parent vertex {int(v)} has no tracked copy")
-        return out
+    def _slots(self, comp, vids):
+        ids = self.comps[comp][0]
+        idx = np.minimum(np.searchsorted(ids, vids), len(ids) - 1)
+        miss = np.flatnonzero(ids[idx] != vids)
+        if len(miss):
+            raise WrongTopology(
+                f"parent vertex {int(vids[miss[0]])} has no tracked copy"
+            )
+        return idx
 
-    def positions(self, comp):
-        """Positions of every label of comp, concatenated in comp's order."""
-        return np.concatenate([self.pos[lab] for lab in comp])
+    def get(self, comp, vids):
+        return self.comps[comp][1][self._slots(comp, vids)]
 
-    def move(self, comp, moved):
-        """Store moved (a BoundaryChain), the images of positions(comp)."""
-        start = 0
-        for lab in comp:
-            stop = start + len(self.pos[lab])
-            if moved.at_inf[start:stop].any():
-                raise NumericalBreakdown(
-                    "a boundary vertex escaped to infinity in the weld",
-                    stage="weld", submesh=lab,
-                )
-            self.pos[lab] = moved.z[start:stop]
-            start = stop
+    def _layout(self, comp, loops):
+        slots = [self._slots(comp, lp) for lp in loops]
+        off = np.ones(len(self.comps[comp][0]), dtype=bool)
+        for idx in slots:
+            off[idx] = False
+        return slots, off
 
-    def overwrite(self, vids, values, comp=None):
-        for v, val in zip(vids, values):
-            for lab, k in self.owner[int(v)]:
-                if comp is None or lab in comp:
-                    self.pos[lab][k] = val
+    def take(self, comp, loops):
+        """Positions of each loop (parent vids) of comp, and of comp's
+        vertices off those loops."""
+        pos = self.comps[comp][1]
+        slots, off = self._layout(comp, loops)
+        return [pos[idx] for idx in slots], pos[off]
 
-    def boundary_values(self, sub, lab):
-        """Dirichlet data for one submesh: local vid -> complex position."""
-        return {vid: complex(self.pos[lab][k]) for vid, k in self.index[lab].items()}
+    def put(self, comp, loops, images, others):
+        """Store the images of take(comp, loops)."""
+        slots, off = self._layout(comp, loops)
+        pos = np.empty(len(off), dtype=np.complex128)
+        pos[off] = others
+        for idx, img in zip(slots, images):
+            pos[idx] = img
+        self.comps[comp] = (self.comps[comp][0], pos)
+
+    def merge(self, left, right):
+        """Join two welded components; a vertex of both (a weld arc vertex)
+        gets the mean of its two positions."""
+        ids_l, pos_l = self.comps.pop(left)
+        ids_r, pos_r = self.comps.pop(right)
+        ids = np.concatenate([ids_l, ids_r])
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        pos = np.concatenate([pos_l, pos_r])[order]
+        dup = np.flatnonzero(ids[1:] == ids[:-1])
+        pos[dup] = 0.5 * (pos[dup] + pos[dup + 1])
+        keep = np.ones(len(ids), dtype=bool)
+        keep[dup + 1] = False
+        self.comps[left | right] = (ids[keep], pos[keep])
 
     def loops(self, submeshes):
         """Per-submesh boundary loops as (label, points) for snapshots."""
-        out = []
-        for lab, sub in enumerate(submeshes):
-            for lp in sub.mesh.boundary_loops:
-                sl = [self.index[lab][int(v)] for v in lp]
-                out.append((lab, self.pos[lab][sl].copy()))
-        return out
+        comp_of = {lab: comp for comp in self.comps for lab in comp}
+        return [
+            (lab, self.get(comp_of[lab], sub.to_parent[lp]))
+            for lab, sub in enumerate(submeshes)
+            for lp in sub.mesh.boundary_loops
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -161,60 +168,6 @@ def _find_loop(loops, arc):
         if rot is not None:
             return rot
     raise WrongTopology("weld arc is not part of any region boundary loop")
-
-
-def _chord_clear(points, i0, i1):
-    """True when the open segment points[i0]..points[i1] properly crosses no
-    polygon edge. Sample-point checks alone miss corner clipping."""
-    p = points[i0]
-    q = points[i1]
-    a = points
-    b = np.roll(points, -1)
-    d = q - p
-    e = b - a
-    c1 = d.real * (a - p).imag - d.imag * (a - p).real
-    c2 = d.real * (b - p).imag - d.imag * (b - p).real
-    c3 = e.real * (p - a).imag - e.imag * (p - a).real
-    c4 = e.real * (q - a).imag - e.imag * (q - a).real
-    crossing = (c1 * c2 < 0) & (c3 * c4 < 0)
-    return not bool(np.any(crossing))
-
-
-def _detour_path(points, i0, i1, count):
-    """Bridge path from points[i0] to points[i1] hugging the stretch of the
-    polygon between them from the outside.
-
-    For a counter-clockwise polygon the exterior lies to the right of travel
-    (left for clockwise); each rim sample is pushed that way by a fraction of
-    the local spacing, and the offset polyline is resampled to `count`
-    interior points.
-    """
-    outward = -1j if _polygon_area(points) > 0 else 1j
-    rim = points[i0 : i1 + 1]
-    seg = np.diff(rim)
-    dirs = np.empty(len(rim), dtype=np.complex128)
-    dirs[0] = seg[0]
-    dirs[-1] = seg[-1]
-    dirs[1:-1] = seg[:-1] + seg[1:]
-    mags = np.abs(dirs)
-    if np.any(mags == 0):
-        raise PathInsidePolygon("degenerate rim share; cannot build a detour")
-    dirs /= mags
-    spacing = np.empty(len(rim))
-    spacing[0] = np.abs(seg[0])
-    spacing[-1] = np.abs(seg[-1])
-    spacing[1:-1] = 0.5 * (np.abs(seg[:-1]) + np.abs(seg[1:]))
-    for eps in (0.4, 0.2, 0.1, 0.05):
-        off = rim + outward * dirs * (eps * spacing)
-        arc = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(off)))])
-        total = arc[-1]
-        ts = total * np.arange(1, count + 1) / (count + 1)
-        re = np.interp(ts, arc, off.real)
-        im = np.interp(ts, arc, off.imag)
-        path = re + 1j * im
-        if not any(point_in_polygon(complex(p), points) for p in path):
-            return path
-    raise PathInsidePolygon("no clear detour outside the hole rim")
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +214,12 @@ def _orient_side(loops, arc, tracker, comp, want_ccw):
     traversal has the requested planar orientation. Returns (loop, pos, arc)
     or None when the orientation cannot be realized."""
     loop = _find_loop(loops, arc)
-    pos = tracker.parent_pos(loop, comp)
+    pos = tracker.get(comp, loop)
     area = _polygon_area(pos)
     if (area > 0) != want_ccw:
         arc = arc[::-1]
         loop = _find_loop(loops, arc)
-        pos = tracker.parent_pos(loop, comp)
+        pos = tracker.get(comp, loop)
         area = _polygon_area(pos)
         if (area > 0) != want_ccw:
             return None
@@ -323,7 +276,7 @@ def _run_weld(spec, mesh, labels, tracker):
         loop_a, pos_a, arc1 = got
 
     loop_b = _find_loop(loops_r, arc1)
-    pos_b = tracker.parent_pos(loop_b, spec.right)
+    pos_b = tracker.get(spec.right, loop_b)
     if _polygon_area(pos_b) >= 0:
         raise MisorderedArc(
             "weld sides have the same planar orientation", stage="weld"
@@ -350,24 +303,24 @@ def _run_weld(spec, mesh, labels, tracker):
         runs_a.append((s_a, t_a))
         runs_b.append((s_b, t_b))
 
-    # Every tracked position of both sides rides through the weld maps.
-    passengers = {
-        "passengers_a": tracker.positions(spec.left),
-        "passengers_b": tracker.positions(spec.right),
-    }
+    # Only the vertices off the two weld loops ride through the weld maps.
+    rest_a = tracker.take(spec.left, [loop_a])[1]
+    rest_b = tracker.take(spec.right, [loop_b])[1]
     last_err = None
     for q in _DENSIFY:
         dp_a, sel_a = _subdivide_runs(pos_a, runs_a, q)
         dp_b, sel_b = _subdivide_runs(pos_b, runs_b, q)
         try:
             if two_arc:
-                dn_a, dn_b, moved_a, moved_b = _two_arc_weld(
-                    dp_a, dp_b, int(sel_a[r]), int(sel_a[s_a]), int(sel_a[t_a]),
-                    int(sel_b[s_b]), int(sel_b[t_b]), passengers,
+                dn_a, dn_b, moved_a, moved_b = multiconnected_weld(
+                    dp_a, dp_b, r * q, int(sel_a[s_a]), int(sel_a[t_a]),
+                    s_b=int(sel_b[s_b]), t_b=int(sel_b[t_b]),
+                    passengers_a=[rest_a], passengers_b=[rest_b],
                 )
             else:
                 st_a, st_b, moved_a, moved_b = partial_weld(
-                    dp_a, dp_b, r * q, **passengers
+                    dp_a, dp_b, r * q,
+                    passengers_a=[rest_a], passengers_b=[rest_b],
                 )
                 dn_a, dn_b = st_a.z[: len(dp_a)], st_b.z[: len(dp_b)]
         except NumericalBreakdown as err:
@@ -375,46 +328,13 @@ def _run_weld(spec, mesh, labels, tracker):
             continue
         break
     else:
-        raise last_err
-    out_a = dn_a[sel_a]
-    out_b = dn_b[sel_b]
-
-    pairs = [(int(loop_a[j]), out_a[j], out_b[j]) for j in range(r + 1)]
-    if two_arc:
-        pairs += [
-            (int(loop_a[s_a + i]), out_a[s_a + i], out_b[s_b + i])
-            for i in range(t_a - s_a + 1)
-        ]
-
-    tracker.move(spec.left, moved_a)
-    tracker.move(spec.right, moved_b)
-    tracker.overwrite(loop_a, out_a, spec.left)
-    tracker.overwrite(loop_b, out_b, spec.right)
-    both = spec.left | spec.right
-    for vid, va, vb in pairs:
-        tracker.overwrite([vid], [0.5 * (va + vb)], both)
-
-
-def _two_arc_weld(dp_a, dp_b, r_q, sa_q, ta_q, sb_q, tb_q, passengers):
-    """Two-arc weld around a hole rim, bridging the rim gap straight when the
-    chord is clear on both sides and by a detour outside the rim otherwise.
-    passengers holds the passengers_a / passengers_b keyword arguments."""
-    if _chord_clear(dp_a, r_q, sa_q) and _chord_clear(dp_b, r_q, sb_q):
-        try:
-            return multiconnected_weld(
-                dp_a, dp_b, r_q, sa_q, ta_q, s_b=sb_q, t_b=tb_q, **passengers
-            )
-        except PathInsidePolygon:
-            pass
-    # The straight bridge between the rim-arc endpoints clips the polygon
-    # (jagged hole mouths); detour just outside the rim.
-    count = max(1, (sa_q - r_q + sb_q - r_q) // 2 - 1)
-    aux_a = _detour_path(dp_a, r_q, sa_q, count)
-    aux_b = _detour_path(dp_b, r_q, sb_q, count)
-    return multiconnected_weld(
-        dp_a, dp_b, r_q, sa_q, ta_q, s_b=sb_q, t_b=tb_q,
-        aux_a=aux_a, aux_b=aux_b, **passengers,
-    )
+        raise NumericalBreakdown(
+            str(last_err), stage="weld",
+            submesh=f"{sorted(spec.left)} and {sorted(spec.right)}",
+        ) from last_err
+    tracker.put(spec.left, [loop_a], [dn_a[sel_a]], moved_a[0])
+    tracker.put(spec.right, [loop_b], [dn_b[sel_b]], moved_b[0])
+    tracker.merge(spec.left, spec.right)
 
 
 def _weld_batches(welds):
@@ -452,16 +372,17 @@ def _flatten_submesh(sub, mu_faces):
     return chart
 
 
-def _solve_submesh(sub, lab, chart, tracker, mu_faces, qc_on):
+def _solve_submesh(sub, lab, chart, tracker, comp, mu_faces, qc_on):
     flat = TriangleMesh(
         vertices=chart.uv, faces=sub.mesh.faces,
         boundary_loops=sub.mesh.boundary_loops,
     )
-    emb = laplace_dirichlet(flat, tracker.boundary_values(sub, lab))
+    bidx = sub.mesh.boundary_vertices()
+    boundary = tracker.get(comp, sub.to_parent[bidx])
+    emb = laplace_dirichlet(flat, dict(zip(bidx.tolist(), boundary.tolist())))
     if qc_on:
         corrected = qc_correction(sub.mesh.vertices, sub.mesh.faces, emb, mu_faces)
         if corrected is not emb:
-            bidx = sub.mesh.boundary_vertices()
             move = float(
                 np.linalg.norm(corrected.uv[bidx] - emb.uv[bidx], axis=1).max()
             )
@@ -542,19 +463,12 @@ def compute_parameterization(
         def circ_hole(item):
             li, comp = item
             rim = mesh.boundary_loops[li]
-            poly = tracker.parent_pos(rim, comp)
-            members = sorted(comp)
-            out_h, out_p = circularize_hole(
-                poly, [tracker.pos[lab] for lab in members]
-            )
-            return li, comp, rim, out_h, members, out_p
+            (poly,), rest = tracker.take(comp, [rim])
+            out_h, (out_p,) = circularize_hole(poly, [rest])
+            return comp, rim, out_h, out_p
 
-        for li, comp, rim, out_h, members, out_p in pool.map(
-            circ_hole, hole_items
-        ):
-            for lab, arr in zip(members, out_p):
-                tracker.pos[lab] = arr
-            tracker.overwrite(rim, out_h, comp)
+        for comp, rim, out_h, out_p in pool.map(circ_hole, hole_items):
+            tracker.put(comp, [rim], [out_h], out_p)
         toc("koebe_holes", t0)
         snap("koebe_holes")
 
@@ -569,46 +483,32 @@ def compute_parameterization(
         snap("post_weld")
 
         t0 = tic()
+        (whole,) = tracker.comps  # every weld has run: one component
         outer_ids = mesh.boundary_loops[0]
-        all_labels = list(range(len(submeshes)))
-        poly = tracker.parent_pos(outer_ids)
+        (poly,), rest = tracker.take(whole, [outer_ids])
         rev = _polygon_area(poly) < 0
         if rev:
             poly = poly[::-1]
-        out_o, out_p = circularize_outer(poly, [tracker.pos[l] for l in all_labels])
-        for lab, arr in zip(all_labels, out_p):
-            tracker.pos[lab] = arr
-        tracker.overwrite(outer_ids, out_o[::-1] if rev else out_o)
+        out_o, (out_p,) = circularize_outer(poly, [rest])
+        tracker.put(whole, [outer_ids], [out_o[::-1] if rev else out_o], out_p)
         toc("outer", t0)
         snap("outer")
 
+        hole_loops = [mesh.boundary_loops[li] for li in sorted(plan.hole_owner)]
         refine_history = [
-            [
-                loop_circularity(tracker.parent_pos(mesh.boundary_loops[li]))
-                for li in sorted(plan.hole_owner)
-            ]
+            [loop_circularity(tracker.get(whole, lp)) for lp in hole_loops]
         ]
-        if koebe_passes > 0 and plan.hole_owner:
+        if koebe_passes > 0 and hole_loops:
             t0 = tic()
-            outer_poly = tracker.parent_pos(outer_ids)
+            loops = [outer_ids, *hole_loops]
+            (outer_poly, *hole_polys), rest = tracker.take(whole, loops)
             if rev:
                 outer_poly = outer_poly[::-1]
-            hole_polys = [
-                tracker.parent_pos(mesh.boundary_loops[li])
-                for li in sorted(plan.hole_owner)
-            ]
-            out_o, out_h, out_e, history = koebe_refine(
-                outer_poly,
-                hole_polys,
-                extras=[tracker.pos[l] for l in all_labels],
-                passes=koebe_passes,
-                target=0.0,
+            out_o, out_h, (out_e,), history = koebe_refine(
+                outer_poly, hole_polys, extras=[rest],
+                passes=koebe_passes, target=0.0,
             )
-            for lab, arr in zip(all_labels, out_e):
-                tracker.pos[lab] = arr
-            tracker.overwrite(outer_ids, out_o[::-1] if rev else out_o)
-            for li, h in zip(sorted(plan.hole_owner), out_h):
-                tracker.overwrite(mesh.boundary_loops[li], h)
+            tracker.put(whole, loops, [out_o[::-1] if rev else out_o, *out_h], out_e)
             refine_history = history
             toc("refine", t0)
             snap("refine")
@@ -618,7 +518,7 @@ def compute_parameterization(
             pool.map(
                 lambda args: _solve_submesh(*args),
                 [
-                    (sub, lab, charts[lab], tracker, mu_subs[lab], qc)
+                    (sub, lab, charts[lab], tracker, whole, mu_subs[lab], qc)
                     for lab, sub in enumerate(submeshes)
                 ],
             )

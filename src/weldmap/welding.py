@@ -352,7 +352,10 @@ def _pack_state(points, passengers=()):
 
 
 def _unpack(st, n, offsets):
-    """Copies of the first n entries and of each passenger array."""
+    """Copies of the first n entries and of each passenger array; a
+    passenger at infinity has no planar image and raises."""
+    if any(st.at_inf[a:b].any() for a, b in offsets):
+        raise NumericalBreakdown("a passenger point escaped to infinity")
     return st.z[:n].copy(), [st.z[a:b].copy() for a, b in offsets]
 
 
@@ -369,6 +372,24 @@ def geodesic_basic(xi, branch, scale=1.0):
     return GeodesicStep(re=xi.real / r2, im=xi.imag / r2, branch=branch)
 
 
+def _unzip(st, k, branch, scale=1.0):
+    """Geodesic unzipping of entries 0..k: the initial root sends entry 0 to
+    infinity and entry 1 to 0, then one geodesic step per entry 2..k sends
+    it to 0. Each unzipped entry is set exactly to 0 and marked on-axis;
+    branch picks the half-axis for points on the cut. Returns the mapped
+    state."""
+    g1 = InitialRoot(z0=complex(st.z[0]), z1=complex(st.z[1]), branch=branch)
+    st = g1.apply_state(st)
+    st.set_exact(1, 0.0, on_axis=True)
+    st.set_inf(0, on_axis=True)
+    for j in range(2, k + 1):
+        if st.at_inf[j]:
+            raise NumericalBreakdown(f"arc point {j} escaped to infinity")
+        st = geodesic_basic(st.z[j], branch, scale=scale).apply_state(st)
+        st.set_exact(j, 0.0, on_axis=True)
+    return st
+
+
 def intermediate_form(st, k, branch, n=None):
     """Half-way geodesic transform of a state whose first n entries (all by
     default) are boundary points and markers, the rest passengers: points
@@ -382,18 +403,7 @@ def intermediate_form(st, k, branch, n=None):
         n = len(st.z)
     if not (1 <= k < n - 1):
         raise MisorderedArc(f"marker k={k} out of range for {n} points")
-    scale = st.diameter(n)
-
-    g1 = InitialRoot(z0=complex(st.z[0]), z1=complex(st.z[1]), branch=branch)
-    st = g1.apply_state(st)
-    st.set_exact(1, 0.0, on_axis=True)
-    st.set_inf(0, on_axis=True)
-
-    for j in range(2, k + 1):
-        if st.at_inf[j]:
-            raise NumericalBreakdown(f"arc point {j} escaped to infinity")
-        st = geodesic_basic(st.z[j], branch, scale=scale).apply_state(st)
-        st.set_exact(j, 0.0, on_axis=True)
+    st = _unzip(st, k, branch, scale=st.diameter(n))
 
     # Closing Mobius sends the image of point 0 (on the axis) to infinity.
     if not st.at_inf[0]:
@@ -482,13 +492,13 @@ def partial_weld(a_points, b_points, k, passengers_a=(), passengers_b=()):
 
     a_points must run counter-clockwise around polygon A and b_points
     clockwise around polygon B, with a_j and b_j the two copies of the same
-    arc point. passengers_a and passengers_b are further points of each
-    side's plane that ride through the same conformal maps.
+    arc point. passengers_a and passengers_b are lists of arrays of further
+    points of each side's plane that ride through the same conformal maps.
 
     Returns (state_a, state_b, moved_a, moved_b): the welded boundary states
-    (each with its two normalization markers appended) and the passengers'
-    images as BoundaryChains, whose at_inf flags mark passengers that went
-    to infinity.
+    (each with its two normalization markers appended) and lists of the
+    passengers' images. A passenger sent to infinity raises
+    NumericalBreakdown.
     """
     a_points = np.asarray(a_points, dtype=np.complex128)
     b_points = np.asarray(b_points, dtype=np.complex128)
@@ -504,13 +514,13 @@ def partial_weld(a_points, b_points, k, passengers_a=(), passengers_b=()):
     # gets two markers: its new origin and, at infinity, the far field.
     ca = _interior_point(a_points)
     cb = _interior_point(b_points)
-    st_a, _ = _pack_state(
+    st_a, offsets_a = _pack_state(
         np.concatenate([a_points - ca, [0.0, 0.0]]),
-        [np.asarray(passengers_a, dtype=np.complex128) - ca],
+        [np.asarray(p, dtype=np.complex128) - ca for p in passengers_a],
     )
-    st_b, _ = _pack_state(
+    st_b, offsets_b = _pack_state(
         np.concatenate([b_points - cb, [0.0, 0.0]]),
-        [np.asarray(passengers_b, dtype=np.complex128) - cb],
+        [np.asarray(p, dtype=np.complex128) - cb for p in passengers_b],
     )
     st_a.set_inf(m + 1)
     st_b.set_inf(n + 1)
@@ -612,10 +622,13 @@ def partial_weld(a_points, b_points, k, passengers_a=(), passengers_b=()):
     if st_a.at_inf[0] or st_b.at_inf[0]:
         raise NumericalBreakdown("weld arc endpoint remained at infinity")
 
-    st_a, moved_a = st_a.split(m + 2)
-    st_b, moved_b = st_b.split(n + 2)
-    _check_weld(st_a, st_b, k)
-    return st_a, st_b, moved_a, moved_b
+    head_a = st_a.split(m + 2)[0]
+    head_b = st_b.split(n + 2)[0]
+    _check_weld(head_a, head_b, k)
+    return (
+        head_a, head_b,
+        _unpack(st_a, m + 2, offsets_a)[1], _unpack(st_b, n + 2, offsets_b)[1],
+    )
 
 
 def _three_point_mobius(p1, p2, p3):
@@ -659,14 +672,70 @@ def auxiliary_path(a_r, a_s, count, polygon):
     return pts
 
 
+def _chord_clear(points, i0, i1):
+    """True when the open segment points[i0]..points[i1] properly crosses no
+    polygon edge. Sample-point checks alone miss corner clipping."""
+    p = points[i0]
+    q = points[i1]
+    a = points
+    b = np.roll(points, -1)
+    d = q - p
+    e = b - a
+    c1 = d.real * (a - p).imag - d.imag * (a - p).real
+    c2 = d.real * (b - p).imag - d.imag * (b - p).real
+    c3 = e.real * (p - a).imag - e.imag * (p - a).real
+    c4 = e.real * (q - a).imag - e.imag * (q - a).real
+    crossing = (c1 * c2 < 0) & (c3 * c4 < 0)
+    return not bool(np.any(crossing))
+
+
+def _detour_path(points, i0, i1, count):
+    """Bridge path from points[i0] to points[i1] hugging the stretch of the
+    polygon between them from the outside.
+
+    For a counter-clockwise polygon the exterior lies to the right of travel
+    (left for clockwise); each rim sample is pushed that way by a fraction of
+    the local spacing, and the offset polyline is resampled to `count`
+    interior points.
+    """
+    outward = -1j if _polygon_area(points) > 0 else 1j
+    rim = points[i0 : i1 + 1]
+    seg = np.diff(rim)
+    dirs = np.empty(len(rim), dtype=np.complex128)
+    dirs[0] = seg[0]
+    dirs[-1] = seg[-1]
+    dirs[1:-1] = seg[:-1] + seg[1:]
+    mags = np.abs(dirs)
+    if np.any(mags == 0):
+        raise PathInsidePolygon("degenerate rim share; cannot build a detour")
+    dirs /= mags
+    spacing = np.empty(len(rim))
+    spacing[0] = np.abs(seg[0])
+    spacing[-1] = np.abs(seg[-1])
+    spacing[1:-1] = 0.5 * (np.abs(seg[:-1]) + np.abs(seg[1:]))
+    for eps in (0.4, 0.2, 0.1, 0.05):
+        off = rim + outward * dirs * (eps * spacing)
+        arc = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(off)))])
+        total = arc[-1]
+        ts = total * np.arange(1, count + 1) / (count + 1)
+        re = np.interp(ts, arc, off.real)
+        im = np.interp(ts, arc, off.imag)
+        path = re + 1j * im
+        if not any(point_in_polygon(complex(p), points) for p in path):
+            return path
+    raise PathInsidePolygon("no clear detour outside the hole rim")
+
+
 def multiconnected_weld(a_points, b_points, r, s_a, t_a, s_b=None, t_b=None,
-                        aux_count=None, aux_a=None, aux_b=None,
                         passengers_a=(), passengers_b=()):
     """Weld along two arcs: indices 0..r and s..t on each chain, where the
     gap r..s is that chain's share of an inner hole rim (the two shares may
     have different lengths).  Auxiliary points bridge the gap so the
     single-arc welding algorithm applies; the bridged region is discarded
     afterwards, leaving a hole bounded by the images of both rim arcs.
+
+    The bridge is the straight chord from r to s when it is clear of both
+    polygons, and otherwise a detour just outside each rim share.
 
     Returns (welded a, welded b, moved_a, moved_b): the welded chains in the
     original indexing and the passengers' images, as in partial_weld.
@@ -684,52 +753,39 @@ def multiconnected_weld(a_points, b_points, r, s_a, t_a, s_b=None, t_b=None,
     if t_a - s_a != t_b - s_b:
         raise MisorderedArc("second weld arcs have different lengths")
 
-    if aux_a is not None or aux_b is not None:
-        # Caller-supplied bridge paths (already in a_r -> a_s order), for
-        # geometries where the straight segment would cross the polygon.
-        aux_a = np.asarray(aux_a, dtype=np.complex128)
-        aux_b = np.asarray(aux_b, dtype=np.complex128)
-        if len(aux_a) != len(aux_b) or len(aux_a) == 0:
-            raise MisorderedArc("custom auxiliary paths must have equal length")
-        for p, poly in ((aux_a, a_points), (aux_b, b_points)):
-            for z in p:
-                if point_in_polygon(complex(z), poly):
-                    raise PathInsidePolygon("custom auxiliary path enters the polygon")
-        aux_count = len(aux_a)
-    else:
-        if aux_count is None:
-            segs = [np.abs(np.diff(a_points[: r + 1])), np.abs(np.diff(b_points[: r + 1]))]
-            if t_a > s_a:
-                segs.append(np.abs(np.diff(a_points[s_a : t_a + 1])))
-                segs.append(np.abs(np.diff(b_points[s_b : t_b + 1])))
-            h = np.mean(np.concatenate(segs))
-            gap = 0.5 * (abs(a_points[r] - a_points[s_a]) + abs(b_points[r] - b_points[s_b]))
-            aux_count = max(1, int(round(gap / max(h, 1e-300))) - 1)
-
-        aux_a = auxiliary_path(a_points[r], a_points[s_a], aux_count, a_points)
-        aux_b = auxiliary_path(b_points[r], b_points[s_b], aux_count, b_points)
-        # The path formula lists points from the a_s end; the chain needs them
-        # running from a_r to a_s.
-        aux_a = aux_a[::-1]
-        aux_b = aux_b[::-1]
+    aux_a = aux_b = None
+    if _chord_clear(a_points, r, s_a) and _chord_clear(b_points, r, s_b):
+        segs = [np.abs(np.diff(a_points[: r + 1])), np.abs(np.diff(b_points[: r + 1]))]
+        if t_a > s_a:
+            segs.append(np.abs(np.diff(a_points[s_a : t_a + 1])))
+            segs.append(np.abs(np.diff(b_points[s_b : t_b + 1])))
+        h = np.mean(np.concatenate(segs))
+        gap = 0.5 * (abs(a_points[r] - a_points[s_a]) + abs(b_points[r] - b_points[s_b]))
+        count = max(1, int(round(gap / max(h, 1e-300))) - 1)
+        try:
+            # The path formula lists points from the a_s end; the chain
+            # needs them running from a_r to a_s.
+            aux_a = auxiliary_path(a_points[r], a_points[s_a], count, a_points)[::-1]
+            aux_b = auxiliary_path(b_points[r], b_points[s_b], count, b_points)[::-1]
+        except PathInsidePolygon:
+            aux_a = None
+    if aux_a is None:
+        # The straight bridge clips the polygon (jagged hole mouths).
+        count = max(1, (s_a - r + s_b - r) // 2 - 1)
+        aux_a = _detour_path(a_points, r, s_a, count)
+        aux_b = _detour_path(b_points, r, s_b, count)
 
     aug_a = np.concatenate([a_points[: r + 1], aux_a, a_points[s_a:]])
     aug_b = np.concatenate([b_points[: r + 1], aux_b, b_points[s_b:]])
-    k_weld = r + aux_count + 1 + (t_a - s_a)
+    k_weld = r + count + 1 + (t_a - s_a)
 
     # The rim points (excluded from the augmented polygon) ride as the first
     # passengers; the original indexing is stitched back together after.
-    rim_a = a_points[r + 1 : s_a]
-    rim_b = b_points[r + 1 : s_b]
     st_a, st_b, moved_a, moved_b = partial_weld(
         aug_a, aug_b, k_weld,
-        passengers_a=np.concatenate([rim_a, np.asarray(passengers_a, dtype=np.complex128)]),
-        passengers_b=np.concatenate([rim_b, np.asarray(passengers_b, dtype=np.complex128)]),
+        passengers_a=[a_points[r + 1 : s_a], *passengers_a],
+        passengers_b=[b_points[r + 1 : s_b], *passengers_b],
     )
-    rim_a, moved_a = moved_a.split(len(rim_a))
-    rim_b, moved_b = moved_b.split(len(rim_b))
-    if rim_a.at_inf.any() or rim_b.at_inf.any():
-        raise NumericalBreakdown("a hole rim point escaped to infinity")
-    out_a = np.concatenate([st_a.z[: r + 1], rim_a.z, st_a.z[r + 1 + aux_count :][: len(a_points) - s_a]])
-    out_b = np.concatenate([st_b.z[: r + 1], rim_b.z, st_b.z[r + 1 + aux_count :][: len(b_points) - s_b]])
-    return out_a, out_b, moved_a, moved_b
+    out_a = np.concatenate([st_a.z[: r + 1], moved_a[0], st_a.z[r + 1 + count :][: len(a_points) - s_a]])
+    out_b = np.concatenate([st_b.z[: r + 1], moved_b[0], st_b.z[r + 1 + count :][: len(b_points) - s_b]])
+    return out_a, out_b, moved_a[1:], moved_b[1:]

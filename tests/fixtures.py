@@ -1,7 +1,8 @@
-"""Shared mesh generators for the test suite."""
+"""Shared mesh generators and measurements for the test suite."""
 
 import numpy as np
 
+from weldmap.flatten import cotan_laplacian
 from weldmap.mesh import build_mesh
 
 
@@ -118,3 +119,21 @@ def smooth_beltrami(mesh, seed=42, modes=4, amplitude=0.37):
         a = rng.normal() + 1j * rng.normal()
         mu += a * np.exp(1j * (kx * c[:, 0] + ky * c[:, 1]) + 1j * ph)
     return mu * (amplitude / np.abs(mu).max())
+
+
+def quadratic_form_value(Q, u, v):
+    """x^T Q x for x = (u, v) stacked."""
+    x = np.concatenate([u, v])
+    return float(x @ (Q @ x))
+
+
+def harmonic_residual(mesh, embedding):
+    """Relative residual of the interior cotan Laplacian rows of a map."""
+    boundary_ids = mesh.boundary_vertices()
+    free = np.setdiff1d(np.arange(mesh.n_vertices), boundary_ids)
+    if len(free) == 0:
+        return 0.0
+    L = cotan_laplacian(mesh).tocsr()
+    full = L[free] @ embedding.uv
+    ref = np.linalg.norm(L[free][:, boundary_ids] @ embedding.uv[boundary_ids])
+    return float(np.linalg.norm(full) / max(ref, 1e-300))

@@ -10,14 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from weldmap.assemble import harmonic_residual, laplace_dirichlet
+from weldmap.assemble import laplace_dirichlet
 from weldmap.flatten import (
     area_form_boundary,
     area_form_faces,
     beltrami_per_face,
     generalized_laplacian,
     lsqc_flatten,
-    quadratic_form_value,
     wirtinger_derivatives,
 )
 from weldmap.koebe import koebe_refine
@@ -31,6 +30,8 @@ from fixtures import (
     curved_annulus,
     disk_mesh,
     grid_mesh,
+    harmonic_residual,
+    quadratic_form_value,
     smooth_beltrami,
     square_hole,
     two_hole_grid,

@@ -11,12 +11,17 @@ from weldmap.flatten import (
     dncp_flatten,
     generalized_laplacian,
     lsqc_flatten,
-    quadratic_form_value,
     wirtinger_derivatives,
 )
 from weldmap.mesh import build_mesh
 
-from fixtures import annulus_mesh, grid_mesh, hemisphere_cap, single_triangle
+from fixtures import (
+    annulus_mesh,
+    grid_mesh,
+    hemisphere_cap,
+    quadratic_form_value,
+    single_triangle,
+)
 
 
 def test_cotan_equilateral():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weldmap.errors import MisorderedArc
+from weldmap.errors import MisorderedArc, NumericalBreakdown
 from weldmap.koebe import (
     CircularityReport,
     circularize_hole,
@@ -10,6 +10,7 @@ from weldmap.koebe import (
     koebe_refine,
     loop_circularity,
 )
+from weldmap.welding import _interior_point
 from fixtures import grid_mesh
 
 
@@ -87,6 +88,14 @@ def test_hole_fixes_infinity():
     ratio = np.abs(img) / np.abs(far)
     assert np.all(np.isfinite(img))
     assert np.abs(ratio / ratio[-1] - 1.0).max() < 1e-3
+
+
+def test_hole_passenger_at_inversion_centre_raises():
+    # The inversion about the hole's interior point sends a passenger there
+    # to infinity, where it has no planar image.
+    sq = square_loop()
+    with pytest.raises(NumericalBreakdown, match="infinity"):
+        circularize_hole(sq, [[0.2 + 0.1j, _interior_point(sq)]])
 
 
 def test_hole_orientation_agnostic():

@@ -50,14 +50,25 @@ def test_two_holes_in_one_part_rejected():
 
 
 def test_cut_edges_avoid_boundary():
+    # Every weld arc edge is an interior edge between two differently
+    # labelled faces, even where the arc ends on the boundary.
     m = disk_mesh()
     part = split_by_x(m, 0.0)
-    cuts = part.cut_edges(m)
-    bverts = set(m.boundary_vertices().tolist())
-    interior_end = [not (int(a) in bverts and int(b) in bverts) for a, b in cuts]
-    # A cut edge may touch the boundary at its endpoints but each cut edge is
-    # an interior (two-face) edge by construction; just check nonempty here.
-    assert len(cuts) > 0
+    plan = build_weld_specs(m, part, extract_submeshes(m, part))
+    edge_labels = {}
+    for f, lab in zip(m.faces.tolist(), part.face_label.tolist()):
+        for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
+            edge_labels.setdefault(frozenset((a, b)), []).append(lab)
+    arc_edges = [
+        frozenset((int(a), int(b)))
+        for spec in plan.welds
+        for arc in spec.arcs
+        for a, b in zip(arc[:-1], arc[1:])
+    ]
+    assert len(arc_edges) > 0
+    for e in arc_edges:
+        labs = edge_labels[e]
+        assert len(labs) == 2 and labs[0] != labs[1]
 
 
 def test_plan_disk_two_parts():

@@ -70,6 +70,16 @@ def test_serial_parallel_bitwise_identical():
     assert r1.report.as_dict() == r4.report.as_dict()
 
 
+def test_outer_loop_lands_on_the_unit_circle():
+    # Only vertices off the outer loop ride through circularize_outer, so
+    # no copy of the loop sits on the circle to trigger its shrink.
+    mesh = two_hole_grid(40)
+    labels = default_partition(mesh, 4)
+    res = compute_parameterization(mesh, labels, _zero_mu(mesh), deterministic=True)
+    z = res.param.complex_view[mesh.boundary_loops[0]]
+    assert np.abs(np.abs(z) - 1.0).max() <= 4.5e-16
+
+
 def test_refine_passes_recorded():
     mesh = annulus_mesh(12, 64)
     labels = default_partition(mesh, 2)

@@ -1,0 +1,32 @@
+"""Guards on the source tree itself."""
+
+import re
+from pathlib import Path
+
+import weldmap
+
+SRC = Path(weldmap.__file__).parent
+DEF = re.compile(r"^\s*(?:def|class)\s+(\w+)")
+
+
+def test_every_definition_is_used_in_src_or_exported():
+    # A function or class that only tests call belongs in the tests.
+    lines = [
+        (path.name, no, line)
+        for path in sorted(SRC.glob("*.py"))
+        for no, line in enumerate(path.read_text(encoding="utf-8").splitlines())
+    ]
+    unused = []
+    for where, no, line in lines:
+        m = DEF.match(line)
+        if m is None:
+            continue
+        name = m.group(1)
+        if name.startswith("__") and name.endswith("__") or name in weldmap.__all__:
+            continue
+        word = re.compile(rf"\b{name}\b")
+        if not any(
+            word.search(other) for w, n, other in lines if (w, n) != (where, no)
+        ):
+            unused.append(f"{where}:{no + 1} {name}")
+    assert not unused, "used only outside src: " + ", ".join(unused)
