@@ -21,6 +21,7 @@ from .welding import (
     _polygon_area,
     _unpack,
     _unzip,
+    point_in_polygon,
 )
 
 CIRCULARITY_TARGET = 1e-3
@@ -134,9 +135,13 @@ def circularize_hole(hole, passengers=()):
     n = len(hole)
     if n < 3:
         raise MisorderedArc("hole boundary needs at least 3 points")
-    c = _interior_point(hole)
     st, offsets = _pack_state(hole, passengers)
-    # A passenger at c goes to infinity and raises here.
+    if point_in_polygon(st.z[n:], hole).any():
+        raise NumericalBreakdown(
+            "a passenger inside the hole has no image: the exterior map "
+            "sends the hole's centre to infinity"
+        )
+    c = _interior_point(hole)
     inv, inv_p = _unpack(MobiusMap(0.0, 1.0, 1.0, -c).apply_state(st), n, offsets)
     # The inversion swaps interior and exterior and sends infinity to 0, so
     # the inverted hole runs clockwise when the input runs counter-clockwise;
@@ -151,10 +156,10 @@ def circularize_hole(hole, passengers=()):
     return _unpack(MobiusMap(0.0, 1.0, 1.0, 0.0).apply_state(st), n, offsets)
 
 
-def circularize_outer(outer, passengers=(), anchor=None):
+def circularize_outer(outer, passengers=()):
     """Map the interior of the outer boundary onto the unit disk; the outer
     loop lands exactly on the unit circle, everything else strictly inside."""
-    out_b, out_p = disk_map_interior(outer, passengers, anchor=anchor)
+    out_b, out_p = disk_map_interior(outer, passengers)
     worst = max((np.abs(p).max() for p in out_p if len(p)), default=0.0)
     if worst >= 1.0 - 1e-12:
         scale = MobiusMap((1.0 - 1e-12) / worst, 0.0, 0.0, 1.0)

@@ -10,7 +10,6 @@ component before hole circularization.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +76,8 @@ def load_labels(path, n_faces):
 
 
 def _interior_edges(faces):
-    """Interior (two-face) undirected edges as arrays (u, v, f0, f1), u < v."""
+    """Interior (two-face) edges as arrays (u, v, f0, f1): face f0 runs the
+    edge u -> v, face f1 runs it v -> u."""
     m = len(faces)
     a = np.concatenate([faces[:, 0], faces[:, 1], faces[:, 2]])
     b = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0]])
@@ -88,9 +88,9 @@ def _interior_edges(faces):
     key = lo * span + hi
     order = np.argsort(key, kind="stable")
     key = key[order]
-    fi = fi[order]
-    first = np.flatnonzero(key[:-1] == key[1:])
-    return key[first] // span, key[first] % span, fi[first], fi[first + 1]
+    pair = np.flatnonzero(key[:-1] == key[1:])
+    first, second = order[pair], order[pair + 1]
+    return a[first], b[first], fi[first], fi[second]
 
 
 def face_adjacency(faces):
@@ -156,7 +156,10 @@ class WeldSpec:
 
     left: frozenset
     right: frozenset
-    arcs: list  # parent-vertex paths (np arrays), ordered along the cut
+    # Parent-vertex paths (np arrays), each directed the way the faces of
+    # `left` run its cut edges; a two-arc weld lists first the arc that ends
+    # on the rim of hole_loop.
+    arcs: list
     arc_kind: str  # "continuous" | "two-arc-multiply-connected"
     hole_loop: int | None = None  # parent boundary-loop index enclosed by this weld
 
@@ -169,41 +172,26 @@ class WeldPlan:
 
 
 def _shared_arcs(comp_a, comp_b, cut_cache):
-    """Cut edges between two label sets, chained into maximal vertex paths."""
+    """Cut edges between two label sets, chained into maximal vertex paths
+    directed the way the faces of comp_a run them, listed by first vertex."""
     cu, cv, cla, clb = cut_cache
-    in_a = np.isin(cla, sorted(comp_a))
-    in_b = np.isin(clb, sorted(comp_b))
-    rev_a = np.isin(cla, sorted(comp_b))
-    rev_b = np.isin(clb, sorted(comp_a))
-    mask = (in_a & in_b) | (rev_a & rev_b)
-    if not np.any(mask):
+    fwd = np.isin(cla, sorted(comp_a)) & np.isin(clb, sorted(comp_b))
+    rev = np.isin(cla, sorted(comp_b)) & np.isin(clb, sorted(comp_a))
+    tails = np.concatenate([cu[fwd], cv[rev]]).tolist()
+    heads = np.concatenate([cv[fwd], cu[rev]]).tolist()
+    if not tails:
         return None
-    edges = list(zip(cu[mask].tolist(), cv[mask].tolist()))
-    nbr = defaultdict(list)
-    for u, v in edges:
-        nbr[u].append(v)
-        nbr[v].append(u)
-    ends = sorted(x for x, ns in nbr.items() if len(ns) == 1)
-    if any(len(ns) > 2 for ns in nbr.values()):
+    succ = dict(zip(tails, heads))
+    if len(succ) < len(tails) or len(set(heads)) < len(heads):
         return None  # branching cut between the same two components
-    if not ends:
-        return None  # closed cut cycle: full welding is out of scope
     arcs = []
-    used = set()
-    for start in ends:
-        if start in used:
-            continue
+    for start in sorted(succ.keys() - set(heads)):
         path = [start]
-        used.add(start)
-        cur = start
-        while True:
-            nxt = [x for x in nbr[cur] if x not in used]
-            if not nxt:
-                break
-            cur = nxt[0]
-            used.add(cur)
-            path.append(cur)
+        while path[-1] in succ:
+            path.append(succ[path[-1]])
         arcs.append(np.asarray(path, dtype=np.int64))
+    if sum(len(arc) - 1 for arc in arcs) < len(tails):
+        return None  # closed cut cycle: full welding is out of scope
     return arcs
 
 
@@ -268,6 +256,8 @@ def build_weld_specs(mesh, labels, submeshes):
                     break
             if hole is None:
                 return None
+            if not np.isin(arcs[0][-1], mesh.boundary_loops[hole]):
+                arcs.reverse()
             return WeldSpec(
                 left=p, right=q, arcs=arcs,
                 arc_kind="two-arc-multiply-connected", hole_loop=hole,

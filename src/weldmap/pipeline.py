@@ -6,6 +6,12 @@ circularization, optional cyclic refinement, per-submesh Dirichlet solves,
 and the sequential global assembly. Parallel stages run per submesh or per
 welded component in a thread pool and are reduced by index, so thread count
 never changes the numbers.
+
+Orientation comes from the faces, never from signed areas: boundary loops
+keep the interior on their left, so the outer loop runs counter-clockwise,
+and a weld takes side A's loop in face order (counter-clockwise) and side
+B's loop reversed (clockwise), both running the planner's directed arcs
+forward. An error inside a weld names stage "weld" and its two label sets.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .errors import (
     MisorderedArc,
     NonManifold,
     NumericalBreakdown,
+    WeldmapError,
     WrongTopology,
 )
 from .flatten import (
@@ -41,7 +48,7 @@ from .flatten import (
 from .koebe import circularize_hole, circularize_outer, koebe_refine, loop_circularity
 from .mesh import TriangleMesh, walk_boundary_loops
 from .partition import build_weld_specs, extract_submeshes
-from .welding import _polygon_area, multiconnected_weld, partial_weld
+from .welding import multiconnected_weld, partial_weld
 
 log = logging.getLogger("weldmap")
 
@@ -143,34 +150,6 @@ class _Tracker:
 
 
 # ---------------------------------------------------------------------------
-# Weld sides in parent indexing
-
-
-def _rotate_to_arc(loop, arc):
-    """Rotate (and possibly reverse) the cyclic loop so it starts with the
-    arc traversed in the given vid order; None if the arc is not there."""
-    n = len(loop)
-    where = {int(v): i for i, v in enumerate(loop)}
-    if int(arc[0]) not in where:
-        return None
-    i = where[int(arc[0])]
-    if all(int(loop[(i + j) % n]) == int(arc[j]) for j in range(len(arc))):
-        return np.roll(loop, -i)
-    if all(int(loop[(i - j) % n]) == int(arc[j]) for j in range(len(arc))):
-        rev = loop[::-1]
-        return np.roll(rev, -(n - 1 - i))
-    return None
-
-
-def _find_loop(loops, arc):
-    for lp in loops:
-        rot = _rotate_to_arc(lp, arc)
-        if rot is not None:
-            return rot
-    raise WrongTopology("weld arc is not part of any region boundary loop")
-
-
-# ---------------------------------------------------------------------------
 # Weld execution
 
 # Edge subdivision factors tried when a weld breaks down. Wildly different
@@ -209,24 +188,34 @@ def _subdivide_runs(pos, runs, q):
     return np.concatenate(parts), sel
 
 
-def _orient_side(loops, arc, tracker, comp, want_ccw):
-    """Loop rotated to start with the arc, with arc direction chosen so the
-    traversal has the requested planar orientation. Returns (loop, pos, arc)
-    or None when the orientation cannot be realized."""
-    loop = _find_loop(loops, arc)
-    pos = tracker.get(comp, loop)
-    area = _polygon_area(pos)
-    if (area > 0) != want_ccw:
-        arc = arc[::-1]
-        loop = _find_loop(loops, arc)
-        pos = tracker.get(comp, loop)
-        area = _polygon_area(pos)
-        if (area > 0) != want_ccw:
-            return None
-    return loop, pos, arc
+def _side_loop(loops, arc, reverse):
+    """The boundary loop through arc[0], rotated to start there and, for side
+    B, reversed; it must start with the arc."""
+    for lp in loops:
+        at = np.flatnonzero(lp == arc[0])
+        if len(at):
+            lp = np.roll(lp, -at[0])
+            if reverse:
+                lp = np.roll(lp[::-1], 1)
+            if np.array_equal(lp[: len(arc)], arc):
+                return lp
+            break
+    raise WrongTopology("weld arc is not on a side boundary loop in its direction")
 
 
 def _run_weld(spec, mesh, labels, tracker):
+    """Weld spec.right onto spec.left; an error without a stage is given
+    stage "weld" and the weld's label sets."""
+    try:
+        _weld(spec, mesh, labels, tracker)
+    except WeldmapError as err:
+        if err.stage is None:
+            err.stage = "weld"
+            err.submesh = f"{sorted(spec.left)} and {sorted(spec.right)}"
+        raise
+
+
+def _weld(spec, mesh, labels, tracker):
     try:
         loops_l, loops_r = [
             walk_boundary_loops(
@@ -235,77 +224,41 @@ def _run_weld(spec, mesh, labels, tracker):
             for comp in (spec.left, spec.right)
         ]
     except NonManifold as err:
-        raise WrongTopology(f"weld side boundary: {err}", stage="weld") from err
+        raise WrongTopology(f"weld side boundary: {err}") from err
 
-    two_arc = spec.arc_kind == "two-arc-multiply-connected"
-    if two_arc:
-        # The stretch of boundary between the end of the first arc and the
-        # start of the second must be this side's share of the hole rim (the
-        # other gap is outer boundary); pick the arc order accordingly.
-        rim_vids = set(int(v) for v in mesh.boundary_loops[spec.hole_loop])
-        first = None
-        for cand in (0, 1):
-            arc_c = np.asarray(spec.arcs[cand], dtype=np.int64)
-            got = _orient_side(loops_l, arc_c, tracker, spec.left, True)
-            if got is None:
-                continue
-            loop_c, pos_c, arc_c = got
-            other = set(int(v) for v in spec.arcs[1 - cand])
-            idx = sorted(
-                i for i, v in enumerate(loop_c) if int(v) in other
-            )
-            gap = loop_c[len(arc_c) : idx[0]]
-            if all(int(v) in rim_vids for v in gap):
-                first = cand
-                arc1, loop_a, pos_a = arc_c, loop_c, pos_c
-                break
-        if first is None:
-            raise MisorderedArc(
-                "cannot order the two weld arcs around the hole rim",
-                stage="weld",
-            )
-    else:
-        got = _orient_side(
-            loops_l, np.asarray(spec.arcs[0], dtype=np.int64), tracker,
-            spec.left, True,
-        )
-        if got is None:
-            raise MisorderedArc(
-                "weld side A cannot be oriented counter-clockwise", stage="weld"
-            )
-        loop_a, pos_a, arc1 = got
-
-    loop_b = _find_loop(loops_r, arc1)
-    pos_b = tracker.get(spec.right, loop_b)
-    if _polygon_area(pos_b) >= 0:
-        raise MisorderedArc(
-            "weld sides have the same planar orientation", stage="weld"
-        )
-
+    # The faces of the two sides run each cut edge in opposite directions,
+    # so the face-ordered loop of side A (counter-clockwise) and the reversed
+    # loop of side B (clockwise) both run the directed arcs forward.
+    arc1 = spec.arcs[0]
+    loop_a = _side_loop(loops_l, arc1, reverse=False)
+    loop_b = _side_loop(loops_r, arc1, reverse=True)
     r = len(arc1) - 1
     runs_a = [(0, r)]
     runs_b = [(0, r)]
+    two_arc = spec.arc_kind == "two-arc-multiply-connected"
     if two_arc:
-        arc2 = set(int(v) for v in spec.arcs[1 - first])
-        idx_a = sorted(i for i, v in enumerate(loop_a) if int(v) in arc2)
-        idx_b = sorted(i for i, v in enumerate(loop_b) if int(v) in arc2)
-        s_a, t_a = idx_a[0], idx_a[-1]
-        s_b, t_b = idx_b[0], idx_b[-1]
-        if (
-            t_a - s_a + 1 != len(idx_a)
-            or t_b - s_b + 1 != len(idx_b)
-            or not np.array_equal(loop_a[s_a : t_a + 1], loop_b[s_b : t_b + 1])
+        arc2 = spec.arcs[1]
+        # argmax gives 0, where arcs[0] starts, when arc2[0] is missing.
+        s_a, s_b = (int(np.argmax(lp == arc2[0])) for lp in (loop_a, loop_b))
+        t_a, t_b = s_a + len(arc2) - 1, s_b + len(arc2) - 1
+        if not (
+            np.array_equal(loop_a[s_a : t_a + 1], arc2)
+            and np.array_equal(loop_b[s_b : t_b + 1], arc2)
         ):
             raise MisorderedArc(
-                "second weld arc is inconsistent between the two sides",
-                stage="weld",
+                "second weld arc is inconsistent between the two sides"
             )
+        # Between the arcs, side A runs along its share of the hole rim (the
+        # other gap is outer boundary).
+        rim = mesh.boundary_loops[spec.hole_loop]
+        if not np.isin(loop_a[r + 1 : s_a], rim).all():
+            raise MisorderedArc("cannot order the two weld arcs around the hole rim")
         runs_a.append((s_a, t_a))
         runs_b.append((s_b, t_b))
 
     # Only the vertices off the two weld loops ride through the weld maps.
-    rest_a = tracker.take(spec.left, [loop_a])[1]
-    rest_b = tracker.take(spec.right, [loop_b])[1]
+    (pos_a,), rest_a = tracker.take(spec.left, [loop_a])
+    (pos_b,), rest_b = tracker.take(spec.right, [loop_b])
     last_err = None
     for q in _DENSIFY:
         dp_a, sel_a = _subdivide_runs(pos_a, runs_a, q)
@@ -328,10 +281,7 @@ def _run_weld(spec, mesh, labels, tracker):
             continue
         break
     else:
-        raise NumericalBreakdown(
-            str(last_err), stage="weld",
-            submesh=f"{sorted(spec.left)} and {sorted(spec.right)}",
-        ) from last_err
+        raise last_err
     tracker.put(spec.left, [loop_a], [dn_a[sel_a]], moved_a[0])
     tracker.put(spec.right, [loop_b], [dn_b[sel_b]], moved_b[0])
     tracker.merge(spec.left, spec.right)
@@ -486,11 +436,8 @@ def compute_parameterization(
         (whole,) = tracker.comps  # every weld has run: one component
         outer_ids = mesh.boundary_loops[0]
         (poly,), rest = tracker.take(whole, [outer_ids])
-        rev = _polygon_area(poly) < 0
-        if rev:
-            poly = poly[::-1]
         out_o, (out_p,) = circularize_outer(poly, [rest])
-        tracker.put(whole, [outer_ids], [out_o[::-1] if rev else out_o], out_p)
+        tracker.put(whole, [outer_ids], [out_o], out_p)
         toc("outer", t0)
         snap("outer")
 
@@ -502,13 +449,11 @@ def compute_parameterization(
             t0 = tic()
             loops = [outer_ids, *hole_loops]
             (outer_poly, *hole_polys), rest = tracker.take(whole, loops)
-            if rev:
-                outer_poly = outer_poly[::-1]
             out_o, out_h, (out_e,), history = koebe_refine(
                 outer_poly, hole_polys, extras=[rest],
                 passes=koebe_passes, target=0.0,
             )
-            tracker.put(whole, loops, [out_o[::-1] if rev else out_o, *out_h], out_e)
+            tracker.put(whole, loops, [out_o, *out_h], out_e)
             refine_history = history
             toc("refine", t0)
             snap("refine")

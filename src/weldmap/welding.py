@@ -429,14 +429,17 @@ def _polygon_area(pts):
 
 
 def point_in_polygon(p, poly):
-    """Even-odd ray casting; orientation independent."""
+    """Even-odd ray casting; orientation independent. For an array p, a
+    boolean array of its shape."""
+    p = np.asarray(p)[..., None]
     x, y = p.real, p.imag
     px, py = poly.real, poly.imag
     qx, qy = np.roll(px, -1), np.roll(py, -1)
     crosses = ((py > y) != (qy > y)) & (
         x < px + (y - py) * (qx - px) / (qy - py + ((qy - py) == 0))
     )
-    return bool(np.count_nonzero(crosses) % 2)
+    inside = np.count_nonzero(crosses, axis=-1) % 2 == 1
+    return inside if inside.ndim else bool(inside)
 
 
 def _interior_point(poly):
@@ -664,11 +667,10 @@ def auxiliary_path(a_r, a_s, count, polygon):
         (i / (count + 1)) * a_r + (1 - i / (count + 1)) * a_s
         for i in range(1, count + 1)
     ]
-    for p in pts:
-        if point_in_polygon(p, polygon):
-            raise PathInsidePolygon(
-                "auxiliary segment crosses the submesh; a detour path is required"
-            )
+    if point_in_polygon(np.asarray(pts), polygon).any():
+        raise PathInsidePolygon(
+            "auxiliary segment crosses the submesh; a detour path is required"
+        )
     return pts
 
 
@@ -721,7 +723,7 @@ def _detour_path(points, i0, i1, count):
         re = np.interp(ts, arc, off.real)
         im = np.interp(ts, arc, off.imag)
         path = re + 1j * im
-        if not any(point_in_polygon(complex(p), points) for p in path):
+        if not point_in_polygon(path, points).any():
             return path
     raise PathInsidePolygon("no clear detour outside the hole rim")
 
@@ -737,8 +739,9 @@ def multiconnected_weld(a_points, b_points, r, s_a, t_a, s_b=None, t_b=None,
     The bridge is the straight chord from r to s when it is clear of both
     polygons, and otherwise a detour just outside each rim share.
 
-    Returns (welded a, welded b, moved_a, moved_b): the welded chains in the
-    original indexing and the passengers' images, as in partial_weld.
+    As in partial_weld, a_points must run counter-clockwise and b_points
+    clockwise. Returns (welded a, welded b, moved_a, moved_b): the welded
+    chains in the original indexing and the passengers' images.
     """
     a_points = np.asarray(a_points, dtype=np.complex128)
     b_points = np.asarray(b_points, dtype=np.complex128)
@@ -752,6 +755,10 @@ def multiconnected_weld(a_points, b_points, r, s_a, t_a, s_b=None, t_b=None,
         raise MisorderedArc("need markers 0 < r < s <= t inside chain B")
     if t_a - s_a != t_b - s_b:
         raise MisorderedArc("second weld arcs have different lengths")
+    if _polygon_area(a_points) <= 0:
+        raise MisorderedArc("chain A must be counter-clockwise")
+    if _polygon_area(b_points) >= 0:
+        raise MisorderedArc("chain B must be clockwise")
 
     aux_a = aux_b = None
     if _chord_clear(a_points, r, s_a) and _chord_clear(b_points, r, s_b):

@@ -98,6 +98,14 @@ def test_hole_passenger_at_inversion_centre_raises():
         circularize_hole(sq, [[0.2 + 0.1j, _interior_point(sq)]])
 
 
+def test_hole_passenger_inside_the_hole_raises():
+    # Off the inversion centre, a passenger inside the hole would come back
+    # as a finite point with no meaning; it is rejected like the centre.
+    sq = np.array([0, 1, 1 + 1j, 1j])
+    with pytest.raises(NumericalBreakdown, match="inside the hole"):
+        circularize_hole(sq, [[2 + 2j], [0.3 + 0.2j]])
+
+
 def test_hole_orientation_agnostic():
     sq = square_loop()
     h1, _ = circularize_hole(sq)

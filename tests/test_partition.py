@@ -13,7 +13,14 @@ from weldmap.partition import (
     region_hole_count,
 )
 
-from fixtures import annulus_mesh, disk_mesh, grid_mesh, square_hole, two_hole_grid
+from fixtures import (
+    annulus_mesh,
+    disk_mesh,
+    grid_mesh,
+    hemisphere_cap,
+    square_hole,
+    two_hole_grid,
+)
 
 
 def split_by_x(mesh, x0):
@@ -95,15 +102,48 @@ def test_plan_annulus_two_parts():
     assert plan.hole_owner[1] == frozenset({0, 1})
 
 
+def split_in_quadrants(mesh):
+    cent = mesh.vertices[mesh.faces].mean(axis=1)
+    lab = (cent[:, 0] > 0).astype(np.int64) + 2 * (cent[:, 1] > 0).astype(np.int64)
+    return PartitionLabeling(face_label=lab)
+
+
 def test_plan_quadrants():
     m = disk_mesh()
-    cent = m.vertices[m.faces].mean(axis=1)
-    lab = (cent[:, 0] > 0).astype(np.int64) + 2 * (cent[:, 1] > 0).astype(np.int64)
-    part = PartitionLabeling(face_label=lab)
+    part = split_in_quadrants(m)
     subs = extract_submeshes(m, part)
     plan = build_weld_specs(m, part, subs)
     assert len(plan.welds) == 3
     assert all(w.arc_kind == "continuous" for w in plan.welds)
+
+
+@pytest.mark.parametrize(
+    "make, split",
+    [
+        (disk_mesh, lambda m: split_by_x(m, 0.0)),
+        (disk_mesh, split_in_quadrants),
+        (annulus_mesh, lambda m: split_by_x(m, 0.0)),
+        (lambda: two_hole_grid(40), lambda m: default_partition(m, 4)),
+        (hemisphere_cap, lambda m: default_partition(m, 3)),
+    ],
+    ids=["disk-halves", "disk-quadrants", "annulus-halves", "two-hole-4", "cap-3"],
+)
+def test_weld_arcs_run_along_the_left_faces(make, split):
+    m = make()
+    part = split(m)
+    plan = build_weld_specs(m, part, extract_submeshes(m, part))
+    assert plan.welds
+    for spec in plan.welds:
+        left = m.faces[np.isin(part.face_label, sorted(spec.left))]
+        heads = np.roll(left, -1, axis=1)
+        directed = set(zip(left.ravel().tolist(), heads.ravel().tolist()))
+        for arc in spec.arcs:
+            assert len(arc) >= 2
+            assert set(zip(arc[:-1].tolist(), arc[1:].tolist())) <= directed
+        if spec.arc_kind == "two-arc-multiply-connected":
+            rim = m.boundary_loops[spec.hole_loop]
+            assert spec.arcs[0][-1] in rim
+            assert spec.arcs[1][-1] not in rim
 
 
 def test_plan_fully_enclosed_rejected():

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import weldmap.pipeline as pipeline
 from weldmap.cli import (
     PipelineConfig,
     emit_snapshot,
@@ -15,8 +16,14 @@ from weldmap.cli import (
     main,
     run_pipeline,
 )
-from weldmap.errors import ConfigError, WrongTopology
-from weldmap.partition import PartitionLabeling, WeldSpec, default_partition
+from weldmap.errors import ConfigError, MisorderedArc, WrongTopology
+from weldmap.partition import (
+    PartitionLabeling,
+    WeldSpec,
+    build_weld_specs,
+    default_partition,
+    extract_submeshes,
+)
 from weldmap.pipeline import _run_weld, compute_parameterization
 
 from fixtures import annulus_mesh, grid_mesh, smooth_beltrami, two_hole_grid
@@ -170,12 +177,41 @@ def test_weld_side_with_branching_boundary_is_wrong_topology():
     # vertex, so both side boundaries branch there.
     mesh = grid_mesh(2, 2)
     labels = PartitionLabeling(face_label=np.array([0, 0, 1, 1, 1, 1, 0, 0]))
+    # 1 -> 4 -> 3 is the way the label-0 faces run the cut.
     spec = WeldSpec(
         left=frozenset({0}), right=frozenset({1}),
-        arcs=[np.array([1, 4, 7])], arc_kind="continuous",
+        arcs=[np.array([1, 4, 3])], arc_kind="continuous",
     )
     with pytest.raises(WrongTopology, match="branch|outgoing"):
         _run_weld(spec, mesh, labels, tracker=None)
+
+
+def _halves(mesh):
+    cent = mesh.vertices[mesh.faces].mean(axis=1)
+    return PartitionLabeling(face_label=(cent[:, 0] > 0.5).astype(np.int64))
+
+
+def test_weld_arc_against_the_face_direction_is_wrong_topology():
+    mesh = grid_mesh(4, 4)
+    labels = _halves(mesh)
+    (spec,) = build_weld_specs(mesh, labels, extract_submeshes(mesh, labels)).welds
+    spec.arcs = [spec.arcs[0][::-1]]
+    with pytest.raises(WrongTopology, match="direction") as info:
+        _run_weld(spec, mesh, labels, tracker=None)
+    assert info.value.stage == "weld"
+    assert info.value.submesh == "[0] and [1]"
+
+
+def test_weld_failure_names_its_weld(monkeypatch):
+    def misordered(*args, **kwargs):
+        raise MisorderedArc("arc images on the upper axis are not ordered")
+
+    monkeypatch.setattr(pipeline, "partial_weld", misordered)
+    mesh = grid_mesh(4, 4)
+    with pytest.raises(MisorderedArc) as info:
+        compute_parameterization(mesh, _halves(mesh), _zero_mu(mesh))
+    assert info.value.stage == "weld"
+    assert info.value.submesh == "[0] and [1]"
 
 
 def test_auto_partition_with_more_holes_than_parts_is_logged(tmp_path, caplog):
