@@ -259,7 +259,7 @@ def _weld(spec, mesh, labels, tracker):
     # Only the vertices off the two weld loops ride through the weld maps.
     (pos_a,), rest_a = tracker.take(spec.left, [loop_a])
     (pos_b,), rest_b = tracker.take(spec.right, [loop_b])
-    last_err = None
+    failed = []
     for q in _DENSIFY:
         dp_a, sel_a = _subdivide_runs(pos_a, runs_a, q)
         dp_b, sel_b = _subdivide_runs(pos_b, runs_b, q)
@@ -277,13 +277,26 @@ def _weld(spec, mesh, labels, tracker):
                 )
                 dn_a, dn_b = st_a.z[: len(dp_a)], st_b.z[: len(dp_b)]
         except NumericalBreakdown as err:
-            last_err = err
+            failed.append((q, err))
             continue
         break
     else:
-        raise last_err
-    tracker.put(spec.left, [loop_a], [dn_a[sel_a]], moved_a[0])
-    tracker.put(spec.right, [loop_b], [dn_b[sel_b]], moved_b[0])
+        raise failed[-1][1]
+    new_a, new_b = dn_a[sel_a], dn_b[sel_b]
+    if log.isEnabledFor(logging.INFO):
+        # The seam gap: how far apart the two sides put each arc vertex
+        # before merge averages them.
+        gap = max(
+            float(np.abs(new_a[sa : ea + 1] - new_b[sb : eb + 1]).max())
+            for (sa, ea), (sb, eb) in zip(runs_a, runs_b)
+        )
+        log.info(
+            "weld %s and %s: densify q=%d, seam gap %.3e%s",
+            sorted(spec.left), sorted(spec.right), q, gap,
+            "".join(f"; q={fq} failed: {err.code} {err}" for fq, err in failed),
+        )
+    tracker.put(spec.left, [loop_a], [new_a], moved_a[0])
+    tracker.put(spec.right, [loop_b], [new_b], moved_b[0])
     tracker.merge(spec.left, spec.right)
 
 

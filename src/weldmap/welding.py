@@ -32,9 +32,11 @@ def sqrt_branch(w, branch):
     """Principal square root with the negative-real cut resolved to branch*i."""
     w = np.asarray(w, dtype=np.complex128)
     s = np.sqrt(w)
-    cut = (w.imag == 0) & (w.real < 0)
-    if np.any(cut):
-        s = np.where(cut, branch * 1j * np.sqrt(-w.real + 0j), s)
+    # Roots on the cut have real part exactly 0; slices with none skip the test.
+    if np.count_nonzero(s.real) < s.size:
+        cut = (w.imag == 0) & (w.real < 0)
+        if np.any(cut):
+            s = np.where(cut, branch * 1j * np.sqrt(-w.real + 0j), s)
     return s
 
 
@@ -132,72 +134,6 @@ class InitialRoot(Primitive):
 
 
 @dataclass
-class GeodesicStep(Primitive):
-    """g(z) = sqrt(L(z)^2 - 1) with L(z) = re*z / (1 + im*z*i); g(xi) = 0.
-
-    re and im are Re(xi)/|xi|^2 and Im(xi)/|xi|^2.  Maps the imaginary axis
-    into itself; the branch decides the half-axis for points on the cut.
-    """
-
-    re: float
-    im: float
-    branch: int
-
-    def _apply(self, z, at_inf, on_axis):
-        z = np.asarray(z, dtype=np.complex128)
-        w = np.zeros_like(z)
-        new_inf = np.zeros_like(at_inf)
-        new_axis = np.zeros_like(on_axis)
-
-        gen = ~on_axis
-        genf = gen & ~at_inf
-        if np.any(genf):
-            den = 1.0 + 1j * self.im * z[genf]
-            pole = np.abs(den) < _TINY
-            with np.errstate(divide="ignore", invalid="ignore"):
-                L = self.re * z[genf] / np.where(pole, 1.0, den)
-            val = sqrt_branch(L * L - 1.0, self.branch)
-            w[genf] = np.where(pole, 0.0, val)
-            idx = np.flatnonzero(genf)
-            new_inf[idx[pole]] = True
-        geni = gen & at_inf
-        if np.any(geni):
-            if abs(self.im) < _TINY:
-                new_inf[geni] = True
-            else:
-                L = self.re / (1j * self.im)
-                w[geni] = sqrt_branch(L * L - 1.0, self.branch)
-
-        axf = on_axis & ~at_inf
-        if np.any(axf):
-            y = z[axf].imag
-            den = 1.0 - self.im * y
-            pole = np.abs(den) < _TINY
-            with np.errstate(divide="ignore", invalid="ignore"):
-                Y = self.re * y / np.where(pole, 1.0, den)
-            # The image lies on the branch cut; the half-axis of the Mobius
-            # image decides the side, with the chain orientation breaking the
-            # tie for the point currently sitting at the origin.
-            sgn = np.where(Y > 0, 1.0, np.where(Y < 0, -1.0, float(self.branch)))
-            yo = sgn * np.sqrt(Y * Y + 1.0)
-            w[axf] = np.where(pole, 0.0, 1j * yo)
-            new_axis[axf] = True
-            idx = np.flatnonzero(axf)
-            new_inf[idx[pole]] = True
-        axi = on_axis & at_inf
-        if np.any(axi):
-            if abs(self.im) < _TINY:
-                new_inf[axi] = True
-                new_axis[axi] = True
-            else:
-                Y = -self.re / self.im
-                sgn = np.sign(Y) if Y != 0 else float(self.branch)
-                w[axi] = 1j * (sgn * np.sqrt(Y * Y + 1.0))
-                new_axis[axi] = True
-        return w, new_inf, new_axis
-
-
-@dataclass
 class ClosingMobius(Primitive):
     """z / (1 - z/q) for an axis point q = i*qy: q to infinity, 0 to 0."""
 
@@ -229,88 +165,6 @@ class ClosingMobius(Primitive):
             w[axf] = vals
             idx = np.flatnonzero(axf)
             new_inf[idx[hit]] = True
-        return w, new_inf, new_axis
-
-
-@dataclass
-class WeldStep(Primitive):
-    """h(z) = sqrt(T(z)^2 + 1) with T the Mobius sending (ai, 0, bi) to
-    (i, 0, -i); aligns the pair at ai (one chain) and bi (the other) at 0.
-    """
-
-    ya: float  # a > 0
-    yb: float  # b < 0
-    branch: int
-
-    def __post_init__(self):
-        a, b = self.ya, self.yb
-        self.c1 = -2.0 * a * b / (a - b)
-        self.c2 = (a + b) / (a - b)
-
-    def _apply(self, z, at_inf, on_axis):
-        z = np.asarray(z, dtype=np.complex128)
-        c1, c2 = self.c1, self.c2
-        w = np.zeros_like(z)
-        new_inf = np.zeros_like(at_inf)
-        new_axis = np.zeros_like(on_axis)
-
-        genf = ~on_axis & ~at_inf
-        if np.any(genf):
-            den = c1 - 1j * c2 * z[genf]
-            pole = np.abs(den) < _TINY
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = z[genf] / np.where(pole, 1.0, den)
-            val = sqrt_branch(t * t + 1.0, self.branch)
-            w[genf] = np.where(pole, 0.0, val)
-            idx = np.flatnonzero(genf)
-            new_inf[idx[pole]] = True
-        geni = ~on_axis & at_inf
-        if np.any(geni):
-            if abs(c2) < _TINY:
-                new_inf[geni] = True
-            else:
-                Y = 1.0 / c2
-                v = 1.0 - Y * Y
-                if v >= 0:
-                    w[geni] = np.sqrt(v)
-                else:
-                    w[geni] = 1j * (np.sign(Y) * np.sqrt(-v))
-
-        axf = on_axis & ~at_inf
-        if np.any(axf):
-            y = z[axf].imag
-            den = c1 + c2 * y
-            pole = np.abs(den) < _TINY
-            with np.errstate(divide="ignore", invalid="ignore"):
-                Y = y / np.where(pole, 1.0, den)
-            v = 1.0 - Y * Y
-            welded = v >= 0
-            # Axis points beyond the Mobius pole wrap through infinity to
-            # the other half-axis; sign(Y) tracks that correctly.
-            sgn = np.where(Y > 0, 1.0, np.where(Y < 0, -1.0, float(self.branch)))
-            out = np.where(
-                welded,
-                np.sqrt(np.maximum(v, 0.0)) + 0j,
-                1j * (sgn * np.sqrt(np.maximum(-v, 0.0))),
-            )
-            w[axf] = np.where(pole, 0.0, out)
-            idx = np.flatnonzero(axf)
-            new_inf[idx[pole]] = True
-            new_axis[idx] = ~welded & ~pole
-        axi = on_axis & at_inf
-        if np.any(axi):
-            if abs(c2) < _TINY:
-                new_inf[axi] = True
-                new_axis[axi] = True
-            else:
-                Y = 1.0 / c2
-                v = 1.0 - Y * Y
-                if v >= 0:
-                    w[axi] = np.sqrt(v)
-                    new_axis[axi] = False
-                else:
-                    w[axi] = 1j * (np.sign(Y) * np.sqrt(-v))
-                    new_axis[axi] = True
         return w, new_inf, new_axis
 
 
@@ -363,13 +217,187 @@ def _unpack(st, n, offsets):
 # Operations
 
 
-def geodesic_basic(xi, branch, scale=1.0):
-    """Primitive g(z) = sqrt(L_xi(z)^2 - 1) with g(xi) = 0."""
-    xi = complex(xi)
-    r2 = abs(xi) ** 2
-    if r2 < (1e-14 * max(scale, 1.0)) ** 2:
-        raise ZeroXi("geodesic step through (near) zero")
-    return GeodesicStep(re=xi.real / r2, im=xi.imag / r2, branch=branch)
+class _Zipper:
+    """A BoundaryChain state laid out for the zipper loops, mapped one
+    geodesic or weld step at a time with whole-slice operations.
+
+    Entries below t sit on the imaginary axis and are held as their real
+    ordinates y (z.imag is exactly y there); entries from t on are generic
+    complex entries of z. Each step maps the ordinates and the tail as two
+    slices; an unzip step moves t up by one entry, a weld step down by one.
+    Entries off that layout (at infinity, or off the axis below t) are
+    listed in `odd` and mapped one by one with the same formulas; what the
+    slices compute for them is overwritten. An odd entry keeps y = 0, and
+    an entry at infinity keeps z = 0, as the masked maps left them.
+
+    Takes over the arrays of the state it is built from; chain() hands the
+    mapped state back.
+    """
+
+    def __init__(self, st, t):
+        self.z, self.inf, self.axis = st.z, st.at_inf, st.on_axis
+        self.y = self.z.imag.copy()
+        self.t = t
+        self.odd = []
+        self._settle(
+            np.flatnonzero(self.inf).tolist() + np.flatnonzero(~self.axis[:t]).tolist()
+        )
+
+    def _settle(self, changed):
+        """Recompute `odd` from its old entries and the changed ones."""
+        t, inf, axis = self.t, self.inf, self.axis
+        self.odd = sorted(
+            i for i in set(self.odd).union(changed) if inf[i] or (i < t and not axis[i])
+        )
+        for i in self.odd:
+            self.y[i] = 0.0
+            if inf[i]:
+                self.z[i] = 0.0
+
+    def _hits(self, den, offset):
+        """Indices (den[0] is entry `offset`) where a Mobius denominator
+        vanishes, odd entries left out. |den| < _TINY needs a real part
+        that small, which is cheaper to rule out first."""
+        if not np.fmin.reduce(np.abs(den.real), initial=np.inf) < _TINY:
+            return []
+        hits = np.flatnonzero(np.abs(den) < _TINY) + offset
+        return [i for i in hits.tolist() if i not in self.odd]
+
+    def geodesic(self, j, re, im, branch):
+        """g(z) = sqrt(L(z)^2 - 1), L(z) = re*z / (1 + im*z*i), with re and
+        im from xi = z[j] as in _unzip: entry j goes to 0 and joins the axis,
+        which maps into itself. The branch decides the half-axis for points
+        on the cut. In an unzip every odd entry is at infinity."""
+        y, z, inf = self.y, self.z, self.inf
+        den = 1.0 - im * y[:j]
+        Y = re * y[:j] / den
+        # The image lies on the branch cut; the half-axis of the Mobius
+        # image decides the side, with the chain orientation breaking the
+        # tie for the point currently sitting at the origin.
+        sgn = np.where(Y > 0, 1.0, np.where(Y < 0, -1.0, float(branch)))
+        tail = z[j + 1 :]
+        den_t = 1.0 + 1j * im * tail
+        L = re * tail / den_t
+        w = sqrt_branch(L * L - 1.0, branch)
+        poles = self._hits(den, 0) + self._hits(den_t, j + 1)
+        y[:j] = sgn * np.sqrt(Y * Y + 1.0)
+        z[j + 1 :] = w
+        if abs(im) >= _TINY:
+            for i in self.odd:
+                if self.axis[i]:
+                    Y = -re / im
+                    sgn = np.sign(Y) if Y != 0 else float(branch)
+                    y[i] = sgn * np.sqrt(Y * Y + 1.0)
+                else:
+                    L = re / (1j * im)
+                    z[i] = sqrt_branch(L * L - 1.0, branch)
+                inf[i] = False
+        inf[poles] = True
+        z[j], y[j], inf[j], self.axis[j] = 0.0, 0.0, False, True
+        self.t = j + 1
+        self._settle(poles)
+
+    @staticmethod
+    def _weld_generic(zs, c1, c2, branch):
+        den = c1 - 1j * c2 * zs
+        t = zs / den
+        return sqrt_branch(t * t + 1.0, branch), den
+
+    def weld(self, j, c1, c2, branch):
+        """h(z) = sqrt(T(z)^2 + 1), T(z) = z / (c1 - c2*z*i) the Mobius
+        sending the pair at entry j to i (side A) or -i (side B): entry j
+        goes to 0 and joins the tail. An axis entry that T sends inside
+        [-i, i] is welded off the axis; axis points beyond the Mobius pole
+        wrap through infinity to the other half-axis, which sign(Y) tracks.
+        """
+        y, z, inf, axis = self.y, self.z, self.inf, self.axis
+        den = c1 + c2 * y[:j]
+        Y = y[:j] / den
+        v = 1.0 - Y * Y
+        sgn = np.where(Y > 0, 1.0, np.where(Y < 0, -1.0, float(branch)))
+        w, den_t = self._weld_generic(z[j + 1 :], c1, c2, branch)
+        poles = self._hits(den, 0)
+        welded = []
+        if np.fmax.reduce(v, initial=-np.inf) >= 0:
+            welded = [
+                i for i in np.flatnonzero(v >= 0).tolist()
+                if i not in self.odd and i not in poles
+            ]
+        poles += self._hits(den_t, j + 1)
+        gen = [i for i in self.odd if not inf[i]]
+        if gen:
+            gen = np.array(gen)
+            w_gen, den_gen = self._weld_generic(z[gen], c1, c2, branch)
+        y[:j] = sgn * np.sqrt(-v)
+        z[j + 1 :] = w
+        if abs(c2) >= _TINY:
+            Yi = 1.0 / c2
+            vi = 1.0 - Yi * Yi
+            for i in self.odd:
+                if not inf[i]:
+                    continue
+                if vi >= 0:
+                    z[i] = np.sqrt(vi)
+                    axis[i] = False
+                elif axis[i]:
+                    y[i] = np.sign(Yi) * np.sqrt(-vi)
+                else:
+                    z[i] = 1j * (np.sign(Yi) * np.sqrt(-vi))
+                inf[i] = False
+        if len(gen):
+            z[gen] = w_gen
+            gen_poles = gen[np.abs(den_gen) < _TINY].tolist()
+            inf[gen_poles] = True
+            poles += gen_poles
+        for i in welded:
+            z[i] = np.sqrt(np.maximum(v[i], 0.0)) + 0j
+        inf[poles] = True
+        axis[poles + welded] = False
+        z[j], inf[j] = 0.0, False
+        # The tail is generic; the first step also takes entry k, the end
+        # of the arc, off the axis: it sits at exactly 0 there, where the
+        # axis and generic formulas agree.
+        axis[j:] = False
+        self.t = j
+        self._settle(poles + welded)
+
+    def imag(self, j):
+        """z[j].imag of the state."""
+        return self.y[j] if self.axis[j] and not self.inf[j] else self.z[j].imag
+
+    def span(self, n):
+        """_span of the state: the largest finite |z| among entries 1..n-1."""
+        t = min(self.t, n)
+        s = np.maximum(
+            np.abs(self.y[1:t]).max(initial=0.0), np.abs(self.z[t:n]).max(initial=0.0)
+        )
+        for i in self.odd:
+            if 0 < i < t and not self.inf[i]:
+                s = np.maximum(s, abs(self.z[i]))
+        return s
+
+    def far_magnitude(self):
+        """|z[0]|, infinite at infinity."""
+        if self.inf[0]:
+            return np.inf
+        return abs(self.y[0]) if self.axis[0] else abs(self.z[0])
+
+    def set_zero(self, j):
+        """set_exact(j, 0.0): entry j, below t, joins the tail."""
+        self.z[j], self.inf[j], self.axis[j] = 0.0, False, False
+        self.t = j
+        self._settle([j])
+
+    def pin_far(self):
+        """set_inf(0, on_axis=True)."""
+        self.inf[0] = self.axis[0] = True
+        self._settle([0])
+
+    def chain(self):
+        t = self.t
+        on = self.axis[:t] & ~self.inf[:t]
+        self.z[:t] = np.where(on, 1j * self.y[:t], self.z[:t])
+        return BoundaryChain(self.z, self.inf, self.axis)
 
 
 def _unzip(st, k, branch, scale=1.0):
@@ -382,12 +410,17 @@ def _unzip(st, k, branch, scale=1.0):
     st = g1.apply_state(st)
     st.set_exact(1, 0.0, on_axis=True)
     st.set_inf(0, on_axis=True)
-    for j in range(2, k + 1):
-        if st.at_inf[j]:
-            raise NumericalBreakdown(f"arc point {j} escaped to infinity")
-        st = geodesic_basic(st.z[j], branch, scale=scale).apply_state(st)
-        st.set_exact(j, 0.0, on_axis=True)
-    return st
+    zipper = _Zipper(st, 2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(2, k + 1):
+            if zipper.inf[j]:
+                raise NumericalBreakdown(f"arc point {j} escaped to infinity")
+            xi = complex(zipper.z[j])
+            r2 = abs(xi) ** 2
+            if r2 < (1e-14 * max(scale, 1.0)) ** 2:
+                raise ZeroXi("geodesic step through (near) zero")
+            zipper.geodesic(j, xi.real / r2, xi.imag / r2, branch)
+    return zipper.chain()
 
 
 def intermediate_form(st, k, branch, n=None):
@@ -490,6 +523,66 @@ def _span(st, n):
     return np.abs(st.z[1:n][~st.at_inf[1:n]]).max()
 
 
+def _weld_pairs(st_a, st_b, k, na, nb):
+    """Weld the axis pairs k-1 down to 1 of two intermediate forms (A on
+    the upper half-axis, B on the lower), each pair to 0 in turn; na and nb
+    count each side's boundary entries and markers. Returns the two mapped
+    states."""
+    za, zb = _Zipper(st_a, k), _Zipper(st_b, k)
+    span = None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(k - 1, 0, -1):
+            a_val = za.imag(j)
+            b_val = zb.imag(j)
+            if span is None:
+                span = max(za.span(na), zb.span(nb))
+            if (
+                not za.inf[j]
+                and not zb.inf[j]
+                and abs(a_val) < 1e-11 * span
+                and abs(b_val) < 1e-11 * span
+            ):
+                # Crowded pair numerically indistinguishable from the previous
+                # weld point; a Mobius through it would be pure noise. Weld it
+                # at the same position instead.
+                za.set_zero(j)
+                zb.set_zero(j)
+                span = None
+                continue
+            if (
+                za.inf[j]
+                or zb.inf[j]
+                or not za.axis[j]
+                or not zb.axis[j]
+                or abs(a_val - b_val) < _TINY * max(span, 1.0)
+            ):
+                raise NumericalBreakdown(
+                    f"weld pair {j} is degenerate (a={a_val}, b={b_val})"
+                )
+            c1 = -2.0 * a_val * b_val / (a_val - b_val)
+            c2 = (a_val + b_val) / (a_val - b_val)
+            if c1 <= 0:
+                # The alignment Mobius must keep the right half-plane; c1 <= 0
+                # means the two pair points no longer bracket the weld tip on
+                # the boundary circle.
+                raise NumericalBreakdown(
+                    f"weld pair {j} lost its bracketing order (a={a_val}, b={b_val})"
+                )
+            za.weld(j, c1, c2, +1)
+            zb.weld(j, c1, c2, -1)
+            # Nothing but entry 0 changes before the next pair, so this is
+            # also the next pair's span.
+            span = max(za.span(na), zb.span(nb))
+            # A far endpoint hugely beyond the rest of the picture carries no
+            # usable digits (it came back from infinity through a near-zero
+            # Mobius coefficient); pin it at infinity so noise cannot walk it
+            # into a later welding window.
+            if min(za.far_magnitude(), zb.far_magnitude()) > 1e8 * span:
+                za.pin_far()
+                zb.pin_far()
+    return za.chain(), zb.chain()
+
+
 def partial_weld(a_points, b_points, k, passengers_a=(), passengers_b=()):
     """Weld two boundary chains along their shared arc (indices 0..k).
 
@@ -540,55 +633,7 @@ def partial_weld(a_points, b_points, k, passengers_a=(), passengers_b=()):
     if np.any(yb[:-1] >= yb[1:]) or np.any(yb[:-1] >= 0):
         raise MisorderedArc("arc images on the lower axis are not ordered")
 
-    for j in range(k - 1, 0, -1):
-        a_val = st_a.z[j].imag
-        b_val = st_b.z[j].imag
-        span_pre = max(_span(st_a, m + 2), _span(st_b, n + 2))
-        if (
-            not st_a.at_inf[j]
-            and not st_b.at_inf[j]
-            and abs(a_val) < 1e-11 * span_pre
-            and abs(b_val) < 1e-11 * span_pre
-        ):
-            # Crowded pair numerically indistinguishable from the previous
-            # weld point; a Mobius through it would be pure noise. Weld it
-            # at the same position instead.
-            st_a.set_exact(j, 0.0)
-            st_b.set_exact(j, 0.0)
-            continue
-        if (
-            st_a.at_inf[j]
-            or st_b.at_inf[j]
-            or not st_a.on_axis[j]
-            or not st_b.on_axis[j]
-            or abs(a_val - b_val) < _TINY * max(span_pre, 1.0)
-        ):
-            raise NumericalBreakdown(
-                f"weld pair {j} is degenerate (a={a_val}, b={b_val})"
-            )
-        wa = WeldStep(ya=a_val, yb=b_val, branch=+1)
-        wb = WeldStep(ya=a_val, yb=b_val, branch=-1)
-        if wa.c1 <= 0:
-            # The alignment Mobius must keep the right half-plane; c1 <= 0
-            # means the two pair points no longer bracket the weld tip on
-            # the boundary circle.
-            raise NumericalBreakdown(
-                f"weld pair {j} lost its bracketing order (a={a_val}, b={b_val})"
-            )
-        st_a = wa.apply_state(st_a)
-        st_b = wb.apply_state(st_b)
-        st_a.set_exact(j, 0.0)
-        st_b.set_exact(j, 0.0)
-        # A far endpoint hugely beyond the rest of the picture carries no
-        # usable digits (it came back from infinity through a near-zero
-        # Mobius coefficient); pin it at infinity so noise cannot walk it
-        # into a later welding window.
-        span = max(_span(st_a, m + 2), _span(st_b, n + 2))
-        mag_a = np.inf if st_a.at_inf[0] else abs(st_a.z[0])
-        mag_b = np.inf if st_b.at_inf[0] else abs(st_b.z[0])
-        if min(mag_a, mag_b) > 1e8 * span:
-            st_a.set_inf(0, on_axis=True)
-            st_b.set_inf(0, on_axis=True)
+    st_a, st_b = _weld_pairs(st_a, st_b, k, m + 2, n + 2)
 
     # The far ends started at infinity together and went through identical
     # axis arithmetic, so they coincide; the closing map reopens the welded

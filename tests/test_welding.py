@@ -1,22 +1,28 @@
 import numpy as np
 import pytest
 
+from weldmap import koebe, welding
 from weldmap.errors import (
     MisorderedArc,
     PathInsidePolygon,
+    WeldmapError,
     ZeroXi,
 )
+from weldmap.koebe import circularize_hole, circularize_outer, disk_map_interior
+from weldmap.partition import default_partition
+from weldmap.pipeline import compute_parameterization
 from weldmap.welding import (
     BoundaryChain,
     auxiliary_path,
-    geodesic_basic,
     intermediate_form,
     multiconnected_weld,
     partial_weld,
     point_in_polygon,
 )
 
-from fixtures import grid_mesh
+import zipper_reference
+from fixtures import annulus_mesh, grid_mesh, hemisphere_cap, smooth_beltrami
+from zipper_reference import geodesic_basic
 
 
 def polygon_area(pts):
@@ -327,3 +333,242 @@ def test_multiconnected_weld_tiny_hole():
     hole = np.concatenate([out_a[r : s + 1], out_b[r + 1 : s][::-1]])
     assert len(hole) == 4
     assert abs(polygon_area(hole)) > 0
+
+
+# ---------------------------------------------------------------------------
+# The zipper kernel against the per-primitive reference loops
+
+
+@pytest.fixture
+def zipper_paths(monkeypatch):
+    """Run the reference loops of zipper_reference beside every call of the
+    kernel (welding._unzip, welding._weld_pairs), on copies of its inputs,
+    and require the same bytes of z, at_inf and on_axis, or the same error.
+    Yields the set of rare paths the reference took."""
+    paths = set()
+    kernel_unzip, kernel_pairs = welding._unzip, welding._weld_pairs
+
+    def unzip(st, k, branch, scale=1.0):
+        want = _outcome(zipper_reference.unzip, _copy(st), k, branch, scale, paths)
+        got = _outcome(kernel_unzip, st, k, branch, scale)
+        _assert_same(got, want)
+        return _result(got)
+
+    def weld_pairs(st_a, st_b, k, na, nb):
+        want = _outcome(
+            zipper_reference.weld_pairs, _copy(st_a), _copy(st_b), k, na, nb, paths
+        )
+        got = _outcome(kernel_pairs, st_a, st_b, k, na, nb)
+        _assert_same(got, want)
+        return _result(got)
+
+    monkeypatch.setattr(welding, "_unzip", unzip)
+    monkeypatch.setattr(koebe, "_unzip", unzip)
+    monkeypatch.setattr(welding, "_weld_pairs", weld_pairs)
+    yield paths
+
+
+def _copy(st):
+    return BoundaryChain(st.z.copy(), st.at_inf.copy(), st.on_axis.copy())
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except WeldmapError as err:
+        return err
+
+
+def _assert_same(got, want):
+    if isinstance(want, WeldmapError):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    chains = (got,) if isinstance(got, BoundaryChain) else got
+    refs = (want,) if isinstance(want, BoundaryChain) else want
+    for st, ref in zip(chains, refs, strict=True):
+        for name in ("z", "at_inf", "on_axis"):
+            assert getattr(st, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def _result(out):
+    if isinstance(out, WeldmapError):
+        raise out
+    return out
+
+
+def smooth_chain(rng, n):
+    """Counter-clockwise closed chain of n random points on a smoothly
+    perturbed unit circle."""
+    th = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+    r = 1 + 0.15 * np.sin(3 * th + rng.uniform(0, 6)) + 0.075 * np.cos(5 * th)
+    return r * np.exp(1j * th)
+
+
+def test_zipper_matches_reference_on_smooth_chains_with_passengers(zipper_paths):
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        loop = smooth_chain(rng, 90)
+        inner = 0.3 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        inner = inner[np.abs(inner) < 0.6]
+        outside = loop.mean() + 2.5 * np.exp(2j * np.pi * rng.random(30))
+        st, _ = welding._pack_state(np.append(loop, 0.1 + 0.05j), [inner])
+        intermediate_form(st, 40, +1, n=len(loop) + 1)
+        disk_map_interior(loop, [inner])
+        circularize_hole(loop, [outside])
+        circularize_outer(loop, [inner])
+    a, b, k = chord_split_disk()
+    b = (2 * b + 0.3 + 0.2j) / (1 + (0.1 - 0.3j) * b)
+    partial_weld(a, b, k, passengers_a=[0.6 + 0.1 * rng.standard_normal(20)],
+                 passengers_b=[-0.5 + 0.1j * rng.standard_normal(20)])
+    a, b, r, s, t = annulus_halves()
+    multiconnected_weld(a, b, r, s, t, passengers_a=[a[r + 1 : s]])
+
+
+def test_zipper_matches_reference_with_passengers_at_the_first_point(zipper_paths):
+    # A passenger on point 0 is the initial root's pole: it starts the
+    # geodesic steps at infinity.
+    loop = smooth_chain(np.random.default_rng(3), 60)
+    st, _ = welding._pack_state(np.append(loop, 0.0), [loop[:1]])
+    intermediate_form(st, 20, -1, n=len(loop) + 1)
+    disk_map_interior(loop, [loop[:1]])
+    circularize_hole(loop, [loop[-1:]])
+    a, b, k = disk_halves()
+    partial_weld(a, b, k, passengers_a=[a[:1]], passengers_b=[b[:1]])
+    assert {
+        "unzip: entry at infinity after the initial root",
+        "unzip: generic entry at infinity",
+    } <= zipper_paths
+
+
+def test_zipper_matches_reference_in_corpus_maps(zipper_paths):
+    # Maps of the benchmark corpus (smooth mu) whose welds take the rare
+    # paths: symmetric annulus holes whose unzip puts axis entries on a
+    # step's pole, axis entries welded before their turn, crowded pairs
+    # after _monotonize_axis nudged them, and retried weld attempts.
+    for mesh, parts in ((annulus_mesh(20, 120), 4), (hemisphere_cap(), 8)):
+        try:
+            compute_parameterization(
+                mesh, default_partition(mesh, parts), smooth_beltrami(mesh, 42)
+            )
+        except WeldmapError:
+            pass
+    assert {
+        "unzip: entry at infinity after the initial root",
+        "unzip: axis entry at infinity",
+        "unzip: axis entry hits a pole",
+        "unzip: generic entry at infinity",
+        "unzip: generic entry hits a pole",
+        "weld: axis entry welded out of turn",
+        "weld: crowded pair",
+    } <= zipper_paths
+
+
+def _axis_state(ys, tail):
+    """A state laid out as an intermediate form: entries 0..k on the
+    imaginary axis at the ordinates ys, then the generic entries tail; None
+    puts an entry at infinity."""
+    vals = [0j if y is None else 1j * y for y in ys] + [0j if w is None else w for w in tail]
+    st = BoundaryChain.from_points(vals)
+    st.on_axis[: len(ys)] = True
+    st.at_inf[[i for i, v in enumerate([*ys, *tail]) if v is None]] = True
+    return st
+
+
+def test_zipper_weld_steps_match_reference_off_the_layout(zipper_paths):
+    # Hand-made intermediate forms whose entries leave the kernel's layout
+    # in every way a weld step allows. The first pair (a = 1, b = -0.5) has
+    # c1 = 2/3 and c2 = 1/3, so -2i is the pole of its generic entries and
+    # the ordinate -2 the pole of its axis entries.
+    tail = [0.3 + 0.4j, 1.0 - 0.2j]
+    b_run = [None, -5.0, -4.0, -3.0, -2.5, -0.5, 0.0]
+    for a_run, a_tail in (
+        # far end finite, welded off the axis by the first step; a generic
+        # entry at infinity, and one on the first step's pole
+        ([0.5, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0], [None, -2j, *tail]),
+        # an axis entry at infinity
+        ([None, 5.0, None, 3.0, 2.0, 1.0, 0.0], tail),
+        # an axis entry on the first step's pole
+        ([None, 5.0, -2.0, 3.0, 2.0, 1.0, 0.0], tail),
+    ):
+        st_a, st_b = _axis_state(a_run, a_tail), _axis_state(b_run, tail)
+        try:
+            welding._weld_pairs(st_a, st_b, 6, len(st_a.z), len(st_b.z))
+        except WeldmapError:
+            pass
+    assert {
+        "weld: far end off the axis",
+        "weld: far end welded off the axis",
+        "weld: generic entry at infinity",
+        "weld: generic entry hits a pole",
+        "weld: axis entry at infinity",
+        "weld: axis entry welded out of turn",
+        "weld: axis entry hits a pole",
+    } <= zipper_paths
+
+
+def _random_layout(rng, n, t, inf_share=0.1):
+    """A state with entries below t on the imaginary axis and the rest
+    generic in the right half-plane; about inf_share of them at infinity."""
+    z = rng.uniform(0.05, 3.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
+    z[:t] = 1j * rng.uniform(-3.0, 3.0, t)
+    st = BoundaryChain.from_points(z)
+    st.on_axis[:t] = True
+    for i in np.flatnonzero(rng.random(n) < inf_share):
+        st.set_inf(i, on_axis=i < t)
+    return st
+
+
+def test_zipper_geodesic_step_matches_the_masked_step():
+    # One step on random states, with axis and generic entries on the
+    # step's poles (exact: im is a power of two) and at infinity.
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        n, j = 60, 20
+        st = _random_layout(rng, n, j)
+        st.set_exact(j, complex(rng.uniform(0.1, 2), rng.uniform(-2, 2)))
+        re = rng.uniform(-2, 2)
+        im = [0.5, -0.25, 1e-160][trial % 3] if trial % 4 else rng.uniform(-2, 2)
+        branch = (-1, 1)[trial % 2]
+        if abs(im) > 1e-100:
+            st.set_exact(3, 1j / im, on_axis=True)
+            st.set_exact(j + 5, 1j / im)
+        st.set_exact(j - 1, 0.0, on_axis=True)  # the previous step's zero
+        want = zipper_reference.GeodesicStep(re, im, branch).apply_state(_copy(st))
+        want.set_exact(j, 0.0, on_axis=True)
+        zipper = welding._Zipper(_copy(st), j)
+        with np.errstate(all="ignore"):
+            zipper.geodesic(j, re, im, branch)
+        _assert_same(zipper.chain(), want)
+
+
+def test_zipper_weld_step_matches_the_masked_step():
+    # One step on random states: axis entries on both sides of the pole,
+    # off the axis before their turn and at infinity; generic entries on
+    # the pole and at infinity; the far end off the axis; and, as at a first
+    # step, the next entry at exactly 0 on the axis.
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        n, j = 60, 20
+        st = _random_layout(rng, n, j + 2)
+        st.set_exact(j + 1, 0.0, on_axis=trial % 2 == 0)
+        a, b = rng.uniform(0.1, 2.0), -rng.uniform(0.1, 2.0)
+        st.set_exact(j, 1j * (a if trial % 2 else b), on_axis=True)
+        step = zipper_reference.WeldStep(a, b, (-1, 1)[trial % 2])
+        if trial % 3 == 0:
+            step.c1, step.c2 = 0.5, 0.25  # poles at ordinate -2 and at -2i
+            st.set_exact(5, -2j, on_axis=True)
+            st.set_exact(j + 7, -2j)
+        if trial % 5 == 0:
+            step.c2 = 1e-160
+        if trial % 4 == 0:
+            st.set_exact(0, complex(rng.uniform(0.1, 1.0), 0.0))
+        if trial % 4 == 1:
+            st.set_exact(7, complex(rng.uniform(0.1, 1.0), rng.uniform(-1, 1)))
+        want = step.apply_state(_copy(st))
+        want.set_exact(j, 0.0)
+        zipper = welding._Zipper(_copy(st), j + 1)
+        with np.errstate(all="ignore"):
+            zipper.weld(j, step.c1, step.c2, step.branch)
+        assert zipper.span(n - 3) == welding._span(want, n - 3)
+        assert zipper.far_magnitude() == (np.inf if want.at_inf[0] else abs(want.z[0]))
+        _assert_same(zipper.chain(), want)
