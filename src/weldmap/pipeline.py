@@ -285,7 +285,9 @@ def _weld(spec, mesh, labels, tracker):
     new_a, new_b = dn_a[sel_a], dn_b[sel_b]
     if log.isEnabledFor(logging.INFO):
         # The seam gap: how far apart the two sides put each arc vertex
-        # before merge averages them.
+        # before merge averages them. Both sides send each arc entry to
+        # exactly 0 and then through the same maps, so it reads 0; it is
+        # logged so that a change breaking that shows.
         gap = max(
             float(np.abs(new_a[sa : ea + 1] - new_b[sb : eb + 1]).max())
             for (sa, ea), (sb, eb) in zip(runs_a, runs_b)

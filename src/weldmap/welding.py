@@ -217,6 +217,22 @@ def _unpack(st, n, offsets):
 # Operations
 
 
+_NO_HITS = np.empty(0, dtype=np.intp)
+
+
+def _mask_poles(den):
+    """Positions where a Mobius denominator vanishes (|den| < _TINY). den
+    is set to 1 there, as the masked maps did, so the division that follows
+    stays finite and raises no warning; the caller overwrites those
+    entries. |den| < _TINY needs a real part that small, which is cheaper
+    to rule out first."""
+    if not np.fmin.reduce(np.abs(den.real), initial=np.inf) < _TINY:
+        return _NO_HITS
+    hits = np.flatnonzero(np.abs(den) < _TINY)
+    den[hits] = 1.0
+    return hits
+
+
 class _Zipper:
     """A BoundaryChain state laid out for the zipper loops, mapped one
     geodesic or weld step at a time with whole-slice operations.
@@ -256,11 +272,8 @@ class _Zipper:
 
     def _hits(self, den, offset):
         """Indices (den[0] is entry `offset`) where a Mobius denominator
-        vanishes, odd entries left out. |den| < _TINY needs a real part
-        that small, which is cheaper to rule out first."""
-        if not np.fmin.reduce(np.abs(den.real), initial=np.inf) < _TINY:
-            return []
-        hits = np.flatnonzero(np.abs(den) < _TINY) + offset
+        vanishes, odd entries left out; den is masked as _mask_poles does."""
+        hits = _mask_poles(den) + offset
         return [i for i in hits.tolist() if i not in self.odd]
 
     def geodesic(self, j, re, im, branch):
@@ -270,16 +283,16 @@ class _Zipper:
         on the cut. In an unzip every odd entry is at infinity."""
         y, z, inf = self.y, self.z, self.inf
         den = 1.0 - im * y[:j]
+        tail = z[j + 1 :]
+        den_t = 1.0 + 1j * im * tail
+        poles = self._hits(den, 0) + self._hits(den_t, j + 1)
         Y = re * y[:j] / den
         # The image lies on the branch cut; the half-axis of the Mobius
         # image decides the side, with the chain orientation breaking the
         # tie for the point currently sitting at the origin.
         sgn = np.where(Y > 0, 1.0, np.where(Y < 0, -1.0, float(branch)))
-        tail = z[j + 1 :]
-        den_t = 1.0 + 1j * im * tail
         L = re * tail / den_t
         w = sqrt_branch(L * L - 1.0, branch)
-        poles = self._hits(den, 0) + self._hits(den_t, j + 1)
         y[:j] = sgn * np.sqrt(Y * Y + 1.0)
         z[j + 1 :] = w
         if abs(im) >= _TINY:
@@ -299,9 +312,12 @@ class _Zipper:
 
     @staticmethod
     def _weld_generic(zs, c1, c2, branch):
+        """The weld map on generic entries zs, and the positions in zs of
+        its poles, whose values the caller overwrites."""
         den = c1 - 1j * c2 * zs
+        hits = _mask_poles(den)
         t = zs / den
-        return sqrt_branch(t * t + 1.0, branch), den
+        return sqrt_branch(t * t + 1.0, branch), hits
 
     def weld(self, j, c1, c2, branch):
         """h(z) = sqrt(T(z)^2 + 1), T(z) = z / (c1 - c2*z*i) the Mobius
@@ -312,23 +328,23 @@ class _Zipper:
         """
         y, z, inf, axis = self.y, self.z, self.inf, self.axis
         den = c1 + c2 * y[:j]
+        poles = self._hits(den, 0)
         Y = y[:j] / den
         v = 1.0 - Y * Y
         sgn = np.where(Y > 0, 1.0, np.where(Y < 0, -1.0, float(branch)))
-        w, den_t = self._weld_generic(z[j + 1 :], c1, c2, branch)
-        poles = self._hits(den, 0)
+        w, hits_t = self._weld_generic(z[j + 1 :], c1, c2, branch)
         welded = []
         if np.fmax.reduce(v, initial=-np.inf) >= 0:
             welded = [
                 i for i in np.flatnonzero(v >= 0).tolist()
                 if i not in self.odd and i not in poles
             ]
-        poles += self._hits(den_t, j + 1)
+        poles += [i for i in (hits_t + j + 1).tolist() if i not in self.odd]
         gen = [i for i in self.odd if not inf[i]]
         if gen:
             gen = np.array(gen)
-            w_gen, den_gen = self._weld_generic(z[gen], c1, c2, branch)
-        y[:j] = sgn * np.sqrt(-v)
+            w_gen, hits_gen = self._weld_generic(z[gen], c1, c2, branch)
+        y[:j] = sgn * np.sqrt(np.maximum(-v, 0.0))
         z[j + 1 :] = w
         if abs(c2) >= _TINY:
             Yi = 1.0 / c2
@@ -346,7 +362,7 @@ class _Zipper:
                 inf[i] = False
         if len(gen):
             z[gen] = w_gen
-            gen_poles = gen[np.abs(den_gen) < _TINY].tolist()
+            gen_poles = gen[hits_gen].tolist()
             inf[gen_poles] = True
             poles += gen_poles
         for i in welded:
@@ -411,15 +427,14 @@ def _unzip(st, k, branch, scale=1.0):
     st.set_exact(1, 0.0, on_axis=True)
     st.set_inf(0, on_axis=True)
     zipper = _Zipper(st, 2)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(2, k + 1):
-            if zipper.inf[j]:
-                raise NumericalBreakdown(f"arc point {j} escaped to infinity")
-            xi = complex(zipper.z[j])
-            r2 = abs(xi) ** 2
-            if r2 < (1e-14 * max(scale, 1.0)) ** 2:
-                raise ZeroXi("geodesic step through (near) zero")
-            zipper.geodesic(j, xi.real / r2, xi.imag / r2, branch)
+    for j in range(2, k + 1):
+        if zipper.inf[j]:
+            raise NumericalBreakdown(f"arc point {j} escaped to infinity")
+        xi = complex(zipper.z[j])
+        r2 = abs(xi) ** 2
+        if r2 < (1e-14 * max(scale, 1.0)) ** 2:
+            raise ZeroXi("geodesic step through (near) zero")
+        zipper.geodesic(j, xi.real / r2, xi.imag / r2, branch)
     return zipper.chain()
 
 
@@ -530,56 +545,55 @@ def _weld_pairs(st_a, st_b, k, na, nb):
     states."""
     za, zb = _Zipper(st_a, k), _Zipper(st_b, k)
     span = None
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(k - 1, 0, -1):
-            a_val = za.imag(j)
-            b_val = zb.imag(j)
-            if span is None:
-                span = max(za.span(na), zb.span(nb))
-            if (
-                not za.inf[j]
-                and not zb.inf[j]
-                and abs(a_val) < 1e-11 * span
-                and abs(b_val) < 1e-11 * span
-            ):
-                # Crowded pair numerically indistinguishable from the previous
-                # weld point; a Mobius through it would be pure noise. Weld it
-                # at the same position instead.
-                za.set_zero(j)
-                zb.set_zero(j)
-                span = None
-                continue
-            if (
-                za.inf[j]
-                or zb.inf[j]
-                or not za.axis[j]
-                or not zb.axis[j]
-                or abs(a_val - b_val) < _TINY * max(span, 1.0)
-            ):
-                raise NumericalBreakdown(
-                    f"weld pair {j} is degenerate (a={a_val}, b={b_val})"
-                )
-            c1 = -2.0 * a_val * b_val / (a_val - b_val)
-            c2 = (a_val + b_val) / (a_val - b_val)
-            if c1 <= 0:
-                # The alignment Mobius must keep the right half-plane; c1 <= 0
-                # means the two pair points no longer bracket the weld tip on
-                # the boundary circle.
-                raise NumericalBreakdown(
-                    f"weld pair {j} lost its bracketing order (a={a_val}, b={b_val})"
-                )
-            za.weld(j, c1, c2, +1)
-            zb.weld(j, c1, c2, -1)
-            # Nothing but entry 0 changes before the next pair, so this is
-            # also the next pair's span.
+    for j in range(k - 1, 0, -1):
+        a_val = za.imag(j)
+        b_val = zb.imag(j)
+        if span is None:
             span = max(za.span(na), zb.span(nb))
-            # A far endpoint hugely beyond the rest of the picture carries no
-            # usable digits (it came back from infinity through a near-zero
-            # Mobius coefficient); pin it at infinity so noise cannot walk it
-            # into a later welding window.
-            if min(za.far_magnitude(), zb.far_magnitude()) > 1e8 * span:
-                za.pin_far()
-                zb.pin_far()
+        if (
+            not za.inf[j]
+            and not zb.inf[j]
+            and abs(a_val) < 1e-11 * span
+            and abs(b_val) < 1e-11 * span
+        ):
+            # Crowded pair numerically indistinguishable from the previous
+            # weld point; a Mobius through it would be pure noise. Weld it
+            # at the same position instead.
+            za.set_zero(j)
+            zb.set_zero(j)
+            span = None
+            continue
+        if (
+            za.inf[j]
+            or zb.inf[j]
+            or not za.axis[j]
+            or not zb.axis[j]
+            or abs(a_val - b_val) < _TINY * max(span, 1.0)
+        ):
+            raise NumericalBreakdown(
+                f"weld pair {j} is degenerate (a={a_val}, b={b_val})"
+            )
+        c1 = -2.0 * a_val * b_val / (a_val - b_val)
+        c2 = (a_val + b_val) / (a_val - b_val)
+        if c1 <= 0:
+            # The alignment Mobius must keep the right half-plane; c1 <= 0
+            # means the two pair points no longer bracket the weld tip on
+            # the boundary circle.
+            raise NumericalBreakdown(
+                f"weld pair {j} lost its bracketing order (a={a_val}, b={b_val})"
+            )
+        za.weld(j, c1, c2, +1)
+        zb.weld(j, c1, c2, -1)
+        # Nothing but entry 0 changes before the next pair, so this is
+        # also the next pair's span.
+        span = max(za.span(na), zb.span(nb))
+        # A far endpoint hugely beyond the rest of the picture carries no
+        # usable digits (it came back from infinity through a near-zero
+        # Mobius coefficient); pin it at infinity so noise cannot walk it
+        # into a later welding window.
+        if min(za.far_magnitude(), zb.far_magnitude()) > 1e8 * span:
+            za.pin_far()
+            zb.pin_far()
     return za.chain(), zb.chain()
 
 

@@ -22,7 +22,6 @@ from weldmap.welding import (
 
 import zipper_reference
 from fixtures import annulus_mesh, grid_mesh, hemisphere_cap, smooth_beltrami
-from zipper_reference import geodesic_basic
 
 
 def polygon_area(pts):
@@ -100,31 +99,55 @@ def annulus_halves(r0=0.4, r1=1.0, nseam=13, nrim=17, nout=33):
 
 
 # ---------------------------------------------------------------------------
-# geodesic_basic / intermediate_form
+# geodesic steps / intermediate_form
+
+
+def _unzip_points(pts, k, branch=+1, scale=1.0):
+    return welding._unzip(BoundaryChain.from_points(pts), k, branch, scale=scale)
 
 
 def test_geodesic_zeroes_xi():
-    for xi in (1.0 + 0j, 0.5 + 2j, 3.0 - 1j):
-        g = geodesic_basic(xi, +1)
+    # Entry 3 copies arc entry 2, so the step that sends entry 2 to 0 sends
+    # entry 3 there too, through the tail formula.
+    for p in (1.0 + 0j, 0.5 + 2j, 3.0 - 1j):
+        st = _unzip_points([-1.0 - 1j, -1.0 + 1j, p, p, 2.0 - 2j], 2)
+        assert st.z[2] == 0 and st.on_axis[2]
         # sqrt halves the achievable precision at its zero
-        assert abs(g.apply_state(BoundaryChain.from_points([xi])).z[0]) < 1e-7
+        assert abs(st.z[3]) < 1e-7
 
 
 def test_geodesic_rejects_zero():
+    # Entry 2 on entry 1: the initial root sends both to 0, so the first
+    # geodesic step would go through 0.
+    pts = np.exp(1j * np.array([2.0, 1.0, 1.0, 0.0, -1.5, -3.0]))
     with pytest.raises(ZeroXi):
-        geodesic_basic(0.0, +1)
+        intermediate_form(BoundaryChain.from_points(pts), 3, +1)
+
+
+def test_geodesic_rejects_near_zero_relative_to_scale():
+    # Entry 2 a distance d above entry 1 = 0, with entry 0 at 1: the initial
+    # root sends it to sqrt(-i d / (1 - i d)), about 2e-14 for d = 4e-28.
+    # The step refuses it when that is below 1e-14 times the chain's scale.
+    pts = [1.0, 0.0, 4e-28j, -1.0 + 1j, -1.0 - 1j]
+    xi = abs(welding.InitialRoot(pts[0], pts[1], +1).apply_state(
+        BoundaryChain.from_points(pts)).z[2])
+    assert 1.5e-14 < xi < 2.5e-14
+    with pytest.raises(ZeroXi):
+        _unzip_points(pts, 2, scale=1.01 * xi / 1e-14)
+    st = _unzip_points(pts, 2, scale=0.99 * xi / 1e-14)
+    assert st.z[2] == 0 and st.on_axis[2]
 
 
 def test_geodesic_infinity_limit():
-    g = geodesic_basic(1.0 + 1j, +1)
-    st = BoundaryChain.from_points([0j])
-    st.set_inf(0)
-    out = g.apply_state(st)
-    assert not out.at_inf[0]
-    # Mobius limit: L(inf) = re/(i*im) = -i, so the image is sqrt(-2) on
-    # the imaginary axis.
-    assert abs(out.z[0].real) < 1e-14
-    assert abs(abs(out.z[0]) - np.sqrt(2)) < 1e-14
+    # Entry 3 sits on entry 0, so the initial root sends it to infinity;
+    # entry 4 sits next to entry 0 and goes far out. The geodesic step maps
+    # infinity to the limit of its finite images: L(inf) = re/(i*im) is
+    # imaginary, so the image is on the imaginary axis.
+    pts = [0j, 1.0, 1.0 + 1j, 0j, 1e-20 + 0j, -1.0 - 1j]
+    st = _unzip_points(pts, 2)
+    assert not st.at_inf[3]
+    assert st.z[3].real == 0
+    assert abs(st.z[3] - st.z[4]) < 1e-8 * abs(st.z[3])
 
 
 def test_intermediate_form_three_points():
@@ -536,8 +559,7 @@ def test_zipper_geodesic_step_matches_the_masked_step():
         want = zipper_reference.GeodesicStep(re, im, branch).apply_state(_copy(st))
         want.set_exact(j, 0.0, on_axis=True)
         zipper = welding._Zipper(_copy(st), j)
-        with np.errstate(all="ignore"):
-            zipper.geodesic(j, re, im, branch)
+        zipper.geodesic(j, re, im, branch)
         _assert_same(zipper.chain(), want)
 
 
@@ -567,8 +589,7 @@ def test_zipper_weld_step_matches_the_masked_step():
         want = step.apply_state(_copy(st))
         want.set_exact(j, 0.0)
         zipper = welding._Zipper(_copy(st), j + 1)
-        with np.errstate(all="ignore"):
-            zipper.weld(j, step.c1, step.c2, step.branch)
+        zipper.weld(j, step.c1, step.c2, step.branch)
         assert zipper.span(n - 3) == welding._span(want, n - 3)
         assert zipper.far_magnitude() == (np.inf if want.at_inf[0] else abs(want.z[0]))
         _assert_same(zipper.chain(), want)
