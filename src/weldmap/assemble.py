@@ -29,7 +29,7 @@ from .flatten import (
     cotan_laplacian,
     lsqc_flatten,
 )
-from .mesh import TriangleMesh, face_areas
+from .mesh import TriangleMesh, face_areas, walk_boundary_loops
 
 LAPLACE_RTOL = 1e-8
 SEAM_RTOL = 1e-6
@@ -110,7 +110,10 @@ def qc_correction(source_vertices, faces, image, mu_target):
     fd = beltrami_per_face(source_vertices, faces, image.uv)
     e_before = float(np.abs(fd.mu_face - mu_target).mean())
 
-    image_mesh = TriangleMesh(vertices=image.uv, faces=faces, boundary_loops=[])
+    image_mesh = TriangleMesh(
+        vertices=image.uv, faces=faces,
+        boundary_loops=walk_boundary_loops(faces, len(image.uv)),
+    )
     z = image.complex_view
     i0 = int(np.argmin(z.real + z.imag))
     i1 = int(np.argmax(np.abs(z - z[i0])))

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DegenerateFace, MuOutOfRange, SingularSystem
+from .errors import DegenerateFace, MuOutOfRange, SingularSystem, WrongTopology
 from .mesh import face_areas
 
 EPS_MU = 1e-3
@@ -138,8 +138,16 @@ def area_form_boundary(mesh):
     """Symmetric 2n x 2n matrix Q with (u;v)^T Q (u;v) = signed image area.
 
     Uses the boundary-edge form; inner loops are clockwise so their enclosed
-    areas enter with a minus sign without special casing.
+    areas enter with a minus sign without special casing. Its u-v coupling
+    sits on boundary edges only, which keeps the pinned systems sparse.
+    Raises WrongTopology for a mesh without boundary loops, which has no
+    area term.
     """
+    if not mesh.boundary_loops:
+        raise WrongTopology(
+            "mesh has no boundary loop, so the flattening has no area term",
+            hint="build the mesh with build_mesh, or pass its boundary_loops",
+        )
     n = mesh.n_vertices
     rows, cols, vals = [], [], []
     for loop in mesh.boundary_loops:
@@ -154,25 +162,6 @@ def area_form_boundary(mesh):
     ).tocsr()
     # u^T P v = 1/2 sum (u_i v_j - u_j v_i); symmetrize into the 2n form.
     Q = sp.bmat([[None, 0.5 * P], [0.5 * P.T, None]], format="csr")
-    return Q
-
-
-def area_form_faces(mesh):
-    """Same quadratic form as area_form_boundary, assembled face by face."""
-    corners = face_frames_2d(mesh.vertices, mesh.faces)
-    grads, areas = _hat_gradients(corners)
-    m, n = len(mesh.faces), mesh.n_vertices
-    # Face value: (sum u_i gx_i)(sum v_j gy_j) - (sum u_i gy_i)(sum v_j gx_j).
-    vals = (
-        np.einsum("fi,fj->fij", grads[:, :, 0], grads[:, :, 1])
-        - np.einsum("fi,fj->fij", grads[:, :, 1], grads[:, :, 0])
-    ) * areas[:, None, None]
-    rows = np.repeat(mesh.faces, 3, axis=1).reshape(m, 3, 3)
-    cols = np.tile(mesh.faces, 3).reshape(m, 3, 3)
-    U = sp.coo_matrix(
-        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
-    ).tocsr()
-    Q = sp.bmat([[None, 0.5 * U], [0.5 * U.T, None]], format="csr")
     return Q
 
 
@@ -241,7 +230,7 @@ def lsqc_flatten(mesh, mu, pins=None):
     """
     n = mesh.n_vertices
     Lmu = generalized_laplacian(mesh, mu)
-    Q = area_form_faces(mesh)
+    Q = area_form_boundary(mesh)
     M = 0.5 * sp.block_diag([Lmu, Lmu], format="csr") - Q
     if pins is None:
         p0, p1 = pick_pins(mesh)

@@ -126,17 +126,15 @@ class _Tracker:
 
     def merge(self, left, right):
         """Join two welded components; a vertex of both (a weld arc vertex)
-        gets the mean of its two positions."""
+        keeps its left position. The weld gives both sides the same image
+        of an arc vertex (the seam gap that _weld logs)."""
         ids_l, pos_l = self.comps.pop(left)
         ids_r, pos_r = self.comps.pop(right)
         ids = np.concatenate([ids_l, ids_r])
         order = np.argsort(ids, kind="stable")
         ids = ids[order]
+        keep = np.append(True, ids[1:] != ids[:-1])
         pos = np.concatenate([pos_l, pos_r])[order]
-        dup = np.flatnonzero(ids[1:] == ids[:-1])
-        pos[dup] = 0.5 * (pos[dup] + pos[dup + 1])
-        keep = np.ones(len(ids), dtype=bool)
-        keep[dup + 1] = False
         self.comps[left | right] = (ids[keep], pos[keep])
 
     def loops(self, submeshes):
@@ -284,9 +282,9 @@ def _weld(spec, mesh, labels, tracker):
         raise failed[-1][1]
     new_a, new_b = dn_a[sel_a], dn_b[sel_b]
     if log.isEnabledFor(logging.INFO):
-        # The seam gap: how far apart the two sides put each arc vertex
-        # before merge averages them. Both sides send each arc entry to
-        # exactly 0 and then through the same maps, so it reads 0; it is
+        # The seam gap: how far apart the two sides put each arc vertex.
+        # Both sides send each arc entry to exactly 0 and then through the
+        # same maps, so it reads 0, and merge keeps side A's copy; it is
         # logged so that a change breaking that shows.
         gap = max(
             float(np.abs(new_a[sa : ea + 1] - new_b[sb : eb + 1]).max())

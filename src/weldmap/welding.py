@@ -331,7 +331,8 @@ class _Zipper:
         poles = self._hits(den, 0)
         Y = y[:j] / den
         v = 1.0 - Y * Y
-        sgn = np.where(Y > 0, 1.0, np.where(Y < 0, -1.0, float(branch)))
+        # Y == 0 gives v = 1, a welded entry whose sign is never read.
+        sgn = np.sign(Y)
         w, hits_t = self._weld_generic(z[j + 1 :], c1, c2, branch)
         welded = []
         if np.fmax.reduce(v, initial=-np.inf) >= 0:

@@ -1,8 +1,9 @@
 """Shared mesh generators and measurements for the test suite."""
 
 import numpy as np
+import scipy.sparse as sp
 
-from weldmap.flatten import cotan_laplacian
+from weldmap.flatten import _hat_gradients, cotan_laplacian, face_frames_2d
 from weldmap.mesh import build_mesh
 
 
@@ -119,6 +120,26 @@ def smooth_beltrami(mesh, seed=42, modes=4, amplitude=0.37):
         a = rng.normal() + 1j * rng.normal()
         mu += a * np.exp(1j * (kx * c[:, 0] + ky * c[:, 1]) + 1j * ph)
     return mu * (amplitude / np.abs(mu).max())
+
+
+def area_form_faces(mesh):
+    """The quadratic form of flatten.area_form_boundary, assembled face by
+    face: the independent oracle for the boundary form. Its u-v block has an
+    entry on every edge; the interior ones cancel only in exact arithmetic."""
+    corners = face_frames_2d(mesh.vertices, mesh.faces)
+    grads, areas = _hat_gradients(corners)
+    m, n = len(mesh.faces), mesh.n_vertices
+    # Face value: (sum u_i gx_i)(sum v_j gy_j) - (sum u_i gy_i)(sum v_j gx_j).
+    vals = (
+        np.einsum("fi,fj->fij", grads[:, :, 0], grads[:, :, 1])
+        - np.einsum("fi,fj->fij", grads[:, :, 1], grads[:, :, 0])
+    ) * areas[:, None, None]
+    rows = np.repeat(mesh.faces, 3, axis=1).reshape(m, 3, 3)
+    cols = np.tile(mesh.faces, 3).reshape(m, 3, 3)
+    U = sp.coo_matrix(
+        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
+    ).tocsr()
+    return sp.bmat([[None, 0.5 * U], [0.5 * U.T, None]], format="csr")
 
 
 def quadratic_form_value(Q, u, v):

@@ -13,7 +13,6 @@ import pytest
 from weldmap.assemble import laplace_dirichlet
 from weldmap.flatten import (
     area_form_boundary,
-    area_form_faces,
     beltrami_per_face,
     generalized_laplacian,
     lsqc_flatten,
@@ -27,6 +26,7 @@ from weldmap.welding import partial_weld
 
 from fixtures import (
     annulus_mesh,
+    area_form_faces,
     curved_annulus,
     disk_mesh,
     grid_mesh,

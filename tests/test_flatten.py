@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from weldmap.errors import MuOutOfRange
+import weldmap.flatten as flatten
+from weldmap.errors import MuOutOfRange, WrongTopology
 from weldmap.flatten import (
     area_form_boundary,
-    area_form_faces,
     beltrami_per_face,
     compose_beltrami,
     cotan_laplacian,
@@ -13,14 +13,16 @@ from weldmap.flatten import (
     lsqc_flatten,
     wirtinger_derivatives,
 )
-from weldmap.mesh import build_mesh
+from weldmap.mesh import TriangleMesh, build_mesh
 
 from fixtures import (
     annulus_mesh,
+    area_form_faces,
     grid_mesh,
     hemisphere_cap,
     quadratic_form_value,
     single_triangle,
+    smooth_beltrami,
 )
 
 
@@ -139,6 +141,50 @@ def test_lsqc_mu_zero_matches_conformal():
     emb = lsqc_flatten(m, np.zeros(m.n_faces, dtype=complex))
     fd = beltrami_per_face(m.vertices, m.faces, emb.uv)
     assert np.abs(fd.mu_face).max() < 1e-8
+
+
+def test_lsqc_mu_zero_equals_dncp_on_annulus():
+    m = annulus_mesh()
+    lsqc = lsqc_flatten(m, np.zeros(m.n_faces, dtype=complex))
+    np.testing.assert_allclose(lsqc.uv, dncp_flatten(m).uv, rtol=0, atol=1e-12)
+
+
+def test_lsqc_system_couples_u_and_v_on_boundary_edges_only(monkeypatch):
+    # Both flattens pin the same vertices and use the boundary area form, so
+    # the factored LSQC matrix stores exactly the entries of the DNCP one;
+    # the face-assembled form would add a u-v entry on every interior edge.
+    # The jitter breaks the symmetry that makes some cotan weights exactly 0,
+    # which the DNCP matrix drops and a nonzero mu fills in.
+    stored = []
+    splu = flatten.spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        stored.append(A.nnz)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(flatten.spla, "splu", counting_splu)
+    m = annulus_mesh(n_rings=5, n_sect=28)
+    jitter = np.random.default_rng(0).uniform(-0.005, 0.005, m.vertices.shape)
+    m = build_mesh(m.vertices + jitter, m.faces)
+    dncp_flatten(m)
+    lsqc_flatten(m, smooth_beltrami(m, 5))
+    assert len(stored) == 2
+    assert stored[1] == stored[0]
+
+
+@pytest.mark.parametrize("flatten_fn", ["dncp", "lsqc"])
+def test_flatten_without_boundary_loops_raises(flatten_fn):
+    # Without loops the area term is empty and the solve would collapse to
+    # a pinned harmonic map; it must fail loudly instead.
+    m = grid_mesh(3, 3)
+    closed = TriangleMesh(vertices=m.vertices, faces=m.faces, boundary_loops=[])
+    pins = [(0, (0.0, 0.0)), (3, (1.0, 0.0))]
+    with pytest.raises(WrongTopology) as info:
+        if flatten_fn == "dncp":
+            dncp_flatten(closed, pins=pins)
+        else:
+            lsqc_flatten(closed, np.zeros(m.n_faces, dtype=complex), pins=pins)
+    assert info.value.hint
 
 
 def test_lsqc_constant_real_mu_is_affine():

@@ -22,12 +22,14 @@ MESHES = {
 
 MIS = "MISORDERED_ARC"
 NUM = "NUMERICAL_BREAKDOWN"
+ZXI = "ZERO_XI"
 PARTS = (1, 2, 3, 4, 6, 8)
+CAP_SMOOTH = {3: MIS, 6: ZXI, 8: ZXI}
 LEDGER = [
     *[("disk_mesh(16,64)", p, mu, "ok" if p == 4 else MIS)
       for p in (4, 6, 8) for mu in ("0", "smooth")],
     *[("hemisphere_cap()", p, "0", "ok" if p in (1, 3) else MIS) for p in PARTS],
-    *[("hemisphere_cap()", p, "smooth", MIS if p == 3 else NUM) for p in PARTS],
+    *[("hemisphere_cap()", p, "smooth", CAP_SMOOTH.get(p, NUM)) for p in PARTS],
     *[("curved_annulus()", p, "smooth", MIS) for p in (3, 4)],
 ]
 
