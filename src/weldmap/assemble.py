@@ -244,7 +244,8 @@ def area_distortion(vertices, faces, uv, bins=20):
         uv = np.column_stack([uv.real, uv.imag])
     img = face_areas(uv, faces)
     if np.any(src <= 0) or np.any(img <= 0):
-        raise DegenerateFace("zero-area face in area distortion")
+        bad = int(np.argmax((src <= 0) | (img <= 0)))
+        raise DegenerateFace(f"zero-area face {bad} in area distortion")
     d = np.log((img / img.sum()) / (src / src.sum()))
     counts, edges = np.histogram(d, bins=bins)
     summary = {

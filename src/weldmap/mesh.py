@@ -26,6 +26,8 @@ class TriangleMesh:
     vertices: np.ndarray  # (n, 2) or (n, 3) float64
     faces: np.ndarray  # (m, 3) int64, CCW
     boundary_loops: list = field(default_factory=list)  # loop 0 is the outer one
+    # half_edge_twins of faces: set by build_mesh, else computed by twins()
+    twin: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_vertices(self):
@@ -52,6 +54,12 @@ class TriangleMesh:
     def face_areas(self):
         return face_areas(self.vertices, self.faces)
 
+    def twins(self):
+        """The (m, 3) half-edge twin table of the mesh."""
+        if self.twin is None:
+            self.twin = half_edge_twins(self.faces, self.n_vertices)
+        return self.twin
+
 
 def face_areas(vertices, faces):
     """Unsigned triangle areas; works for 2D and 3D vertex arrays."""
@@ -77,28 +85,34 @@ def signed_face_areas_2d(vertices, faces):
     return 0.5 * cross
 
 
-def _directed_edges(faces):
-    """Face edges as parallel arrays (u, v), each directed u -> v along its face."""
-    u = np.concatenate([faces[:, 0], faces[:, 1], faces[:, 2]])
-    v = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0]])
-    return u, v
+def half_edge_twins(faces, n_vertices):
+    """Half-edge twin table of a face set, from one sort of directed edges.
 
-
-def edge_face_counts(faces, n_vertices):
-    """Number of faces on each distinct undirected edge of a face set.
-
-    Edges are packed into 1-D keys min * n_vertices + max, so the length of
-    the result is the edge count of the face set.
+    Half-edge 3 * f + k runs faces[f, k] -> faces[f, (k + 1) % 3]. Entry
+    [f, k] of the (m, 3) result is the half-edge that runs the same edge the
+    other way, or -1 when no face does (a boundary half-edge). Raises
+    NonManifold when a directed edge appears twice.
     """
-    u, v = _directed_edges(faces)
-    keys = np.minimum(u, v) * n_vertices + np.maximum(u, v)
-    return np.unique(keys, return_counts=True)[1]
+    tail = faces.ravel()
+    head = faces[:, [1, 2, 0]].ravel()
+    keys = tail * n_vertices + head
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    if np.any(keys[1:] == keys[:-1]):
+        raise NonManifold("an edge appears twice with the same direction")
+    reverse = head * n_vertices + tail
+    at = np.searchsorted(keys, reverse)
+    # Keys are >= 0, so the -1 past the end never matches a reversed edge.
+    found = np.append(keys, -1)[at] == reverse
+    return np.where(found, np.append(order, -1)[at], -1).reshape(faces.shape)
 
 
-def build_mesh(vertices, faces):
+def build_mesh(vertices, faces, twin=None):
     """Validate raw arrays and return a TriangleMesh with boundary loops.
 
-    Raises NonManifold, WrongTopology or DegenerateFace on invalid input.
+    A given twin is taken as the twin table of faces (half_edge_twins), such
+    as one cut out of a parent mesh's. Raises NonManifold, WrongTopology or
+    DegenerateFace on invalid input.
     """
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     faces = np.ascontiguousarray(faces, dtype=np.int64)
@@ -124,21 +138,18 @@ def build_mesh(vertices, faces):
                 raise WrongTopology("2D mesh is clockwise oriented; expected CCW")
             raise NonManifold("2D mesh has mixed face orientations")
 
-    # Directed-edge multiset: each directed edge at most once, each undirected
-    # edge at most twice and never twice in the same direction.
-    u, v = _directed_edges(faces)
-    _, counts = np.unique(u * len(vertices) + v, return_counts=True)
-    if np.any(counts > 1):
-        raise NonManifold("an edge appears twice with the same direction")
-    ucounts = edge_face_counts(faces, len(vertices))
-    if np.any(ucounts > 2):
-        raise NonManifold("an edge is shared by more than 2 faces")
-
-    loops = walk_boundary_loops(faces, len(vertices))
+    # Each directed edge at most once, which also keeps every undirected
+    # edge to at most two faces, run in opposite directions.
+    if twin is None:
+        twin = half_edge_twins(faces, len(vertices))
+    on_boundary = twin < 0
+    loops = _walk_loops(faces, on_boundary)
     if not loops:
         raise WrongTopology("closed surface (no boundary)")
 
-    chi = len(vertices) - len(ucounts) + len(faces)
+    # Interior edges have two half-edges, boundary edges one.
+    n_edges = (twin.size + int(np.count_nonzero(on_boundary))) // 2
+    chi = len(vertices) - n_edges + len(faces)
     k = len(loops) - 1
     if chi != 1 - k:
         raise WrongTopology(
@@ -152,23 +163,38 @@ def build_mesh(vertices, faces):
     ]
     outer = max(range(len(loops)), key=lambda i: (perimeters[i], -i))
     loops.insert(0, loops.pop(outer))
-    return TriangleMesh(vertices=vertices, faces=faces, boundary_loops=loops)
+    return TriangleMesh(vertices=vertices, faces=faces, boundary_loops=loops, twin=twin)
 
 
 def walk_boundary_loops(faces, n_vertices):
-    """Boundary loops of a face set, directed by face orientation.
+    """Boundary loops of a face set (see _walk_loops); a boundary half-edge
+    is one without a twin."""
+    return _walk_loops(faces, half_edge_twins(faces, n_vertices) < 0)
 
-    A boundary directed edge is a face edge whose reversal is absent. Each
-    loop starts at its smallest vertex id, and loops are ordered by that
-    start. Raises NonManifold when the boundary branches at a vertex.
+
+def region_boundary(mesh, face_ids):
+    """Mask, shaped like mesh.faces[face_ids], of the boundary half-edges of
+    that face set: those without a twin or with one in a face outside it."""
+    twin = mesh.twins()[face_ids]
+    inside = np.zeros(mesh.n_faces, dtype=bool)
+    inside[face_ids] = True
+    return (twin < 0) | ~inside[twin // 3]  # twin -1 reads the last face
+
+
+def region_loops(mesh, face_ids):
+    """Boundary loops of the face set face_ids of mesh (see _walk_loops)."""
+    return _walk_loops(mesh.faces[face_ids], region_boundary(mesh, face_ids))
+
+
+def _walk_loops(faces, on_boundary):
+    """Chain the half-edges of faces flagged in the (m, 3) mask on_boundary
+    into loops, directed by face orientation.
+
+    Each loop starts at its smallest vertex id, and loops are ordered by
+    that start. Raises NonManifold when the boundary branches at a vertex.
     """
-    u, v = _directed_edges(faces)
-    keys = np.sort(u * n_vertices + v)
-    reverse = v * n_vertices + u
-    # Keys are >= 0, so the -1 past the end never matches a reversed edge.
-    is_boundary = np.append(keys, -1)[np.searchsorted(keys, reverse)] != reverse
-    bu = u[is_boundary]
-    bv = v[is_boundary]
+    bu = faces[on_boundary]
+    bv = faces[:, [1, 2, 0]][on_boundary]
     sorted_bu = np.sort(bu)
     repeated = sorted_bu[1:][sorted_bu[1:] == sorted_bu[:-1]]
     if len(repeated):
@@ -228,7 +254,9 @@ _WS = r"[^\S\n]"  # whitespace inside a line, as str.split() splits on
 _OBJ_KIND = re.compile(rf"\n{_WS}*([vf])(?!\S)")
 _OBJ_V = re.compile(rf"\n{_WS}*v{_WS}+(\S+{_WS}+\S+(?:{_WS}+\S+)?)")
 _OBJ_F = re.compile(rf"\n{_WS}*f{_WS}+(\S+{_WS}+\S+{_WS}+\S+){_WS}*(?![^\n])")
-_OBJ_SUFFIX = re.compile(r"/\S*")
+_OBJ_SUFFIX = re.compile(r"(?<=\S)/\S*")  # a suffix after an index
+_OBJ_NOT_INT = re.compile(r"[^0-9+\-\s]")
+_INT_BYTES = b"0123456789+- \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"  # what _OBJ_NOT_INT lets through in ASCII
 
 
 def _parse_obj(text):
@@ -243,27 +271,44 @@ def _parse_obj(text):
     n_vertices = int(np.count_nonzero(is_vertex))
     rows = _OBJ_V.findall(lines)
     face_rows = _OBJ_F.findall(lines)
+    joined = "\n".join(face_rows)
+    if "/" in joined:
+        joined = _OBJ_SUFFIX.sub("", joined)
+        face_rows = joined.splitlines()
+    # A vertex row holds 2 or 3 coordinates, the same count on every row.
+    # loadtxt reads an integer "via a float" (2.7 as 2), so a face token
+    # that is not a plain integer, such as a bare suffix ("/2"), is caught
+    # first; bytes.translate does that check on ASCII text at C speed.
+    if joined.isascii():
+        plain = not joined.encode().translate(None, _INT_BYTES)
+    else:
+        plain = not _OBJ_NOT_INT.search(joined)
     try:
-        coords = np.array(" ".join(rows).split(), dtype=np.float64)
-        index = np.array(
-            _OBJ_SUFFIX.sub("", " ".join(face_rows)).split(), dtype=np.int64
-        )
-    except (ValueError, OverflowError):
+        if not plain:
+            raise ValueError("face token is not an integer")
+        coords = _read_rows(rows, np.float64)
+        index = _read_rows(face_rows, np.int64)
+    except ValueError:
         raise _obj_error(text) from None
-    # Every matched vertex row holds 2 or 3 coordinates, so all rows hold the
-    # same number exactly when the total is 2 or 3 per row.
     if (
         n_vertices == 0
         or len(rows) != n_vertices
-        or len(coords) not in (2 * n_vertices, 3 * n_vertices)
         or len(face_rows) != len(kinds) - n_vertices
-        or len(index) != 3 * len(face_rows)
+        or index.shape != (len(face_rows), 3)
     ):
         raise _obj_error(text)
-    index = index.reshape(-1, 3)
     seen = np.cumsum(is_vertex)[~is_vertex]
     faces = np.where(index > 0, index - 1, seen[:, None] + index)
-    return coords.reshape(n_vertices, -1), faces
+    return coords, faces
+
+
+def _read_rows(rows, dtype):
+    """Array of the numbers in text rows, one array row per text row. Raises
+    ValueError on rows of different lengths or a token that is not a plain
+    ASCII number (such as 1_000)."""
+    if not rows:
+        return np.empty((0, 3), dtype=dtype)
+    return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
 
 
 def _obj_error(text):
@@ -278,7 +323,7 @@ def _obj_error(text):
             if len(parts) < 3:
                 return ParseError(f"OBJ line {lineno}: bad vertex")
             try:
-                dims.add(len([float(x) for x in parts[1:4]]))
+                dims.add(len([_number(x, float) for x in parts[1:4]]))
             except ValueError:
                 return ParseError(f"OBJ line {lineno}: bad vertex coordinate")
         elif parts[:1] == ["f"]:
@@ -286,7 +331,7 @@ def _obj_error(text):
                 return ParseError(f"OBJ line {lineno}: only triangles supported")
             for tok in parts[1:]:
                 try:
-                    int(tok.split("/")[0])
+                    _number(tok.split("/")[0], int)
                 except ValueError:
                     return ParseError(f"OBJ line {lineno}: bad face token {tok!r}")
     if not dims:
@@ -294,6 +339,14 @@ def _obj_error(text):
     if len(dims) != 1:
         return ParseError("OBJ vertices mix 2D and 3D coordinates")
     return ParseError("OBJ face index out of range")
+
+
+def _number(token, kind):
+    """kind(token) for the tokens _read_rows reads: float() and int() also
+    take "_" separators and non-ASCII digits, which it rejects."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a plain number: {token!r}")
+    return kind(token)
 
 
 _OFF_COMMENT = re.compile(r"#[^\n]*")

@@ -23,7 +23,7 @@ from .errors import (
     SubmeshWithTwoHoles,
     WeldmapError,
 )
-from .mesh import TriangleMesh, build_mesh, edge_face_counts
+from .mesh import TriangleMesh, build_mesh, region_boundary
 
 
 @dataclass
@@ -39,7 +39,13 @@ class PartitionLabeling:
     def n_parts(self):
         return int(self.face_label.max()) + 1 if self.face_label.size else 0
 
-    def validate(self, mesh, adj=None):
+    def faces_in(self, labs):
+        """Ids of the faces whose label is in labs, in increasing order."""
+        pick = np.zeros(self.n_parts, dtype=bool)
+        pick[list(labs)] = True
+        return np.flatnonzero(pick[self.face_label])
+
+    def validate(self, mesh):
         """Check connectivity and the at-most-one-hole restriction per part."""
         if len(self.face_label) != mesh.n_faces:
             raise ParseError("label count does not match face count")
@@ -51,12 +57,23 @@ class PartitionLabeling:
             np.bincount(self.face_label)
         ):
             raise ParseError("partition labels must be consecutive from 0")
-        if adj is None:
-            adj = face_adjacency(mesh.faces)
+        # Faces joined across the edges inside one part: a part is
+        # edge-connected when exactly one component of that graph carries its
+        # label. Row f holds the face across each edge of f, or f itself
+        # across a boundary or cut edge, so the rows need no sorting.
+        twin, m = mesh.twins(), mesh.n_faces
+        own = np.arange(m)[:, None]
+        across = np.where(twin >= 0, twin // 3, own)
+        across = np.where(self.face_label[across] == self.face_label[:, None], across, own)
+        graph = sp.csr_matrix((np.ones(3 * m), across.ravel(), np.arange(0, 3 * m + 1, 3)), (m, m))
+        n_comp, comp = csgraph.connected_components(graph, directed=False)
+        comp_label = np.empty(n_comp, dtype=np.int64)
+        comp_label[comp] = self.face_label
+        pieces = np.bincount(comp_label, minlength=self.n_parts)
         for lab in range(self.n_parts):
-            face_ids = np.flatnonzero(self.face_label == lab)
-            if not _faces_connected(face_ids, adj):
+            if pieces[lab] != 1:
                 raise DisconnectedSubmesh(f"submesh {lab} is not edge-connected")
+            face_ids = np.flatnonzero(self.face_label == lab)
             holes = region_hole_count(mesh, face_ids)
             if holes > 1:
                 raise SubmeshWithTwoHoles(f"submesh {lab} has {holes} holes")
@@ -75,46 +92,33 @@ def load_labels(path, n_faces):
     return PartitionLabeling(face_label=inv)
 
 
-def _interior_edges(faces):
-    """Interior (two-face) edges as arrays (u, v, f0, f1): face f0 runs the
-    edge u -> v, face f1 runs it v -> u."""
-    m = len(faces)
-    a = np.concatenate([faces[:, 0], faces[:, 1], faces[:, 2]])
-    b = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0]])
-    fi = np.tile(np.arange(m, dtype=np.int64), 3)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    span = np.int64(hi.max()) + 1 if m else np.int64(1)
-    key = lo * span + hi
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    pair = np.flatnonzero(key[:-1] == key[1:])
-    first, second = order[pair], order[pair + 1]
-    return a[first], b[first], fi[first], fi[second]
+def _interior_edges(mesh):
+    """Interior (two-face) edges of the mesh, each once, as arrays
+    (u, v, f0, f1): face f0 runs the edge u -> v, face f1 runs it v -> u."""
+    twin = mesh.twins().ravel()
+    # Half-edge h of face h // 3 runs its edge from faces.ravel()[h]; the
+    # twin runs it back, from the other end.
+    h = np.flatnonzero(twin > np.arange(len(twin)))
+    tail = mesh.faces.ravel()
+    return tail[h], tail[twin[h]], h // 3, twin[h] // 3
 
 
-def face_adjacency(faces):
+def face_adjacency(mesh):
     """Shared-edge face adjacency as a symmetric sparse CSR matrix."""
-    _, _, f0, f1 = _interior_edges(faces)
-    m = len(faces)
+    _, _, f0, f1 = _interior_edges(mesh)
     data = np.ones(2 * len(f0), dtype=np.int8)
     rows = np.concatenate([f0, f1])
     cols = np.concatenate([f1, f0])
-    return sp.csr_matrix((data, (rows, cols)), shape=(m, m))
-
-
-def _faces_connected(face_ids, adj):
-    if len(face_ids) == 0:
-        return False
-    sub = adj[face_ids][:, face_ids]
-    n_comp, _ = csgraph.connected_components(sub, directed=False)
-    return n_comp == 1
+    return sp.csr_matrix((data, (rows, cols)), shape=(mesh.n_faces, mesh.n_faces))
 
 
 def region_hole_count(mesh, face_ids):
     """Number of inner holes of the region spanned by face_ids (Euler count)."""
+    # Edges inside the region have two of its half-edges, edges on its
+    # boundary one.
+    n_boundary = int(np.count_nonzero(region_boundary(mesh, face_ids)))
+    n_e = (3 * len(face_ids) + n_boundary) // 2
     faces = mesh.faces[face_ids]
-    n_e = len(edge_face_counts(faces, mesh.n_vertices))
     n_v = np.count_nonzero(np.bincount(faces.ravel(), minlength=mesh.n_vertices))
     chi = n_v - n_e + len(faces)
     return 1 - chi
@@ -132,8 +136,11 @@ class Submesh:
 
 
 def extract_submeshes(mesh, labels):
-    """Split the mesh by labels; cut vertices are duplicated per submesh."""
+    """Split the mesh by labels; cut vertices are duplicated per submesh.
+    Each submesh's twin table is cut out of the parent's."""
     labels.validate(mesh)
+    twin = mesh.twins()
+    local_face = np.empty(mesh.n_faces, dtype=np.int64)
     subs = []
     for lab in range(labels.n_parts):
         face_ids = np.flatnonzero(labels.face_label == lab)
@@ -141,7 +148,13 @@ def extract_submeshes(mesh, labels):
         verts = np.flatnonzero(np.bincount(faces.ravel(), minlength=mesh.n_vertices))
         local = np.full(mesh.n_vertices, -1, dtype=np.int64)
         local[verts] = np.arange(len(verts))
-        sub = build_mesh(mesh.vertices[verts], local[faces])
+        local_face[face_ids] = np.arange(len(face_ids))
+        # A half-edge whose twin lies in another part is on the cut, so on
+        # the submesh boundary.
+        tw = twin[face_ids]
+        inside = (tw >= 0) & (labels.face_label[tw // 3] == lab)
+        tw = np.where(inside, 3 * local_face[tw // 3] + tw % 3, -1)
+        sub = build_mesh(mesh.vertices[verts], local[faces], twin=tw)
         subs.append(Submesh(mesh=sub, to_parent=verts, label=lab))
     return subs
 
@@ -213,7 +226,7 @@ def build_weld_specs(mesh, labels, submeshes):
     labels. Returns a WeldPlan; raises NoValidPlan when the partition cannot
     be welded with pairwise continuous/two-arc welds.
     """
-    eu, ev, ef0, ef1 = _interior_edges(mesh.faces)
+    eu, ev, ef0, ef1 = _interior_edges(mesh)
     ela = labels.face_label[ef0]
     elb = labels.face_label[ef1]
     on_cut = ela != elb
@@ -228,8 +241,7 @@ def build_weld_specs(mesh, labels, submeshes):
         if len(comp) == 1:
             return submeshes[next(iter(comp))].mesh.n_holes
         if comp not in holes_memo:
-            mask = np.isin(labels.face_label, list(comp))
-            holes_memo[comp] = region_hole_count(mesh, np.flatnonzero(mask))
+            holes_memo[comp] = region_hole_count(mesh, labels.faces_in(comp))
         return holes_memo[comp]
 
     def comp_of(lab, current):
@@ -335,7 +347,7 @@ def default_partition(mesh, target_parts):
     if target_parts < 1:
         raise ParseError("target_parts must be >= 1")
     n_holes = mesh.n_holes
-    adj = face_adjacency(mesh.faces)
+    adj = face_adjacency(mesh)
     one_part = np.zeros(mesh.n_faces, dtype=np.int64)
     base = _hole_voronoi(mesh, adj) if n_holes else one_part
 
@@ -346,7 +358,7 @@ def default_partition(mesh, target_parts):
     if n_holes:
         part = PartitionLabeling(face_label=_relabel(base))
         try:
-            part.validate(mesh, adj=adj)
+            part.validate(mesh)
             return part
         except WeldmapError:
             pass
@@ -402,7 +414,7 @@ def _split_regions(mesh, adj, base, target_parts):
             trial = label.copy()
             trial[face_ids] = split
             try:
-                PartitionLabeling(face_label=_relabel(trial)).validate(mesh, adj=adj)
+                PartitionLabeling(face_label=_relabel(trial)).validate(mesh)
             except WeldmapError:
                 continue
             break

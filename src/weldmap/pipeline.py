@@ -11,7 +11,8 @@ Orientation comes from the faces, never from signed areas: boundary loops
 keep the interior on their left, so the outer loop runs counter-clockwise,
 and a weld takes side A's loop in face order (counter-clockwise) and side
 B's loop reversed (clockwise), both running the planner's directed arcs
-forward. An error inside a weld names stage "weld" and its two label sets.
+forward. An error names its stage: "flatten" and "laplace" with the
+submesh label, "weld" with the weld's two label sets, and "report".
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +48,7 @@ from .flatten import (
     lsqc_flatten,
 )
 from .koebe import circularize_hole, circularize_outer, koebe_refine, loop_circularity
-from .mesh import TriangleMesh, walk_boundary_loops
+from .mesh import TriangleMesh, region_loops
 from .partition import build_weld_specs, extract_submeshes
 from .welding import multiconnected_weld, partial_weld
 
@@ -201,24 +203,29 @@ def _side_loop(loops, arc, reverse):
     raise WrongTopology("weld arc is not on a side boundary loop in its direction")
 
 
-def _run_weld(spec, mesh, labels, tracker):
-    """Weld spec.right onto spec.left; an error without a stage is given
-    stage "weld" and the weld's label sets."""
+@contextmanager
+def _stage(stage, submesh=None):
+    """An error without a stage raised in the block gets this stage and
+    submesh."""
     try:
-        _weld(spec, mesh, labels, tracker)
+        yield
     except WeldmapError as err:
         if err.stage is None:
-            err.stage = "weld"
-            err.submesh = f"{sorted(spec.left)} and {sorted(spec.right)}"
+            err.stage, err.submesh = stage, submesh
         raise
+
+
+def _run_weld(spec, mesh, labels, tracker):
+    """Weld spec.right onto spec.left, in stage "weld" with the weld's label
+    sets."""
+    with _stage("weld", f"{sorted(spec.left)} and {sorted(spec.right)}"):
+        _weld(spec, mesh, labels, tracker)
 
 
 def _weld(spec, mesh, labels, tracker):
     try:
         loops_l, loops_r = [
-            walk_boundary_loops(
-                mesh.faces[np.isin(labels.face_label, sorted(comp))], mesh.n_vertices
-            )
+            region_loops(mesh, labels.faces_in(comp))
             for comp in (spec.left, spec.right)
         ]
     except NonManifold as err:
@@ -324,41 +331,43 @@ def _weld_batches(welds):
 
 
 def _flatten_submesh(sub, mu_faces):
-    chart = dncp_flatten(sub.mesh)
-    if np.any(mu_faces != 0):
-        nu = compose_beltrami(sub.mesh.vertices, sub.mesh.faces, chart.uv, mu_faces)
-        chart_mesh = TriangleMesh(
-            vertices=chart.uv, faces=sub.mesh.faces,
-            boundary_loops=sub.mesh.boundary_loops,
-        )
-        chart = lsqc_flatten(chart_mesh, nu)
+    with _stage("flatten", sub.label):
+        chart = dncp_flatten(sub.mesh)
+        if np.any(mu_faces != 0):
+            nu = compose_beltrami(sub.mesh.vertices, sub.mesh.faces, chart.uv, mu_faces)
+            chart_mesh = TriangleMesh(
+                vertices=chart.uv, faces=sub.mesh.faces,
+                boundary_loops=sub.mesh.boundary_loops,
+            )
+            chart = lsqc_flatten(chart_mesh, nu)
     return chart
 
 
 def _solve_submesh(sub, lab, chart, tracker, comp, mu_faces, qc_on):
-    flat = TriangleMesh(
-        vertices=chart.uv, faces=sub.mesh.faces,
-        boundary_loops=sub.mesh.boundary_loops,
-    )
-    bidx = sub.mesh.boundary_vertices()
-    boundary = tracker.get(comp, sub.to_parent[bidx])
-    emb = laplace_dirichlet(flat, dict(zip(bidx.tolist(), boundary.tolist())))
-    if qc_on:
-        corrected = qc_correction(sub.mesh.vertices, sub.mesh.faces, emb, mu_faces)
-        if corrected is not emb:
-            move = float(
-                np.linalg.norm(corrected.uv[bidx] - emb.uv[bidx], axis=1).max()
-            )
-            diam = max(float(np.ptp(emb.uv, axis=0).max()), 1e-300)
-            # keep the seam budget: a correction that walks the welded
-            # boundary would break cross-submesh consistency
-            if move <= SEAM_SNAP * diam:
-                emb = corrected
-            else:
-                log.debug(
-                    "submesh %d: QC correction rejected (boundary moved %.2e)",
-                    lab, move,
+    with _stage("laplace", lab):
+        flat = TriangleMesh(
+            vertices=chart.uv, faces=sub.mesh.faces,
+            boundary_loops=sub.mesh.boundary_loops,
+        )
+        bidx = sub.mesh.boundary_vertices()
+        boundary = tracker.get(comp, sub.to_parent[bidx])
+        emb = laplace_dirichlet(flat, dict(zip(bidx.tolist(), boundary.tolist())))
+        if qc_on:
+            corrected = qc_correction(sub.mesh.vertices, sub.mesh.faces, emb, mu_faces)
+            if corrected is not emb:
+                move = float(
+                    np.linalg.norm(corrected.uv[bidx] - emb.uv[bidx], axis=1).max()
                 )
+                diam = max(float(np.ptp(emb.uv, axis=0).max()), 1e-300)
+                # keep the seam budget: a correction that walks the welded
+                # boundary would break cross-submesh consistency
+                if move <= SEAM_SNAP * diam:
+                    emb = corrected
+                else:
+                    log.debug(
+                        "submesh %d: QC correction rejected (boundary moved %.2e)",
+                        lab, move,
+                    )
     return emb
 
 
@@ -503,7 +512,8 @@ def compute_parameterization(
         log.debug("area correction alpha = %s", alpha)
         toc("area_correct", t0)
 
-    report = _build_report(mesh, mu, labels, param, timings)
+    with _stage("report"):
+        report = _build_report(mesh, mu, labels, param, timings)
     return PipelineResult(
         param=param, report=report, snapshots=snapshots,
         refine_history=refine_history,

@@ -171,22 +171,26 @@ class ClosingMobius(Primitive):
 @dataclass
 class SquareClosing(Primitive):
     """h(z) = (z / (1 - z/q))^2 reopening the domain at the boundary point q;
-    q = None encodes a pole at infinity (plain square)."""
+    q = None encodes a pole at infinity (plain square). An entry whose
+    square overflows goes to infinity, as a pole does."""
 
     q: complex | None
 
     def _apply(self, z, at_inf, on_axis):
         z = np.asarray(z, dtype=np.complex128)
+        m, pole = z, at_inf
+        if self.q is not None:
+            den = 1.0 - z / self.q
+            pole = (~at_inf) & (np.abs(den) < 1e-300)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                m = np.where(at_inf, -self.q, z / np.where(pole, 1.0, den))
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = m * m
         if self.q is None:
-            w = np.where(at_inf, 0.0, z * z)
-            return w, at_inf.copy(), np.zeros_like(on_axis)
-        den = 1.0 - z / self.q
-        pole = (~at_inf) & (np.abs(den) < 1e-300)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m = z / np.where(pole, 1.0, den)
-        m = np.where(at_inf, -self.q, m)
-        w = m * m
-        return w, pole, np.zeros_like(on_axis)
+            w[at_inf] = 0.0
+        far = np.isfinite(m) & ~np.isfinite(w)  # not an entry that came in non-finite
+        w[far] = 0.0
+        return w, pole | far, np.zeros_like(on_axis)
 
 
 def _pack_state(points, passengers=()):

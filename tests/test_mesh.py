@@ -8,10 +8,12 @@ from weldmap.errors import (
     WrongTopology,
 )
 from weldmap.mesh import (
+    TriangleMesh,
     _parse_obj,
     _parse_off,
     build_mesh,
     load_mesh,
+    region_loops,
     save_obj_with_uv,
     walk_boundary_loops,
 )
@@ -220,12 +222,34 @@ def test_obj_vertex_colors_and_3d_files():
         ("v 0 0\nv 1 0\nv 1 1\nf 1 2\n", "line 4: only triangles"),
         ("v 0 0\nv 1 0\nv 1 1\nf 1 x 3\n", "line 4: bad face token 'x'"),
         ("v 0 0\nv 1 0\nv 1 1\nf 1 /2 3\n", "line 4: bad face token '/2'"),
+        ("v 0 0\nv 1 0\nv 1 1\nf /1 /2 /3\n", "line 4: bad face token '/1'"),
+        ("v 0 0\nv 1 0\nv 1 1\nf 1 2 3\nf /1 /2 /3\n", "line 5: bad face token '/1'"),
+        ("v 0 0\nv 1 0\nv 1 1\nf 1.5 2 3\n", "line 4: bad face token '1.5'"),
+        ("v 0 0\nv 1 0\nv 1 1\nf 1e0 2 3\n", "line 4: bad face token '1e0'"),
+        ("v 0 0\nv 1 0\nv 1 1\nf 3 1 2.7/1\n", "line 4: bad face token '2.7/1'"),
+        ("v 0 0\nv 1 0\nv 1 1\nf 1\u00a02 3.0\n", "line 4: bad face token '3.0'"),
         ("v 0 0\nv 1\nv 1 1\nf 1 2 3\n", "line 2: bad vertex"),
         ("# nothing\nvt 0 0\n", "no vertices"),
         ("", "no vertices"),
     ],
 )
 def test_obj_parse_errors(text, message):
+    with pytest.raises(ParseError, match=message):
+        _parse_obj(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("v 0 0\nv 1_000 0\nv 1 1\nf 1 2 3\n", "line 2: bad vertex coordinate"),
+        ("v 0 0\nv 1 \u0661\nv 1 1\nf 1 2 3\n", "line 2: bad vertex coordinate"),
+        ("v 0 0\nv 1 0\nv 1 1\nf 1 2 0_3\n", "line 4: bad face token '0_3'"),
+        ("v 0 0\nv 1 0\nv 1 1\nf 1 2 \u0663/1\n", "line 4: bad face token '\u0663/1'"),
+    ],
+)
+def test_obj_numbers_are_plain_ascii(text, message):
+    # float() and int() take "_" separators and non-ASCII digits; the
+    # reader does not.
     with pytest.raises(ParseError, match=message):
         _parse_obj(text)
 
@@ -365,3 +389,29 @@ def test_each_boundary_edge_in_exactly_one_loop(make):
     ]
     assert len(loop_edges) == len(set(loop_edges))
     assert set(loop_edges) == boundary
+
+
+@pytest.mark.parametrize("make", _FIXTURES)
+def test_twin_table_pairs_each_half_edge_with_its_reverse(make):
+    m = make()
+    twin = m.twin.ravel()
+    tail = m.faces.ravel()
+    head = np.roll(m.faces, -1, axis=1).ravel()
+    directed = set(zip(tail.tolist(), head.tolist()))
+    reversed_absent = [(b, a) not in directed for a, b in zip(tail.tolist(), head.tolist())]
+    assert (twin < 0).tolist() == reversed_absent
+    inner = np.flatnonzero(twin >= 0)
+    assert np.array_equal(twin[twin[inner]], inner)
+    assert np.array_equal(tail[twin[inner]], head[inner])
+    # A mesh made without build_mesh computes the same table on first use.
+    bare = TriangleMesh(vertices=m.vertices, faces=m.faces)
+    assert np.array_equal(bare.twins(), m.twin)
+
+
+@pytest.mark.parametrize("make", _FIXTURES)
+def test_region_loops_of_all_faces_are_the_mesh_loops(make):
+    m = make()
+    loops = region_loops(m, np.arange(m.n_faces))
+    walked = walk_boundary_loops(m.faces, m.n_vertices)
+    assert len(loops) == len(walked)
+    assert all(np.array_equal(a, b) for a, b in zip(loops, walked))

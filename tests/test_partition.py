@@ -3,7 +3,7 @@ import pytest
 
 import weldmap.partition as partition
 from weldmap.errors import DisconnectedSubmesh, NoValidPlan, SubmeshWithTwoHoles
-from weldmap.mesh import build_mesh
+from weldmap.mesh import build_mesh, region_loops, walk_boundary_loops
 from weldmap.partition import (
     PartitionLabeling,
     build_weld_specs,
@@ -12,9 +12,11 @@ from weldmap.partition import (
     load_labels,
     region_hole_count,
 )
+from weldmap.pipeline import compute_parameterization
 
 from fixtures import (
     annulus_mesh,
+    curved_annulus,
     disk_mesh,
     grid_mesh,
     hemisphere_cap,
@@ -182,6 +184,15 @@ def test_default_partition_deterministic():
     assert np.array_equal(p1.face_label, p2.face_label)
 
 
+def _holes_by_edge_sort(mesh, face_ids):
+    """Euler hole count of the face subset, its edges counted by sorting
+    undirected edge keys."""
+    faces = mesh.faces[face_ids]
+    u, v = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+    n_e = len(np.unique(np.minimum(u, v) * mesh.n_vertices + np.maximum(u, v)))
+    return 1 - (len(np.unique(faces)) - n_e + len(faces))
+
+
 def _built_holes(mesh, face_ids):
     """Hole count of the face subset as build_mesh sees it."""
     faces = mesh.faces[face_ids]
@@ -208,7 +219,8 @@ def test_region_hole_count_matches_build_mesh(make, cuts, whole, regions):
     assert region_hole_count(m, np.arange(m.n_faces)) == m.n_holes == whole
     for labs, want in regions.items():
         face_ids = np.flatnonzero(np.isin(label, labs))
-        assert region_hole_count(m, face_ids) == _built_holes(m, face_ids) == want, labs
+        count = region_hole_count(m, face_ids)
+        assert count == _built_holes(m, face_ids) == _holes_by_edge_sort(m, face_ids) == want, labs
 
 
 @pytest.mark.parametrize(
@@ -231,3 +243,78 @@ def test_load_labels_numbers_labels_in_sorted_order(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("5\n2\n5\n")
     assert load_labels(path, 3).face_label.tolist() == [1, 0, 1]
+
+
+def _conformal_grid_mesh():
+    holes = square_hole(59, 59, 34) | square_hole(195, 178, 34)
+    return grid_mesh(300, 300, width=3.0, height=3.0, hole_cells=holes)
+
+
+_CORPUS_PARTS = (1, 2, 3, 4, 6, 8)
+
+
+@pytest.mark.parametrize(
+    "make, parts",
+    [
+        (_conformal_grid_mesh, (4,)),
+        (lambda: two_hole_grid(100), (4,)),
+        (lambda: two_hole_grid(40), _CORPUS_PARTS),
+        (lambda: annulus_mesh(20, 120), _CORPUS_PARTS),
+        (lambda: disk_mesh(16, 64), _CORPUS_PARTS),
+        (curved_annulus, _CORPUS_PARTS),
+        (hemisphere_cap, _CORPUS_PARTS),
+    ],
+    ids=[
+        "conformal_grid", "beltrami", "two_hole_grid(40)", "annulus_mesh(20,120)",
+        "disk_mesh(16,64)", "curved_annulus()", "hemisphere_cap()",
+    ],
+)
+def test_weld_side_loops_from_the_table_match_a_walk_of_the_side(make, parts):
+    # The declared benchmark maps and the corpus sweep: every weld side of
+    # every plan, its loops cut from the parent's twin table against a walk
+    # of the side's own faces.
+    m = make()
+    sides = 0
+    for n in parts:
+        part = default_partition(m, n)
+        for spec in build_weld_specs(m, part, extract_submeshes(m, part)).welds:
+            for comp in (spec.left, spec.right):
+                got = region_loops(m, part.faces_in(comp))
+                want = walk_boundary_loops(
+                    m.faces[np.isin(part.face_label, sorted(comp))], m.n_vertices
+                )
+                assert len(got) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                sides += 1
+    assert sides > 0
+
+
+def _cells(nx, cells):
+    """Face ids of grid_mesh cells (i, j): two faces per cell, row by row."""
+    return [2 * (j * nx + i) + k for i, j in cells for k in (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "mesh, labeled, code",
+    [
+        # Two strips at the far ends of a row share label 1.
+        (grid_mesh(6, 1), [0, 1, 10, 11], "DISCONNECTED_SUBMESH"),
+        # Two cells of label 1 meet only at a vertex.
+        (grid_mesh(3, 3), _cells(3, [(0, 0), (1, 1)]), "DISCONNECTED_SUBMESH"),
+        # Label 1 is one cell; label 0 keeps both holes.
+        (
+            grid_mesh(12, 6, hole_cells=square_hole(2, 2, 2) | square_hole(8, 2, 2)),
+            [0, 1],
+            "SUBMESH_WITH_TWO_HOLES",
+        ),
+    ],
+    ids=["far-strips", "vertex-touch", "two-holes"],
+)
+def test_invalid_user_labels_fail_with_their_codes(mesh, labeled, code):
+    lab = np.zeros(mesh.n_faces, dtype=np.int64)
+    lab[labeled] = 1
+    with pytest.raises((DisconnectedSubmesh, SubmeshWithTwoHoles)) as info:
+        compute_parameterization(
+            mesh, PartitionLabeling(face_label=lab), np.zeros(mesh.n_faces, complex)
+        )
+    assert info.value.code == code

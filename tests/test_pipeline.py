@@ -1,14 +1,19 @@
 """End-to-end pipeline and CLI tests."""
 
+import gc
 import json
 import logging
 import os
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import weldmap.assemble as assemble
+import weldmap.flatten as flatten
 import weldmap.pipeline as pipeline
+from weldmap.assemble import area_distortion
 from weldmap.cli import (
     PipelineConfig,
     emit_snapshot,
@@ -16,7 +21,15 @@ from weldmap.cli import (
     main,
     run_pipeline,
 )
-from weldmap.errors import ConfigError, MisorderedArc, WrongTopology
+from weldmap.errors import (
+    ConfigError,
+    DegenerateFace,
+    MisorderedArc,
+    MuOutOfRange,
+    SingularSystem,
+    WrongTopology,
+)
+from weldmap.flatten import EPS_MU
 from weldmap.partition import (
     PartitionLabeling,
     WeldSpec,
@@ -212,6 +225,94 @@ def test_weld_failure_names_its_weld(monkeypatch):
         compute_parameterization(mesh, _halves(mesh), _zero_mu(mesh))
     assert info.value.stage == "weld"
     assert info.value.submesh == "[0] and [1]"
+
+
+def test_flatten_failure_names_its_stage_and_submesh():
+    mesh = grid_mesh(4, 4)
+    labels = _halves(mesh)
+    mu = _zero_mu(mesh)
+    mu[np.flatnonzero(labels.face_label == 1)[0]] = 1.0 - EPS_MU
+    with pytest.raises(MuOutOfRange) as info:
+        compute_parameterization(mesh, labels, mu)
+    assert info.value.stage == "flatten"
+    assert info.value.submesh == 1
+    assert "stage=flatten | submesh=1" in info.value.describe()
+
+
+@pytest.mark.parametrize(
+    "target, error, stage, submesh",
+    [
+        ("laplace_dirichlet", SingularSystem, "laplace", 0),
+        ("area_distortion", DegenerateFace, "report", None),
+    ],
+)
+def test_failures_after_the_welds_name_their_stage(monkeypatch, target, error, stage, submesh):
+    def failing(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(pipeline, target, failing)
+    mesh = grid_mesh(4, 4)
+    with pytest.raises(error) as info:
+        compute_parameterization(mesh, _halves(mesh), _zero_mu(mesh))
+    assert (info.value.stage, info.value.submesh) == (stage, submesh)
+
+
+def test_area_distortion_names_the_first_zero_area_face():
+    mesh = grid_mesh(2, 1)
+    uv = mesh.vertices.copy()
+    uv[mesh.faces[1]] = uv[mesh.faces[1][0]]  # face 1 and its neighbours collapse
+    with pytest.raises(DegenerateFace, match="zero-area face 0 in area distortion"):
+        area_distortion(mesh.vertices, mesh.faces, uv)
+
+
+class _Factor:
+    """An LU factor that records the threads that made and freed it."""
+
+    def __init__(self, lu, freed):
+        self._lu = lu
+        self._freed = freed
+        self._made = threading.get_ident()
+
+    def solve(self, *args, **kwargs):
+        return self._lu.solve(*args, **kwargs)
+
+    def __del__(self):
+        self._freed.append((self._made, threading.get_ident()))
+
+
+class _FactorLinalg:
+    """scipy.sparse.linalg as weldmap.flatten and weldmap.assemble see it,
+    with splu handing back recording factors."""
+
+    def __init__(self, real, made, freed):
+        self._real = real
+        self._made = made
+        self._freed = freed
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+    def splu(self, *args, **kwargs):
+        self._made.append(threading.get_ident())
+        return _Factor(self._real.splu(*args, **kwargs), self._freed)
+
+
+def test_lu_factors_are_freed_on_the_thread_that_factored_them(monkeypatch):
+    # With scipy 1.17.1 a SuperLU object freed on another thread than the
+    # one that factored it leaks its memory (45 MB over 10 rounds of a
+    # 6,488-unknown LU). Every factor must die on its own pool thread.
+    made, freed = [], []
+    for module in (flatten, assemble):
+        monkeypatch.setattr(module, "spla", _FactorLinalg(module.spla, made, freed))
+    mesh = two_hole_grid(40)
+    labels = default_partition(mesh, 4)
+    compute_parameterization(mesh, labels, smooth_beltrami(mesh), threads=2)
+    gc.collect()
+    # Flatten (DNCP, then LSQC), Dirichlet and QC factor on pool threads.
+    assert len(made) >= 3 * labels.n_parts
+    assert threading.get_ident() not in made
+    assert len(freed) == len(made)
+    assert all(maker == freer for maker, freer in freed)
 
 
 def test_auto_partition_with_more_holes_than_parts_is_logged(tmp_path, caplog):

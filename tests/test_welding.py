@@ -150,6 +150,39 @@ def test_geodesic_infinity_limit():
     assert abs(st.z[3] - st.z[4]) < 1e-8 * abs(st.z[3])
 
 
+@pytest.mark.parametrize(
+    "q, z",
+    [
+        (None, 2e200 + 1e200j),
+        # One ulp off q: z / (1 - z/q) is about 4.5e155.
+        (1e140, 1e140 * (1 + 2.0**-52)),
+    ],
+)
+def test_square_closing_sends_an_overflowing_square_to_infinity(q, z):
+    # The square passes the largest double. The entry goes to infinity, as
+    # a pole does, with no overflow warning (warnings from weldmap code fail
+    # the test).
+    st = welding.SquareClosing(q=q).apply_state(
+        BoundaryChain.from_points([0.5, z, 3.0])
+    )
+    assert st.at_inf.tolist() == [False, True, False]
+    assert st.z[1] == 0
+    plain = welding.SquareClosing(q=q).apply_state(BoundaryChain.from_points([0.5, 3.0]))
+    assert np.array_equal(st.z[[0, 2]], plain.z)
+    assert not plain.at_inf.any()
+
+
+@pytest.mark.parametrize("q", [None, 4.0])
+def test_square_closing_leaves_a_nan_entry_as_it_came(q):
+    # Only a square that overflows is sent to infinity; an entry that is
+    # already NaN is not taken for a pole.
+    st = welding.SquareClosing(q=q).apply_state(
+        BoundaryChain.from_points([0.5, complex(np.nan, 0.0), 3.0])
+    )
+    assert not st.at_inf.any()
+    assert np.isnan(st.z[1])
+
+
 def test_intermediate_form_three_points():
     pts = np.exp(1j * np.array([2.0, 1.0, 0.0, -1.5]))
     st = intermediate_form(BoundaryChain.from_points(pts), 1, +1)
