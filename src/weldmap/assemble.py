@@ -144,14 +144,13 @@ class GlobalParameterization:
     uv: np.ndarray  # (n_parent, 2)
     submesh_uv: list  # PlanarEmbedding per submesh
     vertex_label: np.ndarray  # one owning submesh label per parent vertex
-    provenance: list = field(default_factory=list)  # stage tags, in order
 
     @property
     def complex_view(self):
         return self.uv[:, 0] + 1j * self.uv[:, 1]
 
 
-def assemble_global(submeshes, embeddings, n_vertices=None, provenance=()):
+def assemble_global(submeshes, embeddings, n_vertices=None):
     """Merge per-submesh embeddings into parent-vertex uv.
 
     Cut vertices appear in several submeshes; their copies must agree to
@@ -191,7 +190,6 @@ def assemble_global(submeshes, embeddings, n_vertices=None, provenance=()):
         uv=uv,
         submesh_uv=list(embeddings),
         vertex_label=label,
-        provenance=list(provenance),
     )
 
 

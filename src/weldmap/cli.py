@@ -35,7 +35,7 @@ _PALETTE = (
 
 @dataclass
 class PipelineConfig:
-    """Validated run configuration; mirrors the CLI flags."""
+    """Validated run configuration; each field is the dest of one CLI flag."""
 
     input_path: str
     partition: str = "auto:1"  # "auto:N" or a label file path
@@ -107,23 +107,31 @@ def load_mu_csv(path, n_faces):
                         f"bad Beltrami CSV row {lineno}: {line!r}",
                         code="CONFIG_BAD_BELTRAMI",
                     ) from None
-                rows.append(vals)
+                rows.append((lineno, vals))
     except OSError as exc:
         raise ConfigError(
             f"cannot read {path!r}: {exc}", code="CONFIG_BELTRAMI_NOT_FOUND"
         ) from exc
     if not rows:
         raise ConfigError("empty Beltrami CSV", code="CONFIG_BAD_BELTRAMI")
-    widths = {len(r) for r in rows}
+    widths = {len(r) for _, r in rows}
     if widths == {3}:
         mu = np.zeros(n_faces, dtype=np.complex128)
-        for idx, re, im in rows:
+        seen = set()
+        for lineno, (idx, re, im) in rows:
+            if not idx.is_integer() or idx in seen:
+                what = "repeated" if idx in seen else "not an integer"
+                raise ConfigError(
+                    f"Beltrami CSV line {lineno}: face index {idx:g} is {what}",
+                    code="CONFIG_BAD_BELTRAMI",
+                )
             i = int(idx)
             if not 0 <= i < n_faces:
                 raise ConfigError(
                     f"face index {i} out of range in Beltrami CSV",
                     code="CONFIG_BAD_BELTRAMI",
                 )
+            seen.add(idx)
             mu[i] = re + 1j * im
         return mu
     if widths == {2}:
@@ -132,7 +140,7 @@ def load_mu_csv(path, n_faces):
                 f"expected {n_faces} Beltrami rows, found {len(rows)}",
                 code="CONFIG_BAD_BELTRAMI",
             )
-        arr = np.asarray(rows, dtype=np.float64)
+        arr = np.asarray([r for _, r in rows], dtype=np.float64)
         return arr[:, 0] + 1j * arr[:, 1]
     raise ConfigError(
         "Beltrami CSV must have 2 or 3 columns", code="CONFIG_BAD_BELTRAMI"
@@ -258,7 +266,8 @@ def build_parser():
             "multiply-connected triangle meshes onto a circular domain."
         ),
     )
-    p.add_argument("--input", required=True, help="input mesh (OBJ or OFF)")
+    p.add_argument("--input", dest="input_path", required=True,
+                   help="input mesh (OBJ or OFF)")
     p.add_argument(
         "--partition",
         default="auto:1",
@@ -271,39 +280,24 @@ def build_parser():
     )
     p.add_argument("--koebe-passes", type=int, default=0, metavar="N",
                    help="extra hole-circularization refinement passes")
-    p.add_argument("--no-qc-correction", action="store_true",
+    p.add_argument("--no-qc-correction", dest="qc_correction", action="store_false",
                    help="skip the final quasi-conformal correction")
     p.add_argument("--area-correct", action="store_true",
                    help="apply the Mobius area-distortion correction")
     p.add_argument("--threads", type=int, default=1, metavar="N")
     p.add_argument("--deterministic", action="store_true",
                    help="omit timings so outputs are byte-reproducible")
-    p.add_argument("--out", default=".", metavar="DIR", help="output directory")
+    p.add_argument("--out", dest="out_dir", default=".", metavar="DIR",
+                   help="output directory")
     p.add_argument("--snapshots", action="store_true",
                    help="write per-stage boundary SVGs and CSVs")
     return p
 
 
-def config_from_args(args):
-    return PipelineConfig(
-        input_path=args.input,
-        partition=args.partition,
-        mu=args.mu,
-        koebe_passes=args.koebe_passes,
-        qc_correction=not args.no_qc_correction,
-        area_correct=args.area_correct,
-        threads=args.threads,
-        deterministic=args.deterministic,
-        out_dir=args.out,
-        snapshots=args.snapshots,
-    )
-
-
 def main(argv=None):
     level = os.environ.get("WELDMAP_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    args = build_parser().parse_args(argv)
-    config = config_from_args(args)
+    config = PipelineConfig(**vars(build_parser().parse_args(argv)))
     try:
         return run_pipeline(config)
     except WeldmapError as exc:

@@ -112,7 +112,7 @@ def beltrami_coefficient_matrix(mu):
     """Per-face 2x2 matrix A(mu) entering the generalized Laplacian."""
     mu = np.asarray(mu, dtype=np.complex128)
     am = np.abs(mu)
-    if np.any(am >= 1.0 - EPS_MU):
+    if np.any(~(am < 1.0 - EPS_MU)):  # NaN fails this test too
         bad = int(np.argmax(am))
         raise MuOutOfRange(f"|mu|={am[bad]:.6f} on face {bad} (limit {1 - EPS_MU})")
     rho = mu.real

@@ -82,22 +82,19 @@ def _closed_geodesic(st, n):
         closing = SquareClosing(None)
     else:
         if not st.on_axis[0]:
-            raise NumericalBreakdown(
-                "closing point left the imaginary axis", stage="koebe"
-            )
+            raise NumericalBreakdown("closing point left the imaginary axis")
         closing = SquareClosing(st.z[0])
     st = closing.apply_state(st)
     st = SlitToDisk(side=+1).apply_state(st)
     a = st.z[n]
     if st.at_inf[n] or abs(a) >= 1.0:
-        raise NumericalBreakdown("anchor left the unit disk", stage="koebe")
+        raise NumericalBreakdown("anchor left the unit disk")
     st = MobiusMap(1.0, -a, -np.conj(a), 1.0).apply_state(st)
     # The boundary samples are on the unit circle up to roundoff; project
     # them exactly (marker-style snap, the interior is untouched).
     mags = np.abs(st.z[:n])
     if np.any(mags == 0) or np.abs(mags - 1.0).max() > 1e-6:
-        raise NumericalBreakdown("boundary images strayed off the circle",
-                                 stage="koebe")
+        raise NumericalBreakdown("boundary images strayed off the circle")
     st.z[:n] = st.z[:n] / mags
     return st
 

@@ -51,9 +51,6 @@ class TriangleMesh:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(self.boundary_loops))
 
-    def face_areas(self):
-        return face_areas(self.vertices, self.faces)
-
     def twins(self):
         """The (m, 3) half-edge twin table of the mesh."""
         if self.twin is None:

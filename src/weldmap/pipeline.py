@@ -12,7 +12,8 @@ keep the interior on their left, so the outer loop runs counter-clockwise,
 and a weld takes side A's loop in face order (counter-clockwise) and side
 B's loop reversed (clockwise), both running the planner's directed arcs
 forward. An error names its stage: "flatten" and "laplace" with the
-submesh label, "weld" with the weld's two label sets, and "report".
+submesh label, "weld" with the weld's two label sets, "koebe" with
+"hole <loop> of <labels>", "outer" or "refine", and "report".
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import (
     MisorderedArc,
     NonManifold,
     NumericalBreakdown,
+    ParseError,
     WeldmapError,
     WrongTopology,
 )
@@ -129,7 +131,7 @@ class _Tracker:
     def merge(self, left, right):
         """Join two welded components; a vertex of both (a weld arc vertex)
         keeps its left position. The weld gives both sides the same image
-        of an arc vertex (the seam gap that _weld logs)."""
+        of an arc vertex (the seam gap that _run_weld logs)."""
         ids_l, pos_l = self.comps.pop(left)
         ids_r, pos_r = self.comps.pop(right)
         ids = np.concatenate([ids_l, ids_r])
@@ -219,92 +221,93 @@ def _run_weld(spec, mesh, labels, tracker):
     """Weld spec.right onto spec.left, in stage "weld" with the weld's label
     sets."""
     with _stage("weld", f"{sorted(spec.left)} and {sorted(spec.right)}"):
-        _weld(spec, mesh, labels, tracker)
-
-
-def _weld(spec, mesh, labels, tracker):
-    try:
-        loops_l, loops_r = [
-            region_loops(mesh, labels.faces_in(comp))
-            for comp in (spec.left, spec.right)
-        ]
-    except NonManifold as err:
-        raise WrongTopology(f"weld side boundary: {err}") from err
-
-    # The faces of the two sides run each cut edge in opposite directions,
-    # so the face-ordered loop of side A (counter-clockwise) and the reversed
-    # loop of side B (clockwise) both run the directed arcs forward.
-    arc1 = spec.arcs[0]
-    loop_a = _side_loop(loops_l, arc1, reverse=False)
-    loop_b = _side_loop(loops_r, arc1, reverse=True)
-    r = len(arc1) - 1
-    runs_a = [(0, r)]
-    runs_b = [(0, r)]
-    two_arc = spec.arc_kind == "two-arc-multiply-connected"
-    if two_arc:
-        arc2 = spec.arcs[1]
-        # argmax gives 0, where arcs[0] starts, when arc2[0] is missing.
-        s_a, s_b = (int(np.argmax(lp == arc2[0])) for lp in (loop_a, loop_b))
-        t_a, t_b = s_a + len(arc2) - 1, s_b + len(arc2) - 1
-        if not (
-            np.array_equal(loop_a[s_a : t_a + 1], arc2)
-            and np.array_equal(loop_b[s_b : t_b + 1], arc2)
-        ):
-            raise MisorderedArc(
-                "second weld arc is inconsistent between the two sides"
-            )
-        # Between the arcs, side A runs along its share of the hole rim (the
-        # other gap is outer boundary).
-        rim = mesh.boundary_loops[spec.hole_loop]
-        if not np.isin(loop_a[r + 1 : s_a], rim).all():
-            raise MisorderedArc("cannot order the two weld arcs around the hole rim")
-        runs_a.append((s_a, t_a))
-        runs_b.append((s_b, t_b))
-
-    # Only the vertices off the two weld loops ride through the weld maps.
-    (pos_a,), rest_a = tracker.take(spec.left, [loop_a])
-    (pos_b,), rest_b = tracker.take(spec.right, [loop_b])
-    failed = []
-    for q in _DENSIFY:
-        dp_a, sel_a = _subdivide_runs(pos_a, runs_a, q)
-        dp_b, sel_b = _subdivide_runs(pos_b, runs_b, q)
         try:
-            if two_arc:
-                dn_a, dn_b, moved_a, moved_b = multiconnected_weld(
-                    dp_a, dp_b, r * q, int(sel_a[s_a]), int(sel_a[t_a]),
-                    s_b=int(sel_b[s_b]), t_b=int(sel_b[t_b]),
-                    passengers_a=[rest_a], passengers_b=[rest_b],
+            loops_l, loops_r = [
+                region_loops(mesh, labels.faces_in(comp))
+                for comp in (spec.left, spec.right)
+            ]
+        except NonManifold as err:
+            raise WrongTopology(f"weld side boundary: {err}") from err
+
+        # The faces of the two sides run each cut edge in opposite
+        # directions, so the face-ordered loop of side A (counter-clockwise)
+        # and the reversed loop of side B (clockwise) both run the directed
+        # arcs forward.
+        arc1 = spec.arcs[0]
+        loop_a = _side_loop(loops_l, arc1, reverse=False)
+        loop_b = _side_loop(loops_r, arc1, reverse=True)
+        r = len(arc1) - 1
+        runs_a = [(0, r)]
+        runs_b = [(0, r)]
+        two_arc = spec.arc_kind == "two-arc-multiply-connected"
+        if two_arc:
+            arc2 = spec.arcs[1]
+            # argmax gives 0, where arcs[0] starts, when arc2[0] is missing.
+            s_a, s_b = (int(np.argmax(lp == arc2[0])) for lp in (loop_a, loop_b))
+            t_a, t_b = s_a + len(arc2) - 1, s_b + len(arc2) - 1
+            if not (
+                np.array_equal(loop_a[s_a : t_a + 1], arc2)
+                and np.array_equal(loop_b[s_b : t_b + 1], arc2)
+            ):
+                raise MisorderedArc(
+                    "second weld arc is inconsistent between the two sides"
                 )
-            else:
-                st_a, st_b, moved_a, moved_b = partial_weld(
-                    dp_a, dp_b, r * q,
-                    passengers_a=[rest_a], passengers_b=[rest_b],
+            # Between the arcs, side A runs along its share of the hole rim
+            # (the other gap is outer boundary).
+            rim = mesh.boundary_loops[spec.hole_loop]
+            if not np.isin(loop_a[r + 1 : s_a], rim).all():
+                raise MisorderedArc(
+                    "cannot order the two weld arcs around the hole rim"
                 )
-                dn_a, dn_b = st_a.z[: len(dp_a)], st_b.z[: len(dp_b)]
-        except NumericalBreakdown as err:
-            failed.append((q, err))
-            continue
-        break
-    else:
-        raise failed[-1][1]
-    new_a, new_b = dn_a[sel_a], dn_b[sel_b]
-    if log.isEnabledFor(logging.INFO):
-        # The seam gap: how far apart the two sides put each arc vertex.
-        # Both sides send each arc entry to exactly 0 and then through the
-        # same maps, so it reads 0, and merge keeps side A's copy; it is
-        # logged so that a change breaking that shows.
-        gap = max(
-            float(np.abs(new_a[sa : ea + 1] - new_b[sb : eb + 1]).max())
-            for (sa, ea), (sb, eb) in zip(runs_a, runs_b)
-        )
-        log.info(
-            "weld %s and %s: densify q=%d, seam gap %.3e%s",
-            sorted(spec.left), sorted(spec.right), q, gap,
-            "".join(f"; q={fq} failed: {err.code} {err}" for fq, err in failed),
-        )
-    tracker.put(spec.left, [loop_a], [new_a], moved_a[0])
-    tracker.put(spec.right, [loop_b], [new_b], moved_b[0])
-    tracker.merge(spec.left, spec.right)
+            runs_a.append((s_a, t_a))
+            runs_b.append((s_b, t_b))
+
+        # Only the vertices off the two weld loops ride through the weld maps.
+        (pos_a,), rest_a = tracker.take(spec.left, [loop_a])
+        (pos_b,), rest_b = tracker.take(spec.right, [loop_b])
+        failed = []
+        for q in _DENSIFY:
+            dp_a, sel_a = _subdivide_runs(pos_a, runs_a, q)
+            dp_b, sel_b = _subdivide_runs(pos_b, runs_b, q)
+            try:
+                if two_arc:
+                    dn_a, dn_b, moved_a, moved_b = multiconnected_weld(
+                        dp_a, dp_b, r * q, int(sel_a[s_a]), int(sel_a[t_a]),
+                        s_b=int(sel_b[s_b]), t_b=int(sel_b[t_b]),
+                        passengers_a=[rest_a], passengers_b=[rest_b],
+                    )
+                else:
+                    st_a, st_b, moved_a, moved_b = partial_weld(
+                        dp_a, dp_b, r * q,
+                        passengers_a=[rest_a], passengers_b=[rest_b],
+                    )
+                    dn_a, dn_b = st_a.z[: len(dp_a)], st_b.z[: len(dp_b)]
+            except NumericalBreakdown as err:
+                failed.append((q, err))
+                continue
+            break
+        else:
+            raise failed[-1][1]
+        new_a, new_b = dn_a[sel_a], dn_b[sel_b]
+        if log.isEnabledFor(logging.INFO):
+            # The seam gap: how far apart the two sides put each arc
+            # vertex. Both sides send each arc entry to exactly 0 and then
+            # through the same maps, so it reads 0, and merge keeps side A's
+            # copy; it is logged so that a change breaking that shows.
+            gap = max(
+                float(np.abs(new_a[sa : ea + 1] - new_b[sb : eb + 1]).max())
+                for (sa, ea), (sb, eb) in zip(runs_a, runs_b)
+            )
+            log.info(
+                "weld %s and %s: densify q=%d, seam gap %.3e%s",
+                sorted(spec.left), sorted(spec.right), q, gap,
+                "".join(
+                    f"; q={fq} failed: {err.code} {err}" for fq, err in failed
+                ),
+            )
+        tracker.put(spec.left, [loop_a], [new_a], moved_a[0])
+        tracker.put(spec.right, [loop_b], [new_b], moved_b[0])
+        tracker.merge(spec.left, spec.right)
 
 
 def _weld_batches(welds):
@@ -391,126 +394,94 @@ def compute_parameterization(
     mu is a per-face complex array on the parent mesh. Returns a
     PipelineResult.
     """
-    timings = {}
-    snapshots = []
-
-    def tic():
-        return time.perf_counter()
-
-    def toc(name, t0):
-        if not deterministic:
-            timings[name] = time.perf_counter() - t0
-
-    def snap(stage):
-        if want_snapshots:
-            snapshots.append((stage, tracker.loops(submeshes)))
-
     mu = np.asarray(mu, dtype=np.complex128)
+    if mu.shape != (mesh.n_faces,):
+        raise ParseError(
+            f"mu has shape {mu.shape}, expected ({mesh.n_faces},)",
+            hint="give one Beltrami coefficient per face of the mesh",
+        )
     submeshes = extract_submeshes(mesh, labels)
     plan = build_weld_specs(mesh, labels, submeshes)
     face_ids = [np.flatnonzero(labels.face_label == s.label) for s in submeshes]
     mu_subs = [mu[ids] for ids in face_ids]
+    timings = {}
+    snapshots = []
 
-    pool = ThreadPoolExecutor(max_workers=max(1, threads))
-    try:
-        t0 = tic()
-        charts = list(pool.map(_flatten_submesh, submeshes, mu_subs))
-        toc("flatten", t0)
-        tracker = _Tracker(submeshes, charts)
-        snap("flatten")
+    @contextmanager
+    def stage(name, snap=True):
+        """Time the block into timings (not in deterministic mode), then
+        snapshot the tracked loops if asked."""
+        t0 = time.perf_counter()
+        yield
+        if not deterministic:
+            timings[name] = time.perf_counter() - t0
+        if want_snapshots and snap:
+            snapshots.append((name, tracker.loops(submeshes)))
 
-        t0 = tic()
-        for batch in _weld_batches(plan.welds[: plan.n_pre]):
-            list(
-                pool.map(
-                    lambda s: _run_weld(s, mesh, labels, tracker), batch
-                )
-            )
-        toc("pre_weld", t0)
-        snap("pre_weld")
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
 
-        t0 = tic()
-        hole_items = sorted(plan.hole_owner.items())
+        def weld_all(welds):
+            for batch in _weld_batches(welds):
+                list(pool.map(lambda s: _run_weld(s, mesh, labels, tracker), batch))
 
         def circ_hole(item):
             li, comp = item
             rim = mesh.boundary_loops[li]
-            (poly,), rest = tracker.take(comp, [rim])
-            out_h, (out_p,) = circularize_hole(poly, [rest])
+            with _stage("koebe", f"hole {li} of {sorted(comp)}"):
+                (poly,), rest = tracker.take(comp, [rim])
+                out_h, (out_p,) = circularize_hole(poly, [rest])
             return comp, rim, out_h, out_p
 
-        for comp, rim, out_h, out_p in pool.map(circ_hole, hole_items):
-            tracker.put(comp, [rim], [out_h], out_p)
-        toc("koebe_holes", t0)
-        snap("koebe_holes")
-
-        t0 = tic()
-        for batch in _weld_batches(plan.welds[plan.n_pre :]):
-            list(
-                pool.map(
-                    lambda s: _run_weld(s, mesh, labels, tracker), batch
-                )
-            )
-        toc("post_weld", t0)
-        snap("post_weld")
-
-        t0 = tic()
-        (whole,) = tracker.comps  # every weld has run: one component
-        outer_ids = mesh.boundary_loops[0]
-        (poly,), rest = tracker.take(whole, [outer_ids])
-        out_o, (out_p,) = circularize_outer(poly, [rest])
-        tracker.put(whole, [outer_ids], [out_o], out_p)
-        toc("outer", t0)
-        snap("outer")
+        with stage("flatten"):
+            charts = list(pool.map(_flatten_submesh, submeshes, mu_subs))
+            tracker = _Tracker(submeshes, charts)
+        with stage("pre_weld"):
+            weld_all(plan.welds[: plan.n_pre])
+        with stage("koebe_holes"):
+            for comp, rim, out_h, out_p in pool.map(
+                circ_hole, sorted(plan.hole_owner.items())
+            ):
+                tracker.put(comp, [rim], [out_h], out_p)
+        with stage("post_weld"):
+            weld_all(plan.welds[plan.n_pre :])
+        with stage("outer"), _stage("koebe", "outer"):
+            (whole,) = tracker.comps  # every weld has run: one component
+            outer_ids = mesh.boundary_loops[0]
+            (poly,), rest = tracker.take(whole, [outer_ids])
+            out_o, (out_p,) = circularize_outer(poly, [rest])
+            tracker.put(whole, [outer_ids], [out_o], out_p)
 
         hole_loops = [mesh.boundary_loops[li] for li in sorted(plan.hole_owner)]
         refine_history = [
             [loop_circularity(tracker.get(whole, lp)) for lp in hole_loops]
         ]
         if koebe_passes > 0 and hole_loops:
-            t0 = tic()
-            loops = [outer_ids, *hole_loops]
-            (outer_poly, *hole_polys), rest = tracker.take(whole, loops)
-            out_o, out_h, (out_e,), history = koebe_refine(
-                outer_poly, hole_polys, extras=[rest],
-                passes=koebe_passes, target=0.0,
+            with stage("refine"), _stage("koebe", "refine"):
+                loops = [outer_ids, *hole_loops]
+                (outer_poly, *hole_polys), rest = tracker.take(whole, loops)
+                out_o, out_h, (out_e,), refine_history = koebe_refine(
+                    outer_poly, hole_polys, extras=[rest],
+                    passes=koebe_passes, target=0.0,
+                )
+                tracker.put(whole, loops, [out_o, *out_h], out_e)
+
+        with stage("laplace", snap=False):
+            embeddings = list(
+                pool.map(
+                    lambda args: _solve_submesh(*args),
+                    [
+                        (sub, lab, charts[lab], tracker, whole, mu_subs[lab], qc)
+                        for lab, sub in enumerate(submeshes)
+                    ],
+                )
             )
-            tracker.put(whole, loops, [out_o, *out_h], out_e)
-            refine_history = history
-            toc("refine", t0)
-            snap("refine")
 
-        t0 = tic()
-        embeddings = list(
-            pool.map(
-                lambda args: _solve_submesh(*args),
-                [
-                    (sub, lab, charts[lab], tracker, whole, mu_subs[lab], qc)
-                    for lab, sub in enumerate(submeshes)
-                ],
-            )
-        )
-        toc("laplace", t0)
-    finally:
-        pool.shutdown(wait=True)
-
-    t0 = tic()
-    stages = ["flatten", "pre_weld", "koebe_holes", "post_weld", "outer"]
-    if koebe_passes > 0:
-        stages.append("refine")
-    stages += ["laplace", "assemble"]
-    param = assemble_global(
-        submeshes, embeddings, n_vertices=mesh.n_vertices, provenance=stages
-    )
-    toc("assemble", t0)
-
+    with stage("assemble", snap=False):
+        param = assemble_global(submeshes, embeddings, n_vertices=mesh.n_vertices)
     if area_correct:
-        t0 = tic()
-        uv, alpha = mobius_area_correct(mesh.vertices, mesh.faces, param.uv)
-        param.uv = uv
-        param.provenance.append("area_correct")
-        log.debug("area correction alpha = %s", alpha)
-        toc("area_correct", t0)
+        with stage("area_correct", snap=False):
+            param.uv, alpha = mobius_area_correct(mesh.vertices, mesh.faces, param.uv)
+            log.debug("area correction alpha = %s", alpha)
 
     with _stage("report"):
         report = _build_report(mesh, mu, labels, param, timings)

@@ -136,6 +136,16 @@ def test_generalized_laplacian_rejects_large_mu():
         generalized_laplacian(m, np.full(m.n_faces, 0.9995 + 0j))
 
 
+def test_lsqc_rejects_a_nan_mu_naming_its_face():
+    # NaN fails every comparison, so only a "|mu| < limit" test catches it;
+    # let through, it made the system singular.
+    m = grid_mesh(4, 4)
+    mu = np.zeros(m.n_faces, dtype=complex)
+    mu[5] = np.nan
+    with pytest.raises(MuOutOfRange, match="on face 5 "):
+        lsqc_flatten(m, mu)
+
+
 def test_lsqc_mu_zero_matches_conformal():
     m = grid_mesh(6, 6)
     emb = lsqc_flatten(m, np.zeros(m.n_faces, dtype=complex))

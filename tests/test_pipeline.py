@@ -1,10 +1,12 @@
 """End-to-end pipeline and CLI tests."""
 
 import gc
+import importlib
 import json
 import logging
 import os
 import threading
+from pathlib import Path
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -21,11 +23,14 @@ from weldmap.cli import (
     main,
     run_pipeline,
 )
+import weldmap.cli as cli
 from weldmap.errors import (
     ConfigError,
     DegenerateFace,
     MisorderedArc,
     MuOutOfRange,
+    NumericalBreakdown,
+    ParseError,
     SingularSystem,
     WrongTopology,
 )
@@ -153,6 +158,47 @@ def test_cli_missing_input():
     assert ei.value.code == "CONFIG_INPUT_NOT_FOUND"
 
 
+def test_main_builds_the_config_from_the_flags(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda config: seen.append(config) or 0)
+    assert main(["--input", "m.obj"]) == 0
+    assert seen[-1] == PipelineConfig(input_path="m.obj")
+    argv = [
+        "--input", "m.obj", "--partition", "auto:3", "--mu", "mu.csv",
+        "--koebe-passes", "2", "--no-qc-correction", "--area-correct",
+        "--threads", "4", "--deterministic", "--out", "res", "--snapshots",
+    ]
+    assert main(argv) == 0
+    assert seen[-1] == PipelineConfig(
+        input_path="m.obj", partition="auto:3", mu="mu.csv", koebe_passes=2,
+        qc_correction=False, area_correct=True, threads=4, deterministic=True,
+        out_dir="res", snapshots=True,
+    )
+
+
+def test_benchmark_hooks_find_their_targets(monkeypatch):
+    # perfbench/layers.py wraps these attributes and reads these stage
+    # timings; a refactor that drops one breaks only the traced benchmark.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    layers = importlib.import_module("layers")
+    missing = [
+        f"{owner.__name__}.{attr}"
+        for _, owner, attr, _, _ in layers.TARGETS
+        if not callable(getattr(owner, attr, None))
+    ]
+    assert not missing
+    mesh = annulus_mesh(6, 32)
+    labels = default_partition(mesh, 2)
+    stages = list(layers.STAGES)
+    res = compute_parameterization(mesh, labels, _zero_mu(mesh))
+    assert list(res.report.timings) == stages
+    res = compute_parameterization(
+        mesh, labels, _zero_mu(mesh), koebe_passes=1, area_correct=True
+    )
+    stages.insert(stages.index("outer") + 1, "refine")
+    assert list(res.report.timings) == [*stages, "area_correct"]
+
+
 def test_mu_csv_formats(tmp_path):
     p3 = tmp_path / "mu3.csv"
     p3.write_text("face_index,re,im\n1,0.25,-0.5\n")
@@ -164,6 +210,27 @@ def test_mu_csv_formats(tmp_path):
     assert np.allclose(mu, [0.1 + 0.2j, 0.3 + 0.4j])
     with pytest.raises(ConfigError):
         load_mu_csv(str(p2), 5)  # row count mismatch
+    # A face index is an integer and names one face once.
+    bad = tmp_path / "bad.csv"
+    for rows, line, what in (
+        ("0,0.1,0\n2.7,0.2,0\n0,0.3,0\n", 2, "2.7 is not an integer"),
+        ("0,0.1,0\n2,0.2,0\n0,0.3,0\n", 3, "0 is repeated"),
+    ):
+        bad.write_text(rows)
+        with pytest.raises(ConfigError, match=f"line {line}: face index {what}") as ei:
+            load_mu_csv(str(bad), 5)
+        assert ei.value.code == "CONFIG_BAD_BELTRAMI"
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_mu_of_the_wrong_length_is_a_parse_error(extra):
+    # One value too few used to give a raw IndexError; one too many ran the
+    # whole map and then failed on a numpy broadcast in the report.
+    mesh = grid_mesh(4, 4)
+    mu = np.zeros(mesh.n_faces + extra, dtype=np.complex128)
+    with pytest.raises(ParseError, match=f"expected \\({mesh.n_faces},\\)") as ei:
+        compute_parameterization(mesh, _halves(mesh), mu)
+    assert ei.value.hint
 
 
 def test_snapshot_empty_is_valid_svg(tmp_path):
@@ -255,6 +322,27 @@ def test_failures_after_the_welds_name_their_stage(monkeypatch, target, error, s
     with pytest.raises(error) as info:
         compute_parameterization(mesh, _halves(mesh), _zero_mu(mesh))
     assert (info.value.stage, info.value.submesh) == (stage, submesh)
+
+
+@pytest.mark.parametrize(
+    "target, where",
+    [("circularize_hole", "hole"), ("circularize_outer", "outer"), ("koebe_refine", "refine")],
+)
+def test_koebe_failures_name_their_hole_and_component(monkeypatch, target, where):
+    def failing(*args, **kwargs):
+        raise NumericalBreakdown("anchor left the unit disk")
+
+    monkeypatch.setattr(pipeline, target, failing)
+    mesh = annulus_mesh(6, 32)
+    labels = default_partition(mesh, 2)
+    if where == "hole":
+        plan = build_weld_specs(mesh, labels, extract_submeshes(mesh, labels))
+        ((loop, comp),) = plan.hole_owner.items()
+        where = f"hole {loop} of {sorted(comp)}"
+    with pytest.raises(NumericalBreakdown, match="^anchor left the unit disk$") as info:
+        compute_parameterization(mesh, labels, _zero_mu(mesh), koebe_passes=1)
+    assert (info.value.stage, info.value.submesh) == ("koebe", where)
+    assert f"stage=koebe | submesh={where} | anchor" in info.value.describe()
 
 
 def test_area_distortion_names_the_first_zero_area_face():
