@@ -128,7 +128,8 @@ def load_mu_csv(path, n_faces):
             i = int(idx)
             if not 0 <= i < n_faces:
                 raise ConfigError(
-                    f"face index {i} out of range in Beltrami CSV",
+                    f"Beltrami CSV line {lineno}: face index {i} is out of "
+                    f"range for {n_faces} faces",
                     code="CONFIG_BAD_BELTRAMI",
                 )
             seen.add(idx)

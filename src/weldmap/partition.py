@@ -10,6 +10,7 @@ component before hole circularization.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,11 @@ class PartitionLabeling:
     def validate(self, mesh):
         """Check connectivity and the at-most-one-hole restriction per part."""
         if len(self.face_label) != mesh.n_faces:
-            raise ParseError("label count does not match face count")
+            raise ParseError(
+                f"label count does not match face count: {len(self.face_label)} "
+                f"labels for {mesh.n_faces} faces",
+                hint="give one label per face, in face order",
+            )
         if self.face_label.min() < 0:
             raise ParseError("negative partition label")
         # Consecutive labels from 0 never exceed the face count, which also
@@ -86,7 +91,10 @@ def load_labels(path, n_faces):
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read labels from {path!r}: {exc}") from exc
     if raw.size != n_faces:
-        raise ParseError(f"expected {n_faces} labels, found {raw.size}")
+        raise ParseError(
+            f"expected {n_faces} labels, found {raw.size}",
+            hint="give one integer label per face line, in face order",
+        )
     # Remap to consecutive ids in increasing label order: 5, 2, 5 -> 1, 0, 1.
     _, inv = np.unique(raw, return_inverse=True)
     return PartitionLabeling(face_label=inv)
@@ -244,11 +252,8 @@ def build_weld_specs(mesh, labels, submeshes):
             holes_memo[comp] = region_hole_count(mesh, labels.faces_in(comp))
         return holes_memo[comp]
 
-    def comp_of(lab, current):
-        for c in current:
-            if lab in c:
-                return c
-        raise AssertionError
+    def comp_of(lab):
+        return next(c for c in comps if lab in c)
 
     def try_merge(p, q):
         arcs = _shared_arcs(p, q, cut_cache)
@@ -262,7 +267,7 @@ def build_weld_specs(mesh, labels, submeshes):
         if len(arcs) == 2 and hu == hp + hq + 1:
             hole = None
             for li, labs in touch.items():
-                cl = {comp_of(x, comps) for x in labs}
+                cl = {comp_of(x) for x in labs}
                 if cl == {p, q}:
                     hole = li
                     break
@@ -276,57 +281,36 @@ def build_weld_specs(mesh, labels, submeshes):
             )
         return None
 
-    def do_merge(spec):
-        comps.remove(spec.left)
-        comps.remove(spec.right)
-        comps.append(spec.left | spec.right)
-        welds.append(spec)
+    def merge_first(cands, kinds):
+        """Weld the first pair of cands, in sorted order, that try_merge
+        plans with an arc kind in kinds; False when no pair welds."""
+        for p, q in itertools.combinations(sorted(cands, key=sorted), 2):
+            spec = try_merge(p, q)
+            if spec is not None and spec.arc_kind in kinds:
+                comps.remove(p)
+                comps.remove(q)
+                comps.append(p | q)
+                welds.append(spec)
+                return True
+        return False
 
     # Phase 1: every inner hole must end up surrounded by a single component.
     for li in sorted(touch):
-        while True:
-            owners = sorted({comp_of(x, comps) for x in touch[li]}, key=sorted)
-            if len(owners) == 1:
-                break
-            merged = False
-            for i in range(len(owners)):
-                for j in range(i + 1, len(owners)):
-                    spec = try_merge(owners[i], owners[j])
-                    if spec is not None:
-                        do_merge(spec)
-                        merged = True
-                        break
-                if merged:
-                    break
-            if not merged:
+        while len(owners := {comp_of(x) for x in touch[li]}) > 1:
+            if not merge_first(owners, ("continuous", "two-arc-multiply-connected")):
                 raise NoValidPlan(
                     f"cannot enclose hole (loop {li}) with pairwise welds"
                 )
-        owner = comp_of(next(iter(touch[li])), comps)
+        (owner,) = owners
         if region_holes(owner) > 1:
             raise NoValidPlan(f"component {sorted(owner)} encloses more than one hole")
 
     n_pre = len(welds)
-    hole_owner = {
-        li: comp_of(next(iter(labs)), comps) for li, labs in touch.items()
-    }
+    hole_owner = {li: comp_of(next(iter(labs))) for li, labs in touch.items()}
 
     # Phase 2: join the remaining components along continuous arcs.
     while len(comps) > 1:
-        merged = False
-        ordered = sorted(comps, key=sorted)
-        for i in range(len(ordered)):
-            for j in range(i + 1, len(ordered)):
-                spec = try_merge(ordered[i], ordered[j])
-                if spec is not None:
-                    if spec.arc_kind != "continuous":
-                        continue
-                    do_merge(spec)
-                    merged = True
-                    break
-            if merged:
-                break
-        if not merged:
+        if not merge_first(comps, ("continuous",)):
             raise NoValidPlan("remaining components share no weldable arc")
 
     return WeldPlan(welds=welds, n_pre=n_pre, hole_owner=hole_owner)

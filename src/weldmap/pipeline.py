@@ -3,9 +3,12 @@
 Stage order: per-submesh flattening, the pre-planned welds that enclose each
 hole, per-component hole circularization, the remaining welds, outer
 circularization, optional cyclic refinement, per-submesh Dirichlet solves,
-and the sequential global assembly. Parallel stages run per submesh or per
-welded component in a thread pool and are reduced by index, so thread count
-never changes the numbers.
+and the sequential global assembly. Flattening and the Dirichlet solves run
+per submesh in a thread pool, where their sparse LU releases the GIL, and
+are reduced by index, so thread count never changes the numbers. The welds
+and hole circularizations run in plan order, as one task: their zipper
+steps hold the GIL, and a plan seldom has two label-disjoint welds in a row
+to share the pool.
 
 Orientation comes from the faces, never from signed areas: boundary loops
 keep the interior on their left, so the outer loop runs counter-clockwise,
@@ -37,6 +40,7 @@ from .assemble import (
 )
 from .errors import (
     MisorderedArc,
+    MuOutOfRange,
     NonManifold,
     NumericalBreakdown,
     ParseError,
@@ -310,25 +314,6 @@ def _run_weld(spec, mesh, labels, tracker):
         tracker.merge(spec.left, spec.right)
 
 
-def _weld_batches(welds):
-    """Group welds into runs of pairwise label-disjoint specs, preserving
-    order across batches so merged components are ready when needed."""
-    batches = []
-    pending = list(welds)
-    while pending:
-        batch = [pending.pop(0)]
-        used = set(batch[0].left | batch[0].right)
-        while pending:
-            nxt = pending[0]
-            labs = set(nxt.left | nxt.right)
-            if labs & used:
-                break
-            used |= labs
-            batch.append(pending.pop(0))
-        batches.append(batch)
-    return batches
-
-
 # ---------------------------------------------------------------------------
 # Per-submesh work
 
@@ -346,8 +331,8 @@ def _flatten_submesh(sub, mu_faces):
     return chart
 
 
-def _solve_submesh(sub, lab, chart, tracker, comp, mu_faces, qc_on):
-    with _stage("laplace", lab):
+def _solve_submesh(sub, chart, tracker, comp, mu_faces, qc_on):
+    with _stage("laplace", sub.label):
         flat = TriangleMesh(
             vertices=chart.uv, faces=sub.mesh.faces,
             boundary_loops=sub.mesh.boundary_loops,
@@ -369,7 +354,7 @@ def _solve_submesh(sub, lab, chart, tracker, comp, mu_faces, qc_on):
                 else:
                     log.debug(
                         "submesh %d: QC correction rejected (boundary moved %.2e)",
-                        lab, move,
+                        sub.label, move,
                     )
     return emb
 
@@ -400,6 +385,13 @@ def compute_parameterization(
             f"mu has shape {mu.shape}, expected ({mesh.n_faces},)",
             hint="give one Beltrami coefficient per face of the mesh",
         )
+    bad = np.flatnonzero(~(np.abs(mu) < 1.0))  # NaN fails this test too
+    if len(bad):
+        f = int(bad[0])
+        raise MuOutOfRange(
+            f"prescribed mu={mu[f]} on face {f} (|mu|={abs(mu[f]):.6f})",
+            hint="give every face a finite Beltrami coefficient with |mu| < 1",
+        )
     submeshes = extract_submeshes(mesh, labels)
     plan = build_weld_specs(mesh, labels, submeshes)
     face_ids = [np.flatnonzero(labels.face_label == s.label) for s in submeshes]
@@ -419,31 +411,31 @@ def compute_parameterization(
             snapshots.append((name, tracker.loops(submeshes)))
 
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-
-        def weld_all(welds):
-            for batch in _weld_batches(welds):
-                list(pool.map(lambda s: _run_weld(s, mesh, labels, tracker), batch))
-
-        def circ_hole(item):
-            li, comp = item
-            rim = mesh.boundary_loops[li]
-            with _stage("koebe", f"hole {li} of {sorted(comp)}"):
-                (poly,), rest = tracker.take(comp, [rim])
-                out_h, (out_p,) = circularize_hole(poly, [rest])
-            return comp, rim, out_h, out_p
-
         with stage("flatten"):
             charts = list(pool.map(_flatten_submesh, submeshes, mu_subs))
             tracker = _Tracker(submeshes, charts)
-        with stage("pre_weld"):
-            weld_all(plan.welds[: plan.n_pre])
-        with stage("koebe_holes"):
-            for comp, rim, out_h, out_p in pool.map(
-                circ_hole, sorted(plan.hole_owner.items())
-            ):
-                tracker.put(comp, [rim], [out_h], out_p)
-        with stage("post_weld"):
-            weld_all(plan.welds[plan.n_pre :])
+
+        def weld_chain():
+            """The welds and hole circularizations, in plan order."""
+            with stage("pre_weld"):
+                for spec in plan.welds[: plan.n_pre]:
+                    _run_weld(spec, mesh, labels, tracker)
+            with stage("koebe_holes"):
+                for li, comp in sorted(plan.hole_owner.items()):
+                    rim = mesh.boundary_loops[li]
+                    with _stage("koebe", f"hole {li} of {sorted(comp)}"):
+                        (poly,), rest = tracker.take(comp, [rim])
+                        out_h, (out_p,) = circularize_hole(poly, [rest])
+                    tracker.put(comp, [rim], [out_h], out_p)
+            with stage("post_weld"):
+                for spec in plan.welds[plan.n_pre :]:
+                    _run_weld(spec, mesh, labels, tracker)
+
+        # One task on a pool thread rather than the calling thread: glibc
+        # keeps a malloc arena per thread, and the chain's transients left
+        # in the calling thread's arena raised the beltrami benchmark's peak
+        # RSS by about a quarter.
+        pool.submit(weld_chain).result()
         with stage("outer"), _stage("koebe", "outer"):
             (whole,) = tracker.comps  # every weld has run: one component
             outer_ids = mesh.boundary_loops[0]
@@ -468,11 +460,10 @@ def compute_parameterization(
         with stage("laplace", snap=False):
             embeddings = list(
                 pool.map(
-                    lambda args: _solve_submesh(*args),
-                    [
-                        (sub, lab, charts[lab], tracker, whole, mu_subs[lab], qc)
-                        for lab, sub in enumerate(submeshes)
-                    ],
+                    lambda sub, chart, mu_faces: _solve_submesh(
+                        sub, chart, tracker, whole, mu_faces, qc
+                    ),
+                    submeshes, charts, mu_subs,
                 )
             )
 

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import weldmap.partition as partition
-from weldmap.errors import DisconnectedSubmesh, NoValidPlan, SubmeshWithTwoHoles
+from weldmap.errors import DisconnectedSubmesh, NoValidPlan, ParseError, SubmeshWithTwoHoles
 from weldmap.mesh import build_mesh, region_loops, walk_boundary_loops
 from weldmap.partition import (
     PartitionLabeling,
@@ -102,6 +104,53 @@ def test_plan_annulus_two_parts():
     assert len(w.arcs) == 2
     assert plan.n_pre == 1
     assert plan.hole_owner[1] == frozenset({0, 1})
+
+
+TWO = "two-arc-multiply-connected"
+CONT = "continuous"
+# The weld chains default_partition(mesh, 8) gets, in plan order: n_pre,
+# hole_owner and (left, right, arc kind) of each weld.
+WELD_CHAINS = {
+    "two_hole_grid(40)": (
+        lambda: two_hole_grid(40),
+        2,
+        {1: [0, 7], 2: [2, 5]},
+        [
+            ([0], [7], TWO),
+            ([2], [5], TWO),
+            ([0, 7], [2, 5], CONT),
+            ([0, 2, 5, 7], [1], CONT),
+            ([0, 1, 2, 5, 7], [3], CONT),
+            ([0, 1, 2, 3, 5, 7], [4], CONT),
+            ([0, 1, 2, 3, 4, 5, 7], [6], CONT),
+        ],
+    ),
+    "annulus_mesh(20,120)": (
+        lambda: annulus_mesh(20, 120),
+        5,
+        {1: [0, 1, 2, 3, 4, 5]},
+        [
+            ([0], [2], CONT),
+            ([0, 2], [3], CONT),
+            ([0, 2, 3], [4], CONT),
+            ([0, 2, 3, 4], [1], CONT),
+            ([0, 1, 2, 3, 4], [5], TWO),
+            ([0, 1, 2, 3, 4, 5], [6], CONT),
+            ([0, 1, 2, 3, 4, 5, 6], [7], CONT),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WELD_CHAINS))
+def test_weld_chain_at_eight_parts(name):
+    make, n_pre, hole_owner, chain = WELD_CHAINS[name]
+    m = make()
+    part = default_partition(m, 8)
+    plan = build_weld_specs(m, part, extract_submeshes(m, part))
+    assert plan.n_pre == n_pre
+    assert {li: sorted(c) for li, c in plan.hole_owner.items()} == hole_owner
+    assert [(sorted(w.left), sorted(w.right), w.arc_kind) for w in plan.welds] == chain
 
 
 def split_in_quadrants(mesh):
@@ -294,6 +343,16 @@ def _cells(nx, cells):
     return [2 * (j * nx + i) + k for i, j in cells for k in (0, 1)]
 
 
+def _one_label_too_many(mesh, tmp_path):
+    return PartitionLabeling(face_label=np.zeros(mesh.n_faces + 1, dtype=np.int64))
+
+
+def _label_file_one_line_too_many(mesh, tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("0\n" * (mesh.n_faces + 1))
+    return load_labels(str(path), mesh.n_faces)
+
+
 @pytest.mark.parametrize(
     "mesh, labeled, code",
     [
@@ -307,14 +366,24 @@ def _cells(nx, cells):
             [0, 1],
             "SUBMESH_WITH_TWO_HOLES",
         ),
+        # One label more than the mesh has faces, as an array and as a file.
+        (grid_mesh(2, 1), _one_label_too_many, "PARSE_ERROR"),
+        (grid_mesh(2, 1), _label_file_one_line_too_many, "PARSE_ERROR"),
     ],
-    ids=["far-strips", "vertex-touch", "two-holes"],
+    ids=["far-strips", "vertex-touch", "two-holes", "label-count", "label-file-count"],
 )
-def test_invalid_user_labels_fail_with_their_codes(mesh, labeled, code):
-    lab = np.zeros(mesh.n_faces, dtype=np.int64)
-    lab[labeled] = 1
-    with pytest.raises((DisconnectedSubmesh, SubmeshWithTwoHoles)) as info:
-        compute_parameterization(
-            mesh, PartitionLabeling(face_label=lab), np.zeros(mesh.n_faces, complex)
-        )
+def test_invalid_user_labels_fail_with_their_codes(mesh, labeled, code, tmp_path):
+    with pytest.raises((DisconnectedSubmesh, SubmeshWithTwoHoles, ParseError)) as info:
+        if callable(labeled):
+            labels = labeled(mesh, tmp_path)
+        else:
+            lab = np.zeros(mesh.n_faces, dtype=np.int64)
+            lab[labeled] = 1
+            labels = PartitionLabeling(face_label=lab)
+        compute_parameterization(mesh, labels, np.zeros(mesh.n_faces, complex))
     assert info.value.code == code
+    if code == "PARSE_ERROR":
+        # Both counts, and how to mend the input.
+        counts = set(re.findall(r"\d+", str(info.value)))
+        assert {str(mesh.n_faces), str(mesh.n_faces + 1)} <= counts
+        assert info.value.hint

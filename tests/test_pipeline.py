@@ -81,9 +81,15 @@ def test_two_hole_prescribed_mu():
     assert res.report.e_global <= 0.05
 
 
-def test_serial_parallel_bitwise_identical():
-    mesh = two_hole_grid(60)
-    labels = default_partition(mesh, 4)
+@pytest.mark.parametrize(
+    "n, parts",
+    # two_hole_grid(40) at 8 parts has two label-disjoint welds in a row.
+    [(60, 4), (40, 8)],
+    ids=["grid60-4parts", "grid40-8parts"],
+)
+def test_serial_parallel_bitwise_identical(n, parts):
+    mesh = two_hole_grid(n)
+    labels = default_partition(mesh, parts)
     mu = smooth_beltrami(mesh, seed=5)
     r1 = compute_parameterization(
         mesh, labels, mu, threads=1, deterministic=True
@@ -215,11 +221,24 @@ def test_mu_csv_formats(tmp_path):
     for rows, line, what in (
         ("0,0.1,0\n2.7,0.2,0\n0,0.3,0\n", 2, "2.7 is not an integer"),
         ("0,0.1,0\n2,0.2,0\n0,0.3,0\n", 3, "0 is repeated"),
+        ("0,0.1,0\n7,0.2,0\n", 2, "7 is out of range"),
     ):
         bad.write_text(rows)
         with pytest.raises(ConfigError, match=f"line {line}: face index {what}") as ei:
             load_mu_csv(str(bad), 5)
         assert ei.value.code == "CONFIG_BAD_BELTRAMI"
+
+
+@pytest.mark.parametrize("value", [np.nan, 1.5])
+def test_mu_out_of_range_names_its_parent_face(value):
+    # The error names the face of the parent mesh and the value as given,
+    # not a submesh face and the composed coefficient.
+    mesh = grid_mesh(4, 4)
+    mu = np.zeros(mesh.n_faces, dtype=np.complex128)
+    mu[6] = value
+    with pytest.raises(MuOutOfRange, match=f"prescribed mu=\\({value}\\+0j\\) on face 6") as ei:
+        compute_parameterization(mesh, _halves(mesh), mu)
+    assert ei.value.hint
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
