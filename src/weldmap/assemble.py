@@ -13,14 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import (
     DegenerateFace,
     MissingBoundaryValue,
     MuOutOfRange,
     SeamMismatch,
-    SingularSystem,
 )
 from .flatten import (
     PlanarEmbedding,
@@ -28,6 +26,7 @@ from .flatten import (
     compose_beltrami,
     cotan_laplacian,
     lsqc_flatten,
+    solve_fixed,
 )
 from .mesh import TriangleMesh, face_areas, walk_boundary_loops
 
@@ -45,10 +44,9 @@ def laplace_dirichlet(mesh, boundary_values):
     mesh is the flattened submesh (2D vertices); boundary_values maps vertex
     id -> complex target position (or an (u, v) pair). Every boundary vertex
     of the mesh must be covered. Interior rows of the cotangent Laplacian
-    are solved to a relative residual of 1e-8; boundary rows are reproduced
-    exactly.
+    are solved by flatten.solve_fixed, which fails above a relative residual
+    of LAPLACE_RTOL; boundary rows are reproduced exactly.
     """
-    n = mesh.n_vertices
     fixed_ids = np.asarray(sorted(boundary_values), dtype=np.int64)
     missing = np.setdiff1d(mesh.boundary_vertices(), fixed_ids)
     if len(missing):
@@ -64,30 +62,9 @@ def laplace_dirichlet(mesh, boundary_values):
         else:
             vals[k] = v
 
-    uv = np.zeros((n, 2))
-    uv[fixed_ids] = vals
-    free = np.setdiff1d(np.arange(n), fixed_ids)
-    if len(free) == 0:
-        return PlanarEmbedding(uv=uv)
-
-    L = cotan_laplacian(mesh).tocsr()
-    Lff = L[free][:, free].tocsc()
-    rhs = -(L[free][:, fixed_ids] @ vals)
-    try:
-        lu = spla.splu(Lff, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise SingularSystem(f"Dirichlet system factorization failed: {exc}") from exc
-    x = lu.solve(rhs)
-    scale = max(np.linalg.norm(rhs), 1e-300)
-    for _ in range(5):
-        r = rhs - Lff @ x
-        if np.linalg.norm(r) <= 0.01 * LAPLACE_RTOL * scale:
-            break
-        x = x + lu.solve(r)
-    r = rhs - Lff @ x
-    if not np.all(np.isfinite(x)) or np.linalg.norm(r) > LAPLACE_RTOL * scale:
-        raise SingularSystem("Dirichlet interior residual did not converge")
-    uv[free] = x
+    if np.array_equal(fixed_ids, np.arange(mesh.n_vertices)):
+        return PlanarEmbedding(uv=vals)
+    uv = solve_fixed(cotan_laplacian(mesh), fixed_ids, vals, LAPLACE_RTOL)
     return PlanarEmbedding(uv=uv)
 
 

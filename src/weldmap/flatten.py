@@ -3,7 +3,9 @@
 The conformal map minimizes Dirichlet energy minus image area over all
 embeddings with two pinned vertices; the quasi-conformal variant replaces the
 Dirichlet term with a Beltrami-weighted anisotropic energy so the minimizer
-attains a prescribed per-face Beltrami coefficient.
+attains a prescribed per-face Beltrami coefficient. solve_fixed solves every
+sparse system of the package, the Dirichlet solves of assemble included, so
+perfbench counts all LU work through this module's spla.
 """
 
 from __future__ import annotations
@@ -165,61 +167,64 @@ def area_form_boundary(mesh):
     return Q
 
 
-def pick_pins(mesh):
-    """Two outer-loop vertices at maximal cyclic distance along the loop."""
-    loop = mesh.boundary_loops[0]
-    return int(loop[0]), int(loop[len(loop) // 2])
+def solve_fixed(K, fixed, values, fail_rtol):
+    """Solve K x = 0 on the free unknowns, with x[fixed] = values.
 
-
-def solve_pinned(M, pins, n):
-    """Solve M x = 0 for x in R^{2n} with (u, v) pinned at given vertices.
-
-    pins: list of (vertex id, (u, v)).  Uses sparse LU with iterative
-    refinement; raises SingularSystem when the residual stays large.
+    fixed: sorted unknown ids; values: one row per fixed id, with one column
+    per right-hand side (or a vector for one). The free block is factored by
+    sparse LU and the solution refined up to 5 times to a relative residual
+    of SOLVE_RTOL. Raises SingularSystem when the factorization fails or the
+    residual stays above fail_rtol.
     """
-    x = np.zeros(2 * n)
-    pin_idx = []
-    for vid, (pu, pv) in pins:
-        x[vid] = pu
-        x[vid + n] = pv
-        pin_idx.extend([vid, vid + n])
-    pin_idx = np.asarray(sorted(pin_idx), dtype=np.int64)
-    free = np.setdiff1d(np.arange(2 * n), pin_idx)
-
-    M = M.tocsr()
-    Mff = M[free][:, free].tocsc()
-    rhs = -(M[free][:, pin_idx] @ x[pin_idx])
+    values = np.asarray(values, dtype=float)
+    x = np.zeros((K.shape[0],) + values.shape[1:])
+    x[fixed] = values
+    free = np.setdiff1d(np.arange(K.shape[0]), fixed)
+    K_free = K.tocsr()[free]
+    Kff = K_free[:, free].tocsc()
+    rhs = -(K_free[:, fixed] @ values)
     try:
-        # The system has symmetric structure; this ordering is measurably
+        # The systems have symmetric structure; this ordering is measurably
         # faster than the default COLAMD here.
-        lu = spla.splu(Mff, permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(Kff, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
-        raise SingularSystem(f"pinned system factorization failed: {exc}") from exc
+        raise SingularSystem(f"sparse LU factorization failed: {exc}") from exc
     xf = lu.solve(rhs)
     scale = max(np.linalg.norm(rhs), 1e-300)
     for _ in range(5):
-        r = rhs - Mff @ xf
+        r = rhs - Kff @ xf
         if np.linalg.norm(r) <= SOLVE_RTOL * scale:
             break
         xf = xf + lu.solve(r)
-    r = rhs - Mff @ xf
-    if not np.all(np.isfinite(xf)) or np.linalg.norm(r) > 1e3 * SOLVE_RTOL * scale:
-        raise SingularSystem("pinned system residual did not converge")
+    res = np.linalg.norm(rhs - Kff @ xf)
+    if not np.all(np.isfinite(xf)) or res > fail_rtol * scale:
+        raise SingularSystem(
+            f"relative residual {res / scale:.1e} stays above {fail_rtol:.0e}"
+        )
     x[free] = xf
-    return np.column_stack([x[:n], x[n:]])
+    return x
+
+
+def _free_boundary_flatten(mesh, L, pins):
+    """Minimize 1/2 (u^T L u + v^T L v) minus the image area over (u; v),
+    with (u, v) pinned at the given vertices. The default pins are two
+    outer-loop vertices at maximal cyclic distance, at (0, 0) and (1, 0)."""
+    n = mesh.n_vertices
+    M = 0.5 * sp.block_diag([L, L], format="csr") - area_form_boundary(mesh)
+    if pins is None:
+        loop = mesh.boundary_loops[0]
+        pins = [(int(loop[0]), (0.0, 0.0)), (int(loop[len(loop) // 2]), (1.0, 0.0))]
+    pinned = {}
+    for vid, (pu, pv) in pins:
+        pinned[vid], pinned[vid + n] = pu, pv
+    fixed = np.asarray(sorted(pinned), dtype=np.int64)
+    x = solve_fixed(M, fixed, [pinned[i] for i in fixed], 1e3 * SOLVE_RTOL)
+    return PlanarEmbedding(uv=np.column_stack([x[:n], x[n:]]))
 
 
 def dncp_flatten(mesh, pins=None):
     """Free-boundary conformal flattening (Dirichlet energy minus area)."""
-    n = mesh.n_vertices
-    L = cotan_laplacian(mesh)
-    Q = area_form_boundary(mesh)
-    M = 0.5 * sp.block_diag([L, L], format="csr") - Q
-    if pins is None:
-        p0, p1 = pick_pins(mesh)
-        pins = [(p0, (0.0, 0.0)), (p1, (1.0, 0.0))]
-    uv = solve_pinned(M, pins, n)
-    return PlanarEmbedding(uv=uv)
+    return _free_boundary_flatten(mesh, cotan_laplacian(mesh), pins)
 
 
 def lsqc_flatten(mesh, mu, pins=None):
@@ -228,15 +233,7 @@ def lsqc_flatten(mesh, mu, pins=None):
     mesh must be a 2D embedding (the conformal chart); mu is per face in
     that chart.
     """
-    n = mesh.n_vertices
-    Lmu = generalized_laplacian(mesh, mu)
-    Q = area_form_boundary(mesh)
-    M = 0.5 * sp.block_diag([Lmu, Lmu], format="csr") - Q
-    if pins is None:
-        p0, p1 = pick_pins(mesh)
-        pins = [(p0, (0.0, 0.0)), (p1, (1.0, 0.0))]
-    uv = solve_pinned(M, pins, n)
-    return PlanarEmbedding(uv=uv)
+    return _free_boundary_flatten(mesh, generalized_laplacian(mesh, mu), pins)
 
 
 def wirtinger_derivatives(source_vertices, faces, image_uv):

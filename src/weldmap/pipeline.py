@@ -48,6 +48,7 @@ from .errors import (
     WrongTopology,
 )
 from .flatten import (
+    EPS_MU,
     beltrami_per_face,
     compose_beltrami,
     dncp_flatten,
@@ -385,12 +386,13 @@ def compute_parameterization(
             f"mu has shape {mu.shape}, expected ({mesh.n_faces},)",
             hint="give one Beltrami coefficient per face of the mesh",
         )
-    bad = np.flatnonzero(~(np.abs(mu) < 1.0))  # NaN fails this test too
+    bad = np.flatnonzero(~(np.abs(mu) < 1.0 - EPS_MU))  # NaN fails this too
     if len(bad):
         f = int(bad[0])
         raise MuOutOfRange(
             f"prescribed mu={mu[f]} on face {f} (|mu|={abs(mu[f]):.6f})",
-            hint="give every face a finite Beltrami coefficient with |mu| < 1",
+            hint="give every face a finite Beltrami coefficient with "
+            f"|mu| < {1 - EPS_MU}",
         )
     submeshes = extract_submeshes(mesh, labels)
     plan = build_weld_specs(mesh, labels, submeshes)

@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import weldmap.flatten as flatten
-from weldmap.errors import MuOutOfRange, WrongTopology
+from weldmap.assemble import laplace_dirichlet
+from weldmap.errors import MuOutOfRange, SingularSystem, WrongTopology
 from weldmap.flatten import (
     area_form_boundary,
     beltrami_per_face,
@@ -11,6 +15,7 @@ from weldmap.flatten import (
     dncp_flatten,
     generalized_laplacian,
     lsqc_flatten,
+    solve_fixed,
     wirtinger_derivatives,
 )
 from weldmap.mesh import TriangleMesh, build_mesh
@@ -180,6 +185,49 @@ def test_lsqc_system_couples_u_and_v_on_boundary_edges_only(monkeypatch):
     lsqc_flatten(m, smooth_beltrami(m, 5))
     assert len(stored) == 2
     assert stored[1] == stored[0]
+
+
+def test_solve_fixed_raises_singular_system_when_the_factorization_fails():
+    # The last unknown has no entry at all, so the free block is
+    # structurally singular and splu gives up.
+    K = sp.csr_matrix(np.diag([1.0, 1.0, 0.0]))
+    with pytest.raises(SingularSystem, match="^sparse LU factorization failed"):
+        solve_fixed(K, np.array([0]), [1.0], 1e3 * flatten.SOLVE_RTOL)
+
+
+def _stall_solves(monkeypatch, rel):
+    """Make every factor's solves off by one fixed vector, scaled so that
+    refinement stalls at a relative residual of rel."""
+    splu = flatten.spla.splu
+
+    def stalled(A, *args, **kwargs):
+        lu = splu(A, *args, **kwargs)
+        offset = []
+
+        def solve(b):
+            if not offset:  # the first solve is of the right-hand side
+                e = np.ones_like(b)
+                offset.append(e * (rel * np.linalg.norm(b) / np.linalg.norm(A @ e)))
+            return lu.solve(b) + offset[0]
+
+        return SimpleNamespace(solve=solve)
+
+    monkeypatch.setattr(flatten.spla, "splu", stalled)
+
+
+def test_flatten_and_dirichlet_solves_keep_their_own_residual_bounds(monkeypatch):
+    # One solve function serves both, with the caller's bound: a residual
+    # of 3e-8 is inside the flattens' 1e3 * SOLVE_RTOL = 1e-7 and outside
+    # the Dirichlet solves' LAPLACE_RTOL = 1e-8.
+    m = grid_mesh(6, 6)
+    exact = dncp_flatten(m).uv
+    _stall_solves(monkeypatch, 3e-8)
+    stalled = dncp_flatten(m).uv
+    assert 0 < np.abs(stalled - exact).max() < 1e-6
+    lsqc_flatten(m, smooth_beltrami(m, 5))
+    bv = {int(v): complex(*m.vertices[v]) for v in m.boundary_vertices()}
+    with pytest.raises(SingularSystem, match="^relative residual 3.0e-08 stays above 1e-08$"):
+        laplace_dirichlet(m, bv)
 
 
 @pytest.mark.parametrize("flatten_fn", ["dncp", "lsqc"])

@@ -12,7 +12,6 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-import weldmap.assemble as assemble
 import weldmap.flatten as flatten
 import weldmap.pipeline as pipeline
 from weldmap.assemble import area_distortion
@@ -229,16 +228,26 @@ def test_mu_csv_formats(tmp_path):
         assert ei.value.code == "CONFIG_BAD_BELTRAMI"
 
 
-@pytest.mark.parametrize("value", [np.nan, 1.5])
+@pytest.mark.parametrize("value", [np.nan, 1.5, 0.9995])
 def test_mu_out_of_range_names_its_parent_face(value):
     # The error names the face of the parent mesh and the value as given,
-    # not a submesh face and the composed coefficient.
+    # not a submesh face and the composed coefficient. The entry check uses
+    # the flatten's own limit, 1 - EPS_MU, so 0.9995 stops there too.
     mesh = grid_mesh(4, 4)
     mu = np.zeros(mesh.n_faces, dtype=np.complex128)
     mu[6] = value
     with pytest.raises(MuOutOfRange, match=f"prescribed mu=\\({value}\\+0j\\) on face 6") as ei:
         compute_parameterization(mesh, _halves(mesh), mu)
-    assert ei.value.hint
+    assert ei.value.stage is None
+    assert f"|mu| < {1 - EPS_MU}" in ei.value.hint
+
+
+def test_mu_just_inside_the_flatten_limit_passes_the_entry_check():
+    mesh = grid_mesh(4, 4)
+    mu = np.zeros(mesh.n_faces, dtype=np.complex128)
+    mu[6] = 0.998
+    result = compute_parameterization(mesh, _halves(mesh), mu)
+    assert np.all(np.isfinite(result.param.uv))
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
@@ -313,16 +322,46 @@ def test_weld_failure_names_its_weld(monkeypatch):
     assert info.value.submesh == "[0] and [1]"
 
 
-def test_flatten_failure_names_its_stage_and_submesh():
+def test_flatten_failure_names_its_stage_and_submesh(monkeypatch):
+    # A prescribed mu the flatten cannot take stops at the entry check, so
+    # the composed coefficient's failure is injected; only submesh 1 has a
+    # nonzero mu and composes one.
+    def inadmissible(*args, **kwargs):
+        raise MuOutOfRange("composed coefficient |nu|=0.999500 on face 2")
+
+    monkeypatch.setattr(pipeline, "compose_beltrami", inadmissible)
     mesh = grid_mesh(4, 4)
     labels = _halves(mesh)
     mu = _zero_mu(mesh)
-    mu[np.flatnonzero(labels.face_label == 1)[0]] = 1.0 - EPS_MU
+    mu[np.flatnonzero(labels.face_label == 1)[0]] = 0.5
     with pytest.raises(MuOutOfRange) as info:
         compute_parameterization(mesh, labels, mu)
     assert info.value.stage == "flatten"
     assert info.value.submesh == 1
     assert "stage=flatten | submesh=1" in info.value.describe()
+
+
+@pytest.mark.parametrize("fail_at, stage", [(2, "flatten"), (4, "laplace")])
+def test_solver_failures_name_their_stage_and_submesh(monkeypatch, fail_at, stage):
+    # At one thread, with mu = 0 and QC off, the four factorizations run in
+    # order: the flattens of submeshes 0 and 1, then their Dirichlet solves.
+    splu = flatten.spla.splu
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(flatten.spla, "splu", failing)
+    mesh = grid_mesh(4, 4)
+    with pytest.raises(SingularSystem) as info:
+        compute_parameterization(mesh, _halves(mesh), _zero_mu(mesh), qc=False)
+    assert (info.value.stage, info.value.submesh) == (stage, 1)
+    assert info.value.describe().startswith(
+        f"SINGULAR_SYSTEM | stage={stage} | submesh=1 | sparse LU factorization failed"
+    )
 
 
 @pytest.mark.parametrize(
@@ -388,8 +427,8 @@ class _Factor:
 
 
 class _FactorLinalg:
-    """scipy.sparse.linalg as weldmap.flatten and weldmap.assemble see it,
-    with splu handing back recording factors."""
+    """scipy.sparse.linalg as weldmap.flatten sees it, with splu handing
+    back recording factors."""
 
     def __init__(self, real, made, freed):
         self._real = real
@@ -408,9 +447,9 @@ def test_lu_factors_are_freed_on_the_thread_that_factored_them(monkeypatch):
     # With scipy 1.17.1 a SuperLU object freed on another thread than the
     # one that factored it leaks its memory (45 MB over 10 rounds of a
     # 6,488-unknown LU). Every factor must die on its own pool thread.
+    # Every factor, the Dirichlet ones included, is made by flatten.solve_fixed.
     made, freed = [], []
-    for module in (flatten, assemble):
-        monkeypatch.setattr(module, "spla", _FactorLinalg(module.spla, made, freed))
+    monkeypatch.setattr(flatten, "spla", _FactorLinalg(flatten.spla, made, freed))
     mesh = two_hole_grid(40)
     labels = default_partition(mesh, 4)
     compute_parameterization(mesh, labels, smooth_beltrami(mesh), threads=2)

@@ -30,3 +30,13 @@ def test_every_definition_is_used_in_src_or_exported():
         ):
             unused.append(f"{where}:{no + 1} {name}")
     assert not unused, "used only outside src: " + ", ".join(unused)
+
+
+def test_one_sparse_lu_call_in_src():
+    # The flatten, QC and Dirichlet systems all factor in flatten.solve_fixed.
+    calls = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for _ in re.finditer(r"\bsplu\(", path.read_text(encoding="utf-8"))
+    ]
+    assert calls == ["flatten.py"]
