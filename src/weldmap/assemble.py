@@ -25,8 +25,8 @@ from .flatten import (
     beltrami_per_face,
     compose_beltrami,
     cotan_laplacian,
+    factor_fixed,
     lsqc_flatten,
-    solve_fixed,
 )
 from .mesh import TriangleMesh, face_areas, walk_boundary_loops
 
@@ -38,14 +38,24 @@ SEAM_RTOL = 1e-6
 # Dirichlet Laplace solve
 
 
-def laplace_dirichlet(mesh, boundary_values):
+def dirichlet_factor(mesh):
+    """The factored interior block of mesh's cotangent Laplacian, for
+    laplace_dirichlet; None when every vertex is on the boundary."""
+    fixed = mesh.boundary_vertices()
+    if len(fixed) == mesh.n_vertices:
+        return None
+    return factor_fixed(cotan_laplacian(mesh), fixed)
+
+
+def laplace_dirichlet(mesh, boundary_values, factor=None):
     """Harmonic extension of prescribed boundary positions.
 
     mesh is the flattened submesh (2D vertices); boundary_values maps vertex
     id -> complex target position (or an (u, v) pair). Every boundary vertex
     of the mesh must be covered. Interior rows of the cotangent Laplacian
-    are solved by flatten.solve_fixed, which fails above a relative residual
-    of LAPLACE_RTOL; boundary rows are reproduced exactly.
+    are solved by factor (dirichlet_factor(mesh), when boundary_values
+    covers exactly the boundary) or a new factor, failing above a relative
+    residual of LAPLACE_RTOL; boundary rows are reproduced exactly.
     """
     fixed_ids = np.asarray(sorted(boundary_values), dtype=np.int64)
     missing = np.setdiff1d(mesh.boundary_vertices(), fixed_ids)
@@ -64,8 +74,8 @@ def laplace_dirichlet(mesh, boundary_values):
 
     if np.array_equal(fixed_ids, np.arange(mesh.n_vertices)):
         return PlanarEmbedding(uv=vals)
-    uv = solve_fixed(cotan_laplacian(mesh), fixed_ids, vals, LAPLACE_RTOL)
-    return PlanarEmbedding(uv=uv)
+    solve = factor or factor_fixed(cotan_laplacian(mesh), fixed_ids)
+    return PlanarEmbedding(uv=solve(vals, LAPLACE_RTOL))
 
 
 # ---------------------------------------------------------------------------

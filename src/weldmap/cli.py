@@ -285,7 +285,8 @@ def build_parser():
                    help="skip the final quasi-conformal correction")
     p.add_argument("--area-correct", action="store_true",
                    help="apply the Mobius area-distortion correction")
-    p.add_argument("--threads", type=int, default=1, metavar="N")
+    p.add_argument("--threads", type=int, default=1, metavar="N",
+                   help="workers: all flatten, then one welds while the rest factor")
     p.add_argument("--deterministic", action="store_true",
                    help="omit timings so outputs are byte-reproducible")
     p.add_argument("--out", dest="out_dir", default=".", metavar="DIR",

@@ -3,9 +3,9 @@
 The conformal map minimizes Dirichlet energy minus image area over all
 embeddings with two pinned vertices; the quasi-conformal variant replaces the
 Dirichlet term with a Beltrami-weighted anisotropic energy so the minimizer
-attains a prescribed per-face Beltrami coefficient. solve_fixed solves every
-sparse system of the package, the Dirichlet solves of assemble included, so
-perfbench counts all LU work through this module's spla.
+attains a prescribed per-face Beltrami coefficient. factor_fixed factors
+every sparse system of the package, the Dirichlet solves of assemble
+included, so perfbench counts all LU work through this module's spla.
 """
 
 from __future__ import annotations
@@ -167,42 +167,50 @@ def area_form_boundary(mesh):
     return Q
 
 
-def solve_fixed(K, fixed, values, fail_rtol):
-    """Solve K x = 0 on the free unknowns, with x[fixed] = values.
-
-    fixed: sorted unknown ids; values: one row per fixed id, with one column
-    per right-hand side (or a vector for one). The free block is factored by
-    sparse LU and the solution refined up to 5 times to a relative residual
-    of SOLVE_RTOL. Raises SingularSystem when the factorization fails or the
-    residual stays above fail_rtol.
-    """
-    values = np.asarray(values, dtype=float)
-    x = np.zeros((K.shape[0],) + values.shape[1:])
-    x[fixed] = values
-    free = np.setdiff1d(np.arange(K.shape[0]), fixed)
+def factor_fixed(K, fixed):
+    """Factor by sparse LU the block of K off the sorted unknown ids fixed.
+    Returns solve(values, fail_rtol): K x = 0 on the free unknowns with
+    x[fixed] = values (a row per fixed id, a column per right-hand side),
+    refined up to 5 times to a relative residual of SOLVE_RTOL. Raises
+    SingularSystem when the factorization fails or the residual stays above
+    fail_rtol. The factor lives as long as solve does."""
+    n = K.shape[0]
+    free = np.setdiff1d(np.arange(n), fixed)
     K_free = K.tocsr()[free]
     Kff = K_free[:, free].tocsc()
-    rhs = -(K_free[:, fixed] @ values)
     try:
         # The systems have symmetric structure; this ordering is measurably
         # faster than the default COLAMD here.
         lu = spla.splu(Kff, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SingularSystem(f"sparse LU factorization failed: {exc}") from exc
-    xf = lu.solve(rhs)
-    scale = max(np.linalg.norm(rhs), 1e-300)
-    for _ in range(5):
-        r = rhs - Kff @ xf
-        if np.linalg.norm(r) <= SOLVE_RTOL * scale:
-            break
-        xf = xf + lu.solve(r)
-    res = np.linalg.norm(rhs - Kff @ xf)
-    if not np.all(np.isfinite(xf)) or res > fail_rtol * scale:
-        raise SingularSystem(
-            f"relative residual {res / scale:.1e} stays above {fail_rtol:.0e}"
-        )
-    x[free] = xf
-    return x
+
+    def solve(values, fail_rtol):
+        values = np.asarray(values, dtype=float)
+        x = np.zeros((n,) + values.shape[1:])
+        x[fixed] = values
+        rhs = -(K_free[:, fixed] @ values)
+        xf = lu.solve(rhs)
+        scale = max(np.linalg.norm(rhs), 1e-300)
+        for _ in range(5):
+            r = rhs - Kff @ xf
+            if np.linalg.norm(r) <= SOLVE_RTOL * scale:
+                break
+            xf = xf + lu.solve(r)
+        res = np.linalg.norm(rhs - Kff @ xf)
+        if not np.all(np.isfinite(xf)) or res > fail_rtol * scale:
+            raise SingularSystem(
+                f"relative residual {res / scale:.1e} stays above {fail_rtol:.0e}"
+            )
+        x[free] = xf
+        return x
+
+    return solve
+
+
+def solve_fixed(K, fixed, values, fail_rtol):
+    """Solve K x = 0 with x[fixed] = values: factor_fixed, then its solve."""
+    return factor_fixed(K, fixed)(values, fail_rtol)
 
 
 def _free_boundary_flatten(mesh, L, pins):

@@ -3,12 +3,13 @@
 Stage order: per-submesh flattening, the pre-planned welds that enclose each
 hole, per-component hole circularization, the remaining welds, outer
 circularization, optional cyclic refinement, per-submesh Dirichlet solves,
-and the sequential global assembly. Flattening and the Dirichlet solves run
-per submesh in a thread pool, where their sparse LU releases the GIL, and
-are reduced by index, so thread count never changes the numbers. The welds
-and hole circularizations run in plan order, as one task: their zipper
-steps hold the GIL, and a plan seldom has two label-disjoint welds in a row
-to share the pool.
+and the sequential global assembly. Flattening runs per submesh in a thread
+pool, where sparse LU releases the GIL. The welds and circularizations run
+in plan order as one task (the chain): their zipper steps hold the GIL, and
+a plan seldom has two label-disjoint welds in a row. Lanes on the other
+workers (one lane, after the chain, at one thread) factor each submesh's
+Dirichlet system beside the chain and solve it once the chain has run.
+Results are reduced by index, so thread count never changes the numbers.
 
 Orientation comes from the faces, never from signed areas: boundary loops
 keep the interior on their left, so the outer loop runs counter-clockwise,
@@ -34,6 +35,7 @@ from .assemble import (
     ParamReport,
     area_distortion,
     assemble_global,
+    dirichlet_factor,
     laplace_dirichlet,
     mobius_area_correct,
     qc_correction,
@@ -332,31 +334,19 @@ def _flatten_submesh(sub, mu_faces):
     return chart
 
 
-def _solve_submesh(sub, chart, tracker, comp, mu_faces, qc_on):
+def _correct_submesh(sub, emb, mu_faces):
+    """QC on one Dirichlet solve, kept if it leaves the welded boundary."""
     with _stage("laplace", sub.label):
-        flat = TriangleMesh(
-            vertices=chart.uv, faces=sub.mesh.faces,
-            boundary_loops=sub.mesh.boundary_loops,
-        )
+        corrected = qc_correction(sub.mesh.vertices, sub.mesh.faces, emb, mu_faces)
         bidx = sub.mesh.boundary_vertices()
-        boundary = tracker.get(comp, sub.to_parent[bidx])
-        emb = laplace_dirichlet(flat, dict(zip(bidx.tolist(), boundary.tolist())))
-        if qc_on:
-            corrected = qc_correction(sub.mesh.vertices, sub.mesh.faces, emb, mu_faces)
-            if corrected is not emb:
-                move = float(
-                    np.linalg.norm(corrected.uv[bidx] - emb.uv[bidx], axis=1).max()
-                )
-                diam = max(float(np.ptp(emb.uv, axis=0).max()), 1e-300)
-                # keep the seam budget: a correction that walks the welded
-                # boundary would break cross-submesh consistency
-                if move <= SEAM_SNAP * diam:
-                    emb = corrected
-                else:
-                    log.debug(
-                        "submesh %d: QC correction rejected (boundary moved %.2e)",
-                        sub.label, move,
-                    )
+        move = float(np.linalg.norm(corrected.uv[bidx] - emb.uv[bidx], axis=1).max())
+        diam = max(float(np.ptp(emb.uv, axis=0).max()), 1e-300)
+        # keep the seam budget: a correction that walks the welded
+        # boundary would break cross-submesh consistency
+        if move <= SEAM_SNAP * diam:
+            return corrected
+        log.debug("submesh %d: QC correction rejected (boundary moved %.2e)",
+                  sub.label, move)
     return emb
 
 
@@ -418,7 +408,7 @@ def compute_parameterization(
             tracker = _Tracker(submeshes, charts)
 
         def weld_chain():
-            """The welds and hole circularizations, in plan order."""
+            """The chain, in plan order; returns the refinement history."""
             with stage("pre_weld"):
                 for spec in plan.welds[: plan.n_pre]:
                     _run_weld(spec, mesh, labels, tracker)
@@ -432,42 +422,73 @@ def compute_parameterization(
             with stage("post_weld"):
                 for spec in plan.welds[plan.n_pre :]:
                     _run_weld(spec, mesh, labels, tracker)
+            with stage("outer"), _stage("koebe", "outer"):
+                (whole,) = tracker.comps  # every weld has run: one component
+                outer_ids = mesh.boundary_loops[0]
+                (poly,), rest = tracker.take(whole, [outer_ids])
+                out_o, (out_p,) = circularize_outer(poly, [rest])
+                tracker.put(whole, [outer_ids], [out_o], out_p)
 
-        # One task on a pool thread rather than the calling thread: glibc
-        # keeps a malloc arena per thread, and the chain's transients left
-        # in the calling thread's arena raised the beltrami benchmark's peak
-        # RSS by about a quarter.
-        pool.submit(weld_chain).result()
-        with stage("outer"), _stage("koebe", "outer"):
-            (whole,) = tracker.comps  # every weld has run: one component
-            outer_ids = mesh.boundary_loops[0]
-            (poly,), rest = tracker.take(whole, [outer_ids])
-            out_o, (out_p,) = circularize_outer(poly, [rest])
-            tracker.put(whole, [outer_ids], [out_o], out_p)
+            hole_loops = [mesh.boundary_loops[li] for li in sorted(plan.hole_owner)]
+            history = [[loop_circularity(tracker.get(whole, lp)) for lp in hole_loops]]
+            if koebe_passes > 0 and hole_loops:
+                with stage("refine"), _stage("koebe", "refine"):
+                    loops = [outer_ids, *hole_loops]
+                    (outer_poly, *hole_polys), rest = tracker.take(whole, loops)
+                    out_o, out_h, (out_e,), history = koebe_refine(
+                        outer_poly, hole_polys, extras=[rest],
+                        passes=koebe_passes, target=0.0,
+                    )
+                    tracker.put(whole, loops, [out_o, *out_h], out_e)
+            return history
 
-        hole_loops = [mesh.boundary_loops[li] for li in sorted(plan.hole_owner)]
-        refine_history = [
-            [loop_circularity(tracker.get(whole, lp)) for lp in hole_loops]
-        ]
-        if koebe_passes > 0 and hole_loops:
-            with stage("refine"), _stage("koebe", "refine"):
-                loops = [outer_ids, *hole_loops]
-                (outer_poly, *hole_polys), rest = tracker.take(whole, loops)
-                out_o, out_h, (out_e,), refine_history = koebe_refine(
-                    outer_poly, hole_polys, extras=[rest],
-                    passes=koebe_passes, target=0.0,
-                )
-                tracker.put(whole, loops, [out_o, *out_h], out_e)
+        def dirichlet_lane(block):
+            """Factor each block submesh's Dirichlet system while the chain
+            runs; solve it once the chain has run, at once if it has."""
+            held = []  # (submesh, chart mesh, factor)
+            try:
+                for k, i in enumerate(block):
+                    if chain.done() and chain.exception() is not None:
+                        return  # the chain failed: nothing to solve
+                    sub = submeshes[i]
+                    with _stage("laplace", sub.label):
+                        flat = TriangleMesh(
+                            vertices=charts[i].uv, faces=sub.mesh.faces,
+                            boundary_loops=sub.mesh.boundary_loops,
+                        )
+                        held.append((sub, flat, dirichlet_factor(flat)))
+                    if k + 1 < len(block) and not chain.done():
+                        continue
+                    if chain.exception() is not None:  # waits for the chain
+                        return
+                    (whole,) = tracker.comps
+                    while held:
+                        sub, flat, factor = held.pop(0)
+                        bidx = sub.mesh.boundary_vertices()
+                        with _stage("laplace", sub.label):
+                            boundary = tracker.get(whole, sub.to_parent[bidx])
+                            embeddings[sub.label] = laplace_dirichlet(
+                                flat, dict(zip(bidx.tolist(), boundary.tolist())), factor
+                            )
+            finally:
+                held.clear()  # a SuperLU factor dies on the thread that made it
 
+        # The chain runs on a pool thread: glibc keeps a malloc arena per
+        # thread, and its transients in the calling thread's arena raised
+        # beltrami's peak RSS by a quarter. Lanes of contiguous submeshes run
+        # beside it on the other workers, or after it at one thread.
+        chain = pool.submit(weld_chain)
+        embeddings = [None] * len(submeshes)
+        blocks = np.array_split(np.arange(len(submeshes)), max(1, threads - 1))
+        lanes = [pool.submit(dirichlet_lane, block) for block in blocks]
+        refine_history = chain.result()  # a chain error comes first
         with stage("laplace", snap=False):
-            embeddings = list(
-                pool.map(
-                    lambda sub, chart, mu_faces: _solve_submesh(
-                        sub, chart, tracker, whole, mu_faces, qc
-                    ),
-                    submeshes, charts, mu_subs,
+            for lane in lanes:  # blocks ascend: the lowest failed submesh wins
+                lane.result()
+            if qc:
+                embeddings = list(
+                    pool.map(_correct_submesh, submeshes, embeddings, mu_subs)
                 )
-            )
 
     with stage("assemble", snap=False):
         param = assemble_global(submeshes, embeddings, n_vertices=mesh.n_vertices)

@@ -5,6 +5,7 @@ from weldmap.assemble import (
     area_distortion,
     assemble_global,
     beltrami_error,
+    dirichlet_factor,
     disk_automorphism,
     laplace_dirichlet,
     mobius_area_correct,
@@ -71,6 +72,20 @@ def test_laplace_all_boundary_mesh():
     )
     emb = laplace_dirichlet(mesh, boundary_dict(mesh, lambda z: 3 * z + 1j))
     assert np.abs(emb.complex_view - (3 * (mesh.vertices[:, 0] + 1j * mesh.vertices[:, 1]) + 1j)).max() < 1e-14
+    assert dirichlet_factor(mesh) is None  # nothing to factor
+
+
+def test_laplace_with_a_prepared_factor_matches_a_fresh_one():
+    # The pipeline factors the interior block before the boundary is final
+    # and solves with that factor afterwards; one factor serves any number
+    # of boundaries, bit for bit as a call that factors on its own.
+    mesh = disk_mesh(n_rings=8, n_sect=32)
+    factor = dirichlet_factor(mesh)
+    for fn in (lambda z: z * z, lambda z: 2 * z - 1j):
+        bv = boundary_dict(mesh, fn)
+        assert np.array_equal(
+            laplace_dirichlet(mesh, bv, factor).uv, laplace_dirichlet(mesh, bv).uv
+        )
 
 
 # ---------------------------------------------------------------------------

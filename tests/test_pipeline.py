@@ -5,7 +5,9 @@ import importlib
 import json
 import logging
 import os
+import sys
 import threading
+import time
 from pathlib import Path
 import xml.etree.ElementTree as ET
 
@@ -87,17 +89,19 @@ def test_two_hole_prescribed_mu():
     ids=["grid60-4parts", "grid40-8parts"],
 )
 def test_serial_parallel_bitwise_identical(n, parts):
+    # Two threads run the chain beside one Dirichlet lane, four beside three.
     mesh = two_hole_grid(n)
     labels = default_partition(mesh, parts)
     mu = smooth_beltrami(mesh, seed=5)
     r1 = compute_parameterization(
         mesh, labels, mu, threads=1, deterministic=True
     )
-    r4 = compute_parameterization(
-        mesh, labels, mu, threads=4, deterministic=True
-    )
-    assert np.array_equal(r1.param.uv, r4.param.uv)
-    assert r1.report.as_dict() == r4.report.as_dict()
+    for threads in (2, 4):
+        rt = compute_parameterization(
+            mesh, labels, mu, threads=threads, deterministic=True
+        )
+        assert np.array_equal(r1.param.uv, rt.param.uv), threads
+        assert r1.report.as_dict() == rt.report.as_dict(), threads
 
 
 def test_outer_loop_lands_on_the_unit_circle():
@@ -443,22 +447,144 @@ class _FactorLinalg:
         return _Factor(self._real.splu(*args, **kwargs), self._freed)
 
 
-def test_lu_factors_are_freed_on_the_thread_that_factored_them(monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_lu_factors_are_freed_on_the_thread_that_factored_them(monkeypatch, threads):
     # With scipy 1.17.1 a SuperLU object freed on another thread than the
     # one that factored it leaks its memory (45 MB over 10 rounds of a
     # 6,488-unknown LU). Every factor must die on its own pool thread.
-    # Every factor, the Dirichlet ones included, is made by flatten.solve_fixed.
+    # Every factor, the Dirichlet ones included, is made by
+    # flatten.factor_fixed; a Dirichlet lane holds its factors until the
+    # chain has run.
     made, freed = [], []
     monkeypatch.setattr(flatten, "spla", _FactorLinalg(flatten.spla, made, freed))
     mesh = two_hole_grid(40)
     labels = default_partition(mesh, 4)
-    compute_parameterization(mesh, labels, smooth_beltrami(mesh), threads=2)
+    compute_parameterization(mesh, labels, smooth_beltrami(mesh), threads=threads)
     gc.collect()
     # Flatten (DNCP, then LSQC), Dirichlet and QC factor on pool threads.
     assert len(made) >= 3 * labels.n_parts
     assert threading.get_ident() not in made
     assert len(freed) == len(made)
     assert all(maker == freer for maker, freer in freed)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_lu_factors_are_freed_on_their_thread_when_the_chain_fails(monkeypatch, threads):
+    # MisorderedArc is not retried, so the first continuous weld ends the
+    # chain. Beside it, each Dirichlet lane drops the factors it holds.
+    made, freed = [], []
+    monkeypatch.setattr(flatten, "spla", _FactorLinalg(flatten.spla, made, freed))
+    mesh = two_hole_grid(40)
+    labels = default_partition(mesh, 4)
+    flattens = 2 * labels.n_parts  # DNCP, then LSQC
+
+    def failing(*args, **kwargs):
+        # With a lane beside the chain, fail once it holds a factor.
+        deadline = time.monotonic() + 20
+        while threads > 1 and len(made) <= flattens and time.monotonic() < deadline:
+            time.sleep(0.005)
+        raise MisorderedArc("injected")
+
+    monkeypatch.setattr(pipeline, "partial_weld", failing)
+    with pytest.raises(MisorderedArc) as info:
+        compute_parameterization(mesh, labels, smooth_beltrami(mesh), threads=threads)
+    assert info.value.stage == "weld"
+    del info
+    gc.collect()
+    assert len(made) > flattens if threads > 1 else len(made) == flattens
+    assert threading.get_ident() not in made
+    assert len(freed) == len(made)
+    assert all(maker == freer for maker, freer in freed)
+
+
+def test_dirichlet_lanes_under_a_short_switch_interval_match_one_thread():
+    # Five workers, the chain and four one-submesh lanes, switching often.
+    # A lost embedding, or a solve before the chain has run, would fail the
+    # map or change it.
+    mesh = two_hole_grid(40)
+    labels = default_partition(mesh, 4)
+    mu = _zero_mu(mesh)
+    r1 = compute_parameterization(mesh, labels, mu, qc=False, deterministic=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            r5 = compute_parameterization(
+                mesh, labels, mu, qc=False, threads=5, deterministic=True
+            )
+            assert np.array_equal(r1.param.uv, r5.param.uv)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_dirichlet_factors_start_while_the_welds_run(monkeypatch):
+    # With mu = 0 and QC off, every factorization after the flattens is a
+    # Dirichlet one. At two threads one must come while the chain still
+    # runs, before the outer circularization ends it.
+    mesh = grid_mesh(4, 4)
+    labels = _halves(mesh)
+    splu = flatten.spla.splu
+    calls = []
+    dirichlet = threading.Event()
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > labels.n_parts:
+            dirichlet.set()
+        return splu(*args, **kwargs)
+
+    outer = pipeline.circularize_outer
+    came = []
+
+    def waiting(*args, **kwargs):
+        came.append(dirichlet.wait(timeout=20))
+        return outer(*args, **kwargs)
+
+    monkeypatch.setattr(flatten.spla, "splu", counting)
+    monkeypatch.setattr(pipeline, "circularize_outer", waiting)
+    compute_parameterization(mesh, labels, _zero_mu(mesh), qc=False, threads=2)
+    assert came == [True]
+
+
+def test_dirichlet_failures_beside_the_chain_name_their_submesh(monkeypatch):
+    # At two threads one lane factors both halves' Dirichlet systems beside
+    # the chain, after the two flattens (mu = 0, QC off).
+    mesh = grid_mesh(4, 4)
+    labels = _halves(mesh)
+    splu = flatten.spla.splu
+    calls = []
+    dirichlet_failed = threading.Event()
+
+    def failing_from(first):
+        def factor(*args, **kwargs):
+            calls.append(1)
+            if len(calls) >= first:
+                dirichlet_failed.set()
+                raise RuntimeError("Factor is exactly singular")
+            return splu(*args, **kwargs)
+        return factor
+
+    monkeypatch.setattr(flatten.spla, "splu", failing_from(4))
+    with pytest.raises(SingularSystem) as info:
+        compute_parameterization(mesh, labels, _zero_mu(mesh), qc=False, threads=2)
+    assert info.value.describe().startswith(
+        "SINGULAR_SYSTEM | stage=laplace | submesh=1 | sparse LU factorization failed"
+    )
+
+    # When a weld fails after a Dirichlet factorization has, the weld's
+    # error is raised.
+    def failing_weld(*args, **kwargs):
+        dirichlet_failed.wait(timeout=20)
+        raise MisorderedArc("injected")
+
+    calls.clear()
+    dirichlet_failed.clear()
+    monkeypatch.setattr(flatten.spla, "splu", failing_from(3))
+    monkeypatch.setattr(pipeline, "partial_weld", failing_weld)
+    with pytest.raises(MisorderedArc) as info:
+        compute_parameterization(mesh, labels, _zero_mu(mesh), qc=False, threads=2)
+    assert dirichlet_failed.is_set()
+    assert info.value.stage == "weld"
 
 
 def test_auto_partition_with_more_holes_than_parts_is_logged(tmp_path, caplog):

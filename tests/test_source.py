@@ -33,7 +33,7 @@ def test_every_definition_is_used_in_src_or_exported():
 
 
 def test_one_sparse_lu_call_in_src():
-    # The flatten, QC and Dirichlet systems all factor in flatten.solve_fixed.
+    # The flatten, QC and Dirichlet systems all factor in flatten.factor_fixed.
     calls = [
         path.name
         for path in sorted(SRC.glob("*.py"))
