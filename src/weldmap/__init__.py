@@ -5,7 +5,6 @@ from .assemble import (
     GlobalParameterization,
     ParamReport,
     area_distortion,
-    beltrami_error,
     laplace_dirichlet,
     mobius_area_correct,
     qc_correction,
@@ -40,7 +39,6 @@ __all__ = [
     "WeldSpec",
     "WeldmapError",
     "area_distortion",
-    "beltrami_error",
     "build_mesh",
     "build_weld_specs",
     "circularize_hole",

@@ -208,14 +208,6 @@ class ParamReport:
         }
 
 
-def beltrami_error(vertices, faces, uv, mu_target):
-    """Per-face error e_T = (mu of the map) - (prescribed mu), and the mean
-    absolute error e. This is an absolute error, not a relative one."""
-    fd = beltrami_per_face(np.asarray(vertices, dtype=float), faces, uv)
-    e_face = fd.mu_face - np.asarray(mu_target, dtype=np.complex128)
-    return e_face, float(np.abs(e_face).mean())
-
-
 def area_distortion(vertices, faces, uv, bins=20):
     """Logged area ratio per face.
 

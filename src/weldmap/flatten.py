@@ -10,6 +10,7 @@ included, so perfbench counts all LU work through this module's spla.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,28 +185,32 @@ def factor_fixed(K, fixed):
         lu = spla.splu(Kff, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SingularSystem(f"sparse LU factorization failed: {exc}") from exc
+    # A partial, not a closure: the frame of a failed solve keeps its
+    # function, and a closure would keep the factor alive with it after
+    # the frame is cleared.
+    return functools.partial(_solve_factored, lu, n, fixed, free, K_free, Kff)
 
-    def solve(values, fail_rtol):
-        values = np.asarray(values, dtype=float)
-        x = np.zeros((n,) + values.shape[1:])
-        x[fixed] = values
-        rhs = -(K_free[:, fixed] @ values)
-        xf = lu.solve(rhs)
-        scale = max(np.linalg.norm(rhs), 1e-300)
-        for _ in range(5):
-            r = rhs - Kff @ xf
-            if np.linalg.norm(r) <= SOLVE_RTOL * scale:
-                break
-            xf = xf + lu.solve(r)
-        res = np.linalg.norm(rhs - Kff @ xf)
-        if not np.all(np.isfinite(xf)) or res > fail_rtol * scale:
-            raise SingularSystem(
-                f"relative residual {res / scale:.1e} stays above {fail_rtol:.0e}"
-            )
-        x[free] = xf
-        return x
 
-    return solve
+def _solve_factored(lu, n, fixed, free, K_free, Kff, values, fail_rtol):
+    """The solve that factor_fixed returns, with its factor and blocks."""
+    values = np.asarray(values, dtype=float)
+    x = np.zeros((n,) + values.shape[1:])
+    x[fixed] = values
+    rhs = -(K_free[:, fixed] @ values)
+    xf = lu.solve(rhs)
+    scale = max(np.linalg.norm(rhs), 1e-300)
+    for _ in range(5):
+        r = rhs - Kff @ xf
+        if np.linalg.norm(r) <= SOLVE_RTOL * scale:
+            break
+        xf = xf + lu.solve(r)
+    res = np.linalg.norm(rhs - Kff @ xf)
+    if not np.all(np.isfinite(xf)) or res > fail_rtol * scale:
+        raise SingularSystem(
+            f"relative residual {res / scale:.1e} stays above {fail_rtol:.0e}"
+        )
+    x[free] = xf
+    return x
 
 
 def solve_fixed(K, fixed, values, fail_rtol):

@@ -13,15 +13,16 @@ import numpy as np
 
 from .errors import MisorderedArc, NumericalBreakdown
 from .welding import (
-    MobiusMap,
-    Primitive,
-    SquareClosing,
+    BoundaryChain,
     _interior_point,
+    _mobius,
     _pack_state,
     _polygon_area,
+    _square_closing,
     _unpack,
     _unzip,
     point_in_polygon,
+    sqrt_branch,
 )
 
 CIRCULARITY_TARGET = 1e-3
@@ -49,8 +50,7 @@ def loop_circularity(points):
     )
 
 
-@dataclass
-class SlitToDisk(Primitive):
+def _slit_to_disk(st, side):
     """Map the plane slit along the negative real ray onto the unit disk:
     w = sqrt(z) (principal), d = (1 - w)/(1 + w).
 
@@ -58,19 +58,11 @@ class SlitToDisk(Primitive):
     by the preceding square map) take the root on the half-axis given by
     `side`; infinity maps to -1.
     """
-
-    side: int
-
-    def _apply(self, z, at_inf, on_axis):
-        z = np.asarray(z, dtype=np.complex128)
-        w = np.sqrt(z)
-        cut = (~at_inf) & (z.imag == 0.0) & (z.real < 0.0)
-        if np.any(cut):
-            w = np.where(cut, self.side * 1j * np.sqrt(np.abs(z.real)), w)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = (1.0 - w) / (1.0 + w)
-        d = np.where(at_inf, -1.0 + 0j, d)
-        return d, np.zeros_like(at_inf), np.zeros_like(on_axis)
+    w = sqrt_branch(st.z, side)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = (1.0 - w) / (1.0 + w)
+    d = np.where(st.at_inf, -1.0 + 0j, d)
+    return BoundaryChain(d, np.zeros_like(st.at_inf), np.zeros_like(st.on_axis))
 
 
 def _closed_geodesic(st, n):
@@ -79,17 +71,16 @@ def _closed_geodesic(st, n):
     at the origin. Returns the mapped state."""
     st = _unzip(st, n - 1, +1)
     if st.at_inf[0]:
-        closing = SquareClosing(None)
+        q = None
     else:
         if not st.on_axis[0]:
             raise NumericalBreakdown("closing point left the imaginary axis")
-        closing = SquareClosing(st.z[0])
-    st = closing.apply_state(st)
-    st = SlitToDisk(side=+1).apply_state(st)
+        q = st.z[0]
+    st = _slit_to_disk(_square_closing(st, q), +1)
     a = st.z[n]
     if st.at_inf[n] or abs(a) >= 1.0:
         raise NumericalBreakdown("anchor left the unit disk")
-    st = MobiusMap(1.0, -a, -np.conj(a), 1.0).apply_state(st)
+    st = _mobius(st, 1.0, -a, -np.conj(a), 1.0)
     # The boundary samples are on the unit circle up to roundoff; project
     # them exactly (marker-style snap, the interior is untouched).
     mags = np.abs(st.z[:n])
@@ -139,7 +130,7 @@ def circularize_hole(hole, passengers=()):
             "sends the hole's centre to infinity"
         )
     c = _interior_point(hole)
-    inv, inv_p = _unpack(MobiusMap(0.0, 1.0, 1.0, -c).apply_state(st), n, offsets)
+    inv, inv_p = _unpack(_mobius(st, 0.0, 1.0, 1.0, -c), n, offsets)
     # The inversion swaps interior and exterior and sends infinity to 0, so
     # the inverted hole runs clockwise when the input runs counter-clockwise;
     # map the interior of whichever order is counter-clockwise.
@@ -150,7 +141,7 @@ def circularize_hole(hole, passengers=()):
     if flipped:
         out = out[::-1]
     st, offsets = _pack_state(out, out_p)
-    return _unpack(MobiusMap(0.0, 1.0, 1.0, 0.0).apply_state(st), n, offsets)
+    return _unpack(_mobius(st, 0.0, 1.0, 1.0, 0.0), n, offsets)
 
 
 def circularize_outer(outer, passengers=()):
@@ -159,9 +150,9 @@ def circularize_outer(outer, passengers=()):
     out_b, out_p = disk_map_interior(outer, passengers)
     worst = max((np.abs(p).max() for p in out_p if len(p)), default=0.0)
     if worst >= 1.0 - 1e-12:
-        scale = MobiusMap((1.0 - 1e-12) / worst, 0.0, 0.0, 1.0)
         st, offsets = _pack_state(out_b, out_p)
-        out_b, out_p = _unpack(scale.apply_state(st), len(out_b), offsets)
+        scaled = _mobius(st, (1.0 - 1e-12) / worst, 0.0, 0.0, 1.0)
+        out_b, out_p = _unpack(scaled, len(out_b), offsets)
     return out_b, out_p
 
 

@@ -217,27 +217,19 @@ def _walk_loops(faces, on_boundary):
 # File I/O
 
 
-def load_mesh(path, fmt=None):
-    """Load and validate an OBJ or OFF mesh file.
-
-    The format is inferred from the extension unless given explicitly.
-    """
-    if fmt is None:
-        ext = os.path.splitext(path)[1].lower()
-        fmt = {"": "obj", ".obj": "obj", ".off": "off"}.get(ext)
-        if fmt is None:
-            raise ParseError(f"cannot infer mesh format from {path!r}")
+def load_mesh(path):
+    """Load and validate an OBJ or OFF mesh file; the extension picks the
+    reader, and a path without one is read as OBJ."""
+    ext = os.path.splitext(path)[1].lower()
+    parse = {"": _parse_obj, ".obj": _parse_obj, ".off": _parse_off}.get(ext)
+    if parse is None:
+        raise ParseError(f"cannot infer mesh format from {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
-    if fmt == "obj":
-        vertices, faces = _parse_obj(text)
-    elif fmt == "off":
-        vertices, faces = _parse_off(text)
-    else:
-        raise ParseError(f"unknown mesh format {fmt!r}")
+    vertices, faces = parse(text)
     return build_mesh(vertices, faces)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -215,12 +216,14 @@ def _side_loop(loops, arc, reverse):
 @contextmanager
 def _stage(stage, submesh=None):
     """An error without a stage raised in the block gets this stage and
-    submesh."""
+    submesh. Its finished frames are cleared on the raising thread: a
+    SuperLU factor they hold must die on the thread that made it."""
     try:
         yield
     except WeldmapError as err:
         if err.stage is None:
             err.stage, err.submesh = stage, submesh
+        traceback.clear_frames(err.__traceback__)
         raise
 
 
@@ -471,7 +474,9 @@ def compute_parameterization(
                                 flat, dict(zip(bidx.tolist(), boundary.tolist())), factor
                             )
             finally:
-                held.clear()  # a SuperLU factor dies on the thread that made it
+                # A SuperLU factor dies on the thread that made it.
+                held.clear()
+                factor = None
 
         # The chain runs on a pool thread: glibc keeps a malloc arena per
         # thread, and its transients in the calling thread's arena raised

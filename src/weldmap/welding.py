@@ -1,4 +1,9 @@
-"""Conformal map primitives and the boundary welding algorithms.
+"""The elementary conformal maps and the boundary welding algorithms.
+
+Each one-shot map (Mobius, initial root, closing Mobius, square closing) is
+a function from a BoundaryChain state and its parameters to the mapped
+state; the zipper kernel (_Zipper) runs the geodesic and weld steps of a
+whole loop on one state in place.
 
 All computation is carried out in the right half-plane: the weld arc lives on
 the imaginary axis (upper half for one side, lower for the other) and the two
@@ -6,7 +11,7 @@ branches of the square root only disagree on the negative real axis, where a
 recorded branch sign decides between +i and -i.
 
 Points designated as on-axis are stored with exactly zero real part and
-propagated through each primitive in real arithmetic, so axis membership is
+propagated through each map in real arithmetic, so axis membership is
 exact rather than drifting; the point at infinity is a distinguished flag and
 is handled by coefficient limits.
 """
@@ -63,12 +68,9 @@ class BoundaryChain:
             np.hypot(np.ptp(f.real), np.ptp(f.imag))
         ) or 1.0
 
-    def split(self, n):
-        """The first n entries and the rest, as two chains (views)."""
-        return (
-            BoundaryChain(self.z[:n], self.at_inf[:n], self.on_axis[:n]),
-            BoundaryChain(self.z[n:], self.at_inf[n:], self.on_axis[n:]),
-        )
+    def head(self, n):
+        """The first n entries, as a chain of views."""
+        return BoundaryChain(self.z[:n], self.at_inf[:n], self.on_axis[:n])
 
     def set_exact(self, i, value, on_axis=False):
         self.z[i] = value
@@ -81,116 +83,80 @@ class BoundaryChain:
         self.on_axis[i] = on_axis
 
 
-class Primitive:
-    """A conformal map acting on a BoundaryChain state."""
-
-    def apply_state(self, st):
-        z, at_inf, on_axis = self._apply(st.z, st.at_inf, st.on_axis)
-        return BoundaryChain(z=z, at_inf=at_inf, on_axis=on_axis)
-
-    def _apply(self, z, at_inf, on_axis):
-        raise NotImplementedError
-
-
-@dataclass
-class MobiusMap(Primitive):
+def _mobius(st, a, b, c, d):
     """(a z + b) / (c z + d); infinity maps to a/c and the pole to infinity."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def _apply(self, z, at_inf, on_axis):
-        den = self.c * z + self.d
-        pole = (~at_inf) & (np.abs(den) < _TINY)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = (self.a * z + self.b) / np.where(pole, 1.0, den)
-        if abs(self.c) < _TINY:
-            new_inf = at_inf | pole
-            w = np.where(at_inf, 0.0, w)
-        else:
-            w = np.where(at_inf, self.a / self.c, w)
-            new_inf = pole
-        return w, new_inf, np.zeros_like(on_axis)
+    z, at_inf = st.z, st.at_inf
+    den = c * z + d
+    pole = (~at_inf) & (np.abs(den) < _TINY)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (a * z + b) / np.where(pole, 1.0, den)
+    if abs(c) < _TINY:
+        new_inf = at_inf | pole
+        w = np.where(at_inf, 0.0, w)
+    else:
+        w = np.where(at_inf, a / c, w)
+        new_inf = pole
+    return BoundaryChain(w, new_inf, np.zeros_like(st.on_axis))
 
 
-@dataclass
-class InitialRoot(Primitive):
+def _initial_root(st, z0, z1, branch):
     """g(z) = sqrt((z - z1)/(z - z0)): z1 to 0, z0 to infinity."""
-
-    z0: complex
-    z1: complex
-    branch: int
-
-    def _apply(self, z, at_inf, on_axis):
-        den = z - self.z0
-        pole = (~at_inf) & (np.abs(den) < _TINY)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (z - self.z1) / np.where(pole, 1.0, den)
-        ratio = np.where(at_inf, 1.0 + 0j, ratio)
-        w = sqrt_branch(ratio, self.branch)
-        return w, pole, np.zeros_like(on_axis)
+    z, at_inf = st.z, st.at_inf
+    den = z - z0
+    pole = (~at_inf) & (np.abs(den) < _TINY)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (z - z1) / np.where(pole, 1.0, den)
+    ratio = np.where(at_inf, 1.0 + 0j, ratio)
+    return BoundaryChain(sqrt_branch(ratio, branch), pole, np.zeros_like(st.on_axis))
 
 
-@dataclass
-class ClosingMobius(Primitive):
+def _closing_mobius(st, qy):
     """z / (1 - z/q) for an axis point q = i*qy: q to infinity, 0 to 0."""
+    z, at_inf, on_axis = st.z, st.at_inf, st.on_axis
+    q = 1j * qy
+    w = np.zeros_like(z)
+    new_inf = np.zeros_like(at_inf)
 
-    qy: float
-
-    def _apply(self, z, at_inf, on_axis):
-        z = np.asarray(z, dtype=np.complex128)
-        q = 1j * self.qy
-        w = np.zeros_like(z)
-        new_inf = np.zeros_like(at_inf)
-        new_axis = on_axis.copy()
-
-        fin = ~at_inf
-        den = 1.0 - z / q
-        pole = fin & (np.abs(den) < 1e-300)
+    fin = ~at_inf
+    den = 1.0 - z / q
+    pole = fin & (np.abs(den) < 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w[fin] = (z / np.where(pole, 1.0, den))[fin]
+    new_inf[pole] = True
+    w[at_inf] = -q
+    axf = on_axis & ~at_inf & ~pole
+    if np.any(axf):
+        y = z[axf].imag
+        dy = 1.0 - y / qy
+        # The real-arithmetic denominator can hit zero even when the
+        # complex pole test above missed it by a rounding ulp.
+        hit = dy == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            w[fin] = (z / np.where(pole, 1.0, den))[fin]
-        new_inf[pole] = True
-        w[at_inf] = -q
-        axf = on_axis & ~at_inf & ~pole
-        if np.any(axf):
-            y = z[axf].imag
-            dy = 1.0 - y / self.qy
-            # The real-arithmetic denominator can hit zero even when the
-            # complex pole test above missed it by a rounding ulp.
-            hit = dy == 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = 1j * (y / np.where(hit, 1.0, dy))
-            w[axf] = vals
-            idx = np.flatnonzero(axf)
-            new_inf[idx[hit]] = True
-        return w, new_inf, new_axis
+            vals = 1j * (y / np.where(hit, 1.0, dy))
+        w[axf] = vals
+        idx = np.flatnonzero(axf)
+        new_inf[idx[hit]] = True
+    return BoundaryChain(w, new_inf, on_axis.copy())
 
 
-@dataclass
-class SquareClosing(Primitive):
+def _square_closing(st, q):
     """h(z) = (z / (1 - z/q))^2 reopening the domain at the boundary point q;
     q = None encodes a pole at infinity (plain square). An entry whose
     square overflows goes to infinity, as a pole does."""
-
-    q: complex | None
-
-    def _apply(self, z, at_inf, on_axis):
-        z = np.asarray(z, dtype=np.complex128)
-        m, pole = z, at_inf
-        if self.q is not None:
-            den = 1.0 - z / self.q
-            pole = (~at_inf) & (np.abs(den) < 1e-300)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                m = np.where(at_inf, -self.q, z / np.where(pole, 1.0, den))
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = m * m
-        if self.q is None:
-            w[at_inf] = 0.0
-        far = np.isfinite(m) & ~np.isfinite(w)  # not an entry that came in non-finite
-        w[far] = 0.0
-        return w, pole | far, np.zeros_like(on_axis)
+    z, at_inf = st.z, st.at_inf
+    m, pole = z, at_inf
+    if q is not None:
+        den = 1.0 - z / q
+        pole = (~at_inf) & (np.abs(den) < 1e-300)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = np.where(at_inf, -q, z / np.where(pole, 1.0, den))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = m * m
+    if q is None:
+        w[at_inf] = 0.0
+    far = np.isfinite(m) & ~np.isfinite(w)  # not an entry that came in non-finite
+    w[far] = 0.0
+    return BoundaryChain(w, pole | far, np.zeros_like(st.on_axis))
 
 
 def _pack_state(points, passengers=()):
@@ -427,8 +393,7 @@ def _unzip(st, k, branch, scale=1.0):
     it to 0. Each unzipped entry is set exactly to 0 and marked on-axis;
     branch picks the half-axis for points on the cut. Returns the mapped
     state."""
-    g1 = InitialRoot(z0=complex(st.z[0]), z1=complex(st.z[1]), branch=branch)
-    st = g1.apply_state(st)
+    st = _initial_root(st, complex(st.z[0]), complex(st.z[1]), branch)
     st.set_exact(1, 0.0, on_axis=True)
     st.set_inf(0, on_axis=True)
     zipper = _Zipper(st, 2)
@@ -463,11 +428,11 @@ def intermediate_form(st, k, branch, n=None):
         qy = st.z[0].imag
         if abs(qy) < _TINY:
             raise NumericalBreakdown("closing point collapsed to zero")
-        st = ClosingMobius(qy=qy).apply_state(st)
+        st = _closing_mobius(st, qy)
         st.set_inf(0, on_axis=True)
 
     new_scale = st.diameter(n)
-    head = st.split(n)[0]
+    head = st.head(n)
     bad = (~head.at_inf) & (~head.on_axis) & (head.z.real < -AXIS_RTOL * new_scale)
     if np.any(bad):
         raise NumericalBreakdown(
@@ -658,7 +623,7 @@ def partial_weld(a_points, b_points, k, passengers_a=(), passengers_b=()):
     # axis arithmetic, so they coincide; the closing map reopens the welded
     # picture at that shared boundary point, sending it to infinity.
     if st_a.at_inf[0] and st_b.at_inf[0]:
-        h0 = SquareClosing(q=None)
+        q = None
     elif not st_a.at_inf[0] and not st_b.at_inf[0]:
         qa = complex(st_a.z[0])
         qb = complex(st_b.z[0])
@@ -667,12 +632,12 @@ def partial_weld(a_points, b_points, k, passengers_a=(), passengers_b=()):
             raise NumericalBreakdown(
                 f"far ends of the weld arc disagree: {qa} vs {qb}"
             )
-        h0 = SquareClosing(q=0.5 * (qa + qb))
+        q = 0.5 * (qa + qb)
     else:
         raise NumericalBreakdown("far ends of the weld arc are inconsistent")
-    st_a = h0.apply_state(st_a)
-    st_b = h0.apply_state(st_b)
-    if h0.q is not None:
+    st_a = _square_closing(st_a, q)
+    st_b = _square_closing(st_b, q)
+    if q is not None:
         st_a.set_inf(0)
         st_b.set_inf(0)
 
@@ -684,13 +649,13 @@ def partial_weld(a_points, b_points, k, passengers_a=(), passengers_b=()):
     else:
         p3 = 0.5 * (complex(st_a.z[m + 1]) + complex(st_b.z[n + 1]))
     norm = _three_point_mobius(p1, p2, p3)
-    st_a = norm.apply_state(st_a)
-    st_b = norm.apply_state(st_b)
+    st_a = _mobius(st_a, *norm)
+    st_b = _mobius(st_b, *norm)
     if st_a.at_inf[0] or st_b.at_inf[0]:
         raise NumericalBreakdown("weld arc endpoint remained at infinity")
 
-    head_a = st_a.split(m + 2)[0]
-    head_b = st_b.split(n + 2)[0]
+    head_a = st_a.head(m + 2)
+    head_b = st_b.head(n + 2)
     _check_weld(head_a, head_b, k)
     return (
         head_a, head_b,
@@ -699,12 +664,13 @@ def partial_weld(a_points, b_points, k, passengers_a=(), passengers_b=()):
 
 
 def _three_point_mobius(p1, p2, p3):
-    """Mobius sending (p1, p2, p3) to (-1, 1, infinity); p3 None means inf."""
+    """Coefficients (a, b, c, d) of the Mobius sending (p1, p2, p3) to
+    (-1, 1, infinity); p3 None means inf."""
     if p3 is None:
         s = 2.0 / (p2 - p1)
-        return MobiusMap(a=s, b=-s * p1 - 1.0, c=0.0, d=1.0)
+        return s, -s * p1 - 1.0, 0.0, 1.0
     kk = (p2 - p3) / (p2 - p1)
-    return MobiusMap(a=2.0 * kk - 1.0, b=p3 - 2.0 * kk * p1, c=1.0, d=-p3)
+    return 2.0 * kk - 1.0, p3 - 2.0 * kk * p1, 1.0, -p3
 
 
 def _check_weld(st_a, st_b, k):

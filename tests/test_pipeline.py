@@ -14,6 +14,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import weldmap.assemble as assemble
 import weldmap.flatten as flatten
 import weldmap.pipeline as pipeline
 from weldmap.assemble import area_distortion
@@ -492,6 +493,34 @@ def test_lu_factors_are_freed_on_their_thread_when_the_chain_fails(monkeypatch, 
     del info
     gc.collect()
     assert len(made) > flattens if threads > 1 else len(made) == flattens
+    assert threading.get_ident() not in made
+    assert len(freed) == len(made)
+    assert all(maker == freer for maker, freer in freed)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize(
+    "module, bound, stage",
+    [(flatten, "SOLVE_RTOL", "flatten"), (assemble, "LAPLACE_RTOL", "laplace")],
+)
+def test_lu_factors_of_failed_solves_are_freed_on_their_thread(
+    monkeypatch, module, bound, stage, threads
+):
+    # A negative residual bound fails every flatten (or every Dirichlet)
+    # solve after its factor is made. The error leaves the pool task with
+    # its traceback, whose frames must not carry the factor to the thread
+    # that drops the error.
+    made, freed = [], []
+    monkeypatch.setattr(flatten, "spla", _FactorLinalg(flatten.spla, made, freed))
+    monkeypatch.setattr(module, bound, -1.0)
+    mesh = two_hole_grid(40)
+    labels = default_partition(mesh, 4)
+    with pytest.raises(SingularSystem) as info:
+        compute_parameterization(mesh, labels, _zero_mu(mesh), qc=False, threads=threads)
+    assert info.value.stage == stage
+    del info
+    gc.collect()
+    assert made
     assert threading.get_ident() not in made
     assert len(freed) == len(made)
     assert all(maker == freer for maker, freer in freed)

@@ -32,6 +32,27 @@ def test_every_definition_is_used_in_src_or_exported():
     assert not unused, "used only outside src: " + ", ".join(unused)
 
 
+def test_every_exported_name_is_used_in_src():
+    # The package's own modules use what it exports; a name that only tests
+    # call belongs in the tests, exported or not.
+    lines = [
+        line
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+    unused = []
+    for name in weldmap.__all__:
+        word = re.compile(rf"\b{name}\b")
+        if not any(
+            word.search(line)
+            for line in lines
+            if not (m := DEF.match(line)) or m.group(1) != name
+        ):
+            unused.append(name)
+    assert not unused, "exported but unused in src: " + ", ".join(unused)
+
+
 def test_one_sparse_lu_call_in_src():
     # The flatten, QC and Dirichlet systems all factor in flatten.factor_fixed.
     calls = [

@@ -129,8 +129,8 @@ def test_geodesic_rejects_near_zero_relative_to_scale():
     # root sends it to sqrt(-i d / (1 - i d)), about 2e-14 for d = 4e-28.
     # The step refuses it when that is below 1e-14 times the chain's scale.
     pts = [1.0, 0.0, 4e-28j, -1.0 + 1j, -1.0 - 1j]
-    xi = abs(welding.InitialRoot(pts[0], pts[1], +1).apply_state(
-        BoundaryChain.from_points(pts)).z[2])
+    xi = abs(welding._initial_root(
+        BoundaryChain.from_points(pts), pts[0], pts[1], +1).z[2])
     assert 1.5e-14 < xi < 2.5e-14
     with pytest.raises(ZeroXi):
         _unzip_points(pts, 2, scale=1.01 * xi / 1e-14)
@@ -162,12 +162,10 @@ def test_square_closing_sends_an_overflowing_square_to_infinity(q, z):
     # The square passes the largest double. The entry goes to infinity, as
     # a pole does, with no overflow warning (warnings from weldmap code fail
     # the test).
-    st = welding.SquareClosing(q=q).apply_state(
-        BoundaryChain.from_points([0.5, z, 3.0])
-    )
+    st = welding._square_closing(BoundaryChain.from_points([0.5, z, 3.0]), q)
     assert st.at_inf.tolist() == [False, True, False]
     assert st.z[1] == 0
-    plain = welding.SquareClosing(q=q).apply_state(BoundaryChain.from_points([0.5, 3.0]))
+    plain = welding._square_closing(BoundaryChain.from_points([0.5, 3.0]), q)
     assert np.array_equal(st.z[[0, 2]], plain.z)
     assert not plain.at_inf.any()
 
@@ -176,8 +174,8 @@ def test_square_closing_sends_an_overflowing_square_to_infinity(q, z):
 def test_square_closing_leaves_a_nan_entry_as_it_came(q):
     # Only a square that overflows is sent to infinity; an entry that is
     # already NaN is not taken for a pole.
-    st = welding.SquareClosing(q=q).apply_state(
-        BoundaryChain.from_points([0.5, complex(np.nan, 0.0), 3.0])
+    st = welding._square_closing(
+        BoundaryChain.from_points([0.5, complex(np.nan, 0.0), 3.0]), q
     )
     assert not st.at_inf.any()
     assert np.isnan(st.z[1])

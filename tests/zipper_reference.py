@@ -2,8 +2,8 @@
 weldmap.welding.
 
 Each geodesic or weld step here is one masked pass over the whole state
-(GeodesicStep / WeldStep), the way the package computed them before its
-loops ran on whole slices of a fixed state layout. `unzip` and
+(GeodesicStep / WeldStep, each a Primitive), the way the package computed
+them before its loops ran on whole slices of a fixed state layout. `unzip` and
 `weld_pairs` take the same arguments and return the same states as
 weldmap.welding._unzip and weldmap.welding._weld_pairs, so a test can put
 them in place of the kernel and compare the outputs bit for bit.
@@ -14,7 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from weldmap.errors import NumericalBreakdown, ZeroXi
-from weldmap.welding import _TINY, InitialRoot, Primitive, _span
+from weldmap.welding import _TINY, BoundaryChain, _initial_root, _span
+
+
+class Primitive:
+    """A conformal map acting on a BoundaryChain state."""
+
+    def apply_state(self, st):
+        z, at_inf, on_axis = self._apply(st.z, st.at_inf, st.on_axis)
+        return BoundaryChain(z=z, at_inf=at_inf, on_axis=on_axis)
+
+    def _apply(self, z, at_inf, on_axis):
+        raise NotImplementedError
 
 
 def sqrt_branch(w, branch):
@@ -188,8 +199,7 @@ def unzip(st, k, branch, scale=1.0, paths=None):
     """weldmap.welding._unzip, one GeodesicStep pass per arc point. The
     rare paths a step takes are added by name to the set `paths`."""
     paths = set() if paths is None else paths
-    g1 = InitialRoot(z0=complex(st.z[0]), z1=complex(st.z[1]), branch=branch)
-    st = g1.apply_state(st)
+    st = _initial_root(st, complex(st.z[0]), complex(st.z[1]), branch)
     if st.at_inf[1:].any():  # entry 0 is the root's own pole
         paths.add("unzip: entry at infinity after the initial root")
     st.set_exact(1, 0.0, on_axis=True)
