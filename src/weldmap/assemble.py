@@ -4,8 +4,8 @@ Each submesh gets a harmonic extension of its welded boundary (Dirichlet
 Laplace solve on the flattened domain) and, optionally, a quasi-conformal
 correction that pulls the achieved Beltrami coefficient back toward the
 prescribed one. Duplicated cut vertices are reconciled by averaging, and a
-small metric suite (Beltrami error, logged area ratio, disk automorphism
-search) quantifies the result.
+small metric suite (logged area ratio, disk automorphism search) quantifies
+the result.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .mesh import TriangleMesh, face_areas, walk_boundary_loops
 
 LAPLACE_RTOL = 1e-8
 SEAM_RTOL = 1e-6
+AREA_BINS = 20  # histogram bins of the logged area ratio
 
 
 # ---------------------------------------------------------------------------
@@ -47,35 +48,22 @@ def dirichlet_factor(mesh):
     return factor_fixed(cotan_laplacian(mesh), fixed)
 
 
-def laplace_dirichlet(mesh, boundary_values, factor=None):
+def laplace_dirichlet(mesh, boundary, factor):
     """Harmonic extension of prescribed boundary positions.
 
-    mesh is the flattened submesh (2D vertices); boundary_values maps vertex
-    id -> complex target position (or an (u, v) pair). Every boundary vertex
-    of the mesh must be covered. Interior rows of the cotangent Laplacian
-    are solved by factor (dirichlet_factor(mesh), when boundary_values
-    covers exactly the boundary) or a new factor, failing above a relative
-    residual of LAPLACE_RTOL; boundary rows are reproduced exactly.
+    mesh is the flattened submesh (2D vertices); boundary holds the complex
+    target position of each vertex of mesh.boundary_vertices(), in that
+    order. factor is dirichlet_factor(mesh): its solve gives the interior
+    rows of the cotangent Laplacian, failing above a relative residual of
+    LAPLACE_RTOL; boundary rows are reproduced exactly.
     """
-    fixed_ids = np.asarray(sorted(boundary_values), dtype=np.int64)
-    missing = np.setdiff1d(mesh.boundary_vertices(), fixed_ids)
-    if len(missing):
+    n_fixed = len(mesh.boundary_vertices())
+    if len(boundary) != n_fixed:
         raise MissingBoundaryValue(
-            f"{len(missing)} boundary vertices without a value "
-            f"(first: {int(missing[0])})"
+            f"{len(boundary)} boundary values for {n_fixed} boundary vertices"
         )
-    vals = np.empty((len(fixed_ids), 2))
-    for k, vid in enumerate(fixed_ids):
-        v = boundary_values[int(vid)]
-        if isinstance(v, complex):
-            vals[k] = (v.real, v.imag)
-        else:
-            vals[k] = v
-
-    if np.array_equal(fixed_ids, np.arange(mesh.n_vertices)):
-        return PlanarEmbedding(uv=vals)
-    solve = factor or factor_fixed(cotan_laplacian(mesh), fixed_ids)
-    return PlanarEmbedding(uv=solve(vals, LAPLACE_RTOL))
+    vals = np.column_stack([boundary.real, boundary.imag])
+    return PlanarEmbedding(uv=vals if factor is None else factor(vals, LAPLACE_RTOL))
 
 
 # ---------------------------------------------------------------------------
@@ -130,34 +118,25 @@ def qc_correction(source_vertices, faces, image, mu_target):
 class GlobalParameterization:
     uv: np.ndarray  # (n_parent, 2)
     submesh_uv: list  # PlanarEmbedding per submesh
-    vertex_label: np.ndarray  # one owning submesh label per parent vertex
-
-    @property
-    def complex_view(self):
-        return self.uv[:, 0] + 1j * self.uv[:, 1]
 
 
-def assemble_global(submeshes, embeddings, n_vertices=None):
-    """Merge per-submesh embeddings into parent-vertex uv.
+def assemble_global(submeshes, embeddings, n_vertices):
+    """Merge per-submesh embeddings into uv of the n_vertices parent vertices.
 
     Cut vertices appear in several submeshes; their copies must agree to
     1e-6 of the overall diameter (a larger gap signals an upstream welding
     bug) and are averaged.
     """
-    if n_vertices is None:
-        n_vertices = 1 + max(int(s.to_parent.max()) for s in submeshes)
     acc = np.zeros((n_vertices, 2))
     cnt = np.zeros(n_vertices)
     lo = np.full((n_vertices, 2), np.inf)
     hi = np.full((n_vertices, 2), -np.inf)
-    label = np.full(n_vertices, -1, dtype=np.int64)
     for sub, emb in zip(submeshes, embeddings):
         ids = sub.to_parent
         acc[ids] += emb.uv
         cnt[ids] += 1
         np.minimum.at(lo, ids, emb.uv)
         np.maximum.at(hi, ids, emb.uv)
-        label[ids] = sub.label
     if np.any(cnt == 0):
         raise SeamMismatch(
             f"parent vertex {int(np.flatnonzero(cnt == 0)[0])} owned by no submesh"
@@ -173,11 +152,7 @@ def assemble_global(submeshes, embeddings, n_vertices=None):
             hint="boundary welding drifted; inspect the weld chain",
         )
     uv = acc / cnt[:, None]
-    return GlobalParameterization(
-        uv=uv,
-        submesh_uv=list(embeddings),
-        vertex_label=label,
-    )
+    return GlobalParameterization(uv=uv, submesh_uv=list(embeddings))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +183,7 @@ class ParamReport:
         }
 
 
-def area_distortion(vertices, faces, uv, bins=20):
+def area_distortion(vertices, faces, uv):
     """Logged area ratio per face.
 
     d(T) = log of (image area share of T) / (source area share of T), where
@@ -216,15 +191,12 @@ def area_distortion(vertices, faces, uv, bins=20):
     of either side cancels. Returns (d per face, summary dict).
     """
     src = face_areas(np.asarray(vertices, dtype=float), faces)
-    uv = np.asarray(uv)
-    if uv.ndim == 1:
-        uv = np.column_stack([uv.real, uv.imag])
-    img = face_areas(uv, faces)
+    img = face_areas(np.asarray(uv, dtype=float), faces)
     if np.any(src <= 0) or np.any(img <= 0):
         bad = int(np.argmax((src <= 0) | (img <= 0)))
         raise DegenerateFace(f"zero-area face {bad} in area distortion")
     d = np.log((img / img.sum()) / (src / src.sum()))
-    counts, edges = np.histogram(d, bins=bins)
+    counts, edges = np.histogram(d, bins=AREA_BINS)
     summary = {
         "mean_abs": float(np.abs(d).mean()),
         "hist_counts": counts.tolist(),
@@ -239,9 +211,11 @@ def disk_automorphism(z, alpha):
 
 
 ALPHA_RMAX = 1.0 - 1e-3
+ALPHA_GRID = 17  # radii and angles per search level
+ALPHA_LEVELS = 3  # refinements after the coarse level
 
 
-def mobius_area_correct(vertices, faces, uv, grid=17, levels=3):
+def mobius_area_correct(vertices, faces, uv):
     """Search for the disk automorphism minimizing the summed squared logged
     area ratio, and apply it.
 
@@ -271,9 +245,9 @@ def mobius_area_correct(vertices, faces, uv, grid=17, levels=3):
     best_obj = objective(best_alpha)
     r_c, t_c = ALPHA_RMAX / 2.0, 0.0
     r_half, t_half = ALPHA_RMAX / 2.0, np.pi
-    for level in range(levels + 1):
-        rs = np.clip(np.linspace(r_c - r_half, r_c + r_half, grid), 0.0, ALPHA_RMAX)
-        ts = np.linspace(t_c - t_half, t_c + t_half, grid)
+    for _ in range(ALPHA_LEVELS + 1):
+        rs = np.clip(np.linspace(r_c - r_half, r_c + r_half, ALPHA_GRID), 0.0, ALPHA_RMAX)
+        ts = np.linspace(t_c - t_half, t_c + t_half, ALPHA_GRID)
         for r in rs:
             for t in ts:
                 a = r * np.exp(1j * t)
@@ -281,8 +255,8 @@ def mobius_area_correct(vertices, faces, uv, grid=17, levels=3):
                 if val < best_obj:
                     best_obj, best_alpha = val, a
         r_c, t_c = abs(best_alpha), float(np.angle(best_alpha))
-        r_half /= grid / 2.0
-        t_half /= grid / 2.0
+        r_half /= ALPHA_GRID / 2.0
+        t_half /= ALPHA_GRID / 2.0
     if abs(best_alpha) == 0.0:
         return uv.copy(), 0.0 + 0.0j
     w = disk_automorphism(z, best_alpha)

@@ -235,9 +235,9 @@ def _free_boundary_flatten(mesh, L, pins):
     return PlanarEmbedding(uv=np.column_stack([x[:n], x[n:]]))
 
 
-def dncp_flatten(mesh, pins=None):
+def dncp_flatten(mesh):
     """Free-boundary conformal flattening (Dirichlet energy minus area)."""
-    return _free_boundary_flatten(mesh, cotan_laplacian(mesh), pins)
+    return _free_boundary_flatten(mesh, cotan_laplacian(mesh), None)
 
 
 def lsqc_flatten(mesh, mu, pins=None):
@@ -250,15 +250,11 @@ def lsqc_flatten(mesh, mu, pins=None):
 
 
 def wirtinger_derivatives(source_vertices, faces, image_uv):
-    """Per-face f_z and f_zbar of the piecewise-linear map source -> image."""
+    """Per-face f_z and f_zbar of the piecewise-linear map source -> image_uv."""
     corners = face_frames_2d(source_vertices, faces)
     grads, _ = _hat_gradients(corners)
     image_uv = np.asarray(image_uv)
-    if image_uv.ndim == 2:
-        w = image_uv[:, 0] + 1j * image_uv[:, 1]
-    else:
-        w = image_uv.astype(np.complex128)
-    wf = w[faces]
+    wf = (image_uv[:, 0] + 1j * image_uv[:, 1])[faces]
     fx = np.einsum("fi,fi->f", wf, grads[:, :, 0].astype(np.complex128))
     fy = np.einsum("fi,fi->f", wf, grads[:, :, 1].astype(np.complex128))
     fz = 0.5 * (fx - 1j * fy)

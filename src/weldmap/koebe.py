@@ -145,8 +145,10 @@ def circularize_hole(hole, passengers=()):
 
 
 def circularize_outer(outer, passengers=()):
-    """Map the interior of the outer boundary onto the unit disk; the outer
-    loop lands exactly on the unit circle, everything else strictly inside."""
+    """Map the interior of the outer boundary onto the unit disk. The loop lands
+    on the unit circle unless a passenger's image reaches |w| >= 1 - 1e-12:
+    one real factor then shrinks all, loop too, to put the outermost passenger
+    at 1 - 1e-12."""
     out_b, out_p = disk_map_interior(outer, passengers)
     worst = max((np.abs(p).max() for p in out_p if len(p)), default=0.0)
     if worst >= 1.0 - 1e-12:

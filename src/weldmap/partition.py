@@ -384,9 +384,8 @@ def _split_regions(mesh, adj, base, target_parts):
     label = base.copy()
     accepted = False
     next_label = int(label.max()) + 1
-    guard = 0
-    while len(np.unique(label)) < target_parts and guard < 4 * target_parts:
-        guard += 1
+    # Each pass adds exactly one label or stops.
+    while len(np.unique(label)) < target_parts:
         labs, counts = np.unique(label, return_counts=True)
         for lab in labs[np.argsort(-counts, kind="stable")]:
             face_ids = np.flatnonzero(label == lab)

@@ -283,7 +283,7 @@ def _run_weld(spec, mesh, labels, tracker):
                 if two_arc:
                     dn_a, dn_b, moved_a, moved_b = multiconnected_weld(
                         dp_a, dp_b, r * q, int(sel_a[s_a]), int(sel_a[t_a]),
-                        s_b=int(sel_b[s_b]), t_b=int(sel_b[t_b]),
+                        int(sel_b[s_b]), int(sel_b[t_b]),
                         passengers_a=[rest_a], passengers_b=[rest_b],
                     )
                 else:
@@ -470,9 +470,7 @@ def compute_parameterization(
                         bidx = sub.mesh.boundary_vertices()
                         with _stage("laplace", sub.label):
                             boundary = tracker.get(whole, sub.to_parent[bidx])
-                            embeddings[sub.label] = laplace_dirichlet(
-                                flat, dict(zip(bidx.tolist(), boundary.tolist())), factor
-                            )
+                            embeddings[sub.label] = laplace_dirichlet(flat, boundary, factor)
             finally:
                 # A SuperLU factor dies on the thread that made it.
                 held.clear()

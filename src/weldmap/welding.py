@@ -408,17 +408,15 @@ def _unzip(st, k, branch, scale=1.0):
     return zipper.chain()
 
 
-def intermediate_form(st, k, branch, n=None):
-    """Half-way geodesic transform of a state whose first n entries (all by
-    default) are boundary points and markers, the rest passengers: points
-    0..k end up on one imaginary half-axis (upper for branch +1, lower for
-    -1), index k at 0, index 0 at infinity; the first n entries stay in the
-    closed right half-plane.
+def intermediate_form(st, k, branch, n):
+    """Half-way geodesic transform of a state whose first n entries are
+    boundary points and markers, the rest passengers: points 0..k end up on
+    one imaginary half-axis (upper for branch +1, lower for -1), index k at
+    0, index 0 at infinity; the first n entries stay in the closed right
+    half-plane.
 
     Returns the mapped BoundaryChain.
     """
-    if n is None:
-        n = len(st.z)
     if not (1 <= k < n - 1):
         raise MisorderedArc(f"marker k={k} out of range for {n} points")
     st = _unzip(st, k, branch, scale=st.diameter(n))
@@ -758,7 +756,7 @@ def _detour_path(points, i0, i1, count):
     raise PathInsidePolygon("no clear detour outside the hole rim")
 
 
-def multiconnected_weld(a_points, b_points, r, s_a, t_a, s_b=None, t_b=None,
+def multiconnected_weld(a_points, b_points, r, s_a, t_a, s_b, t_b,
                         passengers_a=(), passengers_b=()):
     """Weld along two arcs: indices 0..r and s..t on each chain, where the
     gap r..s is that chain's share of an inner hole rim (the two shares may
@@ -775,10 +773,6 @@ def multiconnected_weld(a_points, b_points, r, s_a, t_a, s_b=None, t_b=None,
     """
     a_points = np.asarray(a_points, dtype=np.complex128)
     b_points = np.asarray(b_points, dtype=np.complex128)
-    if s_b is None:
-        s_b = s_a
-    if t_b is None:
-        t_b = t_a
     if not (0 < r < s_a <= t_a < len(a_points)):
         raise MisorderedArc("need markers 0 < r < s <= t inside chain A")
     if not (0 < r < s_b <= t_b < len(b_points)):

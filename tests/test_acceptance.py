@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from weldmap.assemble import laplace_dirichlet
+from weldmap.assemble import dirichlet_factor, laplace_dirichlet
 from weldmap.flatten import (
     area_form_boundary,
     beltrami_per_face,
@@ -366,10 +366,8 @@ def test_criterion_09_harmonicity(two_hole_conformal, two_hole_stitched):
     fn = lambda z: (1.3 * z.real - 0.4 * z.imag + 0.2) + 1j * (
         0.7 * z.real + 2.1 * z.imag - 1.0
     )
-    bd = {
-        int(v): fn(complex(*gm.vertices[v])) for v in gm.boundary_vertices()
-    }
-    emb = laplace_dirichlet(gm, bd)
+    bd = np.array([fn(complex(*gm.vertices[v])) for v in gm.boundary_vertices()])
+    emb = laplace_dirichlet(gm, bd, dirichlet_factor(gm))
     want = np.array([fn(complex(*p)) for p in gm.vertices])
     affine_err = float(np.abs(emb.complex_view - want).max())
 
@@ -377,8 +375,8 @@ def test_criterion_09_harmonicity(two_hole_conformal, two_hole_stitched):
     for n_rings in (8, 16):
         dm = disk_mesh(n_rings=n_rings, n_sect=4 * n_rings)
         z = dm.vertices[:, 0] + 1j * dm.vertices[:, 1]
-        bd = {int(v): z[v] ** 2 for v in dm.boundary_vertices()}
-        emb = laplace_dirichlet(dm, bd)
+        bd = z[dm.boundary_vertices()] ** 2
+        emb = laplace_dirichlet(dm, bd, dirichlet_factor(dm))
         zsq_errs.append(float(np.abs(emb.complex_view - z * z).max()))
     rate = zsq_errs[0] / zsq_errs[1]
     ok = worst <= 1e-8 and affine_err <= 1e-10 and rate >= 3.0

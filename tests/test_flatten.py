@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import weldmap.flatten as flatten
-from weldmap.assemble import laplace_dirichlet
+from weldmap.assemble import dirichlet_factor, laplace_dirichlet
 from weldmap.errors import MuOutOfRange, SingularSystem, WrongTopology
 from weldmap.flatten import (
     area_form_boundary,
@@ -225,9 +225,10 @@ def test_flatten_and_dirichlet_solves_keep_their_own_residual_bounds(monkeypatch
     stalled = dncp_flatten(m).uv
     assert 0 < np.abs(stalled - exact).max() < 1e-6
     lsqc_flatten(m, smooth_beltrami(m, 5))
-    bv = {int(v): complex(*m.vertices[v]) for v in m.boundary_vertices()}
+    bidx = m.boundary_vertices()
+    bv = m.vertices[bidx, 0] + 1j * m.vertices[bidx, 1]
     with pytest.raises(SingularSystem, match="^relative residual 3.0e-08 stays above 1e-08$"):
-        laplace_dirichlet(m, bv)
+        laplace_dirichlet(m, bv, dirichlet_factor(m))
 
 
 @pytest.mark.parametrize("flatten_fn", ["dncp", "lsqc"])
@@ -239,7 +240,7 @@ def test_flatten_without_boundary_loops_raises(flatten_fn):
     pins = [(0, (0.0, 0.0)), (3, (1.0, 0.0))]
     with pytest.raises(WrongTopology) as info:
         if flatten_fn == "dncp":
-            dncp_flatten(closed, pins=pins)
+            dncp_flatten(closed)
         else:
             lsqc_flatten(closed, np.zeros(m.n_faces, dtype=complex), pins=pins)
     assert info.value.hint

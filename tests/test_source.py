@@ -1,5 +1,6 @@
 """Guards on the source tree itself."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -51,6 +52,43 @@ def test_every_exported_name_is_used_in_src():
         ):
             unused.append(name)
     assert not unused, "exported but unused in src: " + ", ".join(unused)
+
+
+def test_every_optional_parameter_is_passed_in_src():
+    # A default that no caller in the package overrides is an input form
+    # only tests use. Calls resolve by bare name; the console script leaves
+    # cli.main's argv unset.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    passed = set()  # (function name, parameter name or position)
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            passed.update((name, kw.arg) for kw in call.keywords)
+            passed.update((name, i) for i in range(len(call.args)))
+    unpassed = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            optional = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            optional += [
+                (None, arg.arg) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+            ]
+            for i, arg in optional:
+                if (fn.name, arg) in passed or (fn.name, i) in passed:
+                    continue
+                if (module, fn.name, arg) != ("cli", "main", "argv"):
+                    unpassed.append(f"{module}.{fn.name}.{arg}")
+    assert not unpassed, "optional parameters no call in src passes: " + ", ".join(unpassed)
 
 
 def test_one_sparse_lu_call_in_src():

@@ -121,7 +121,7 @@ def test_geodesic_rejects_zero():
     # geodesic step would go through 0.
     pts = np.exp(1j * np.array([2.0, 1.0, 1.0, 0.0, -1.5, -3.0]))
     with pytest.raises(ZeroXi):
-        intermediate_form(BoundaryChain.from_points(pts), 3, +1)
+        intermediate_form(BoundaryChain.from_points(pts), 3, +1, len(pts))
 
 
 def test_geodesic_rejects_near_zero_relative_to_scale():
@@ -183,7 +183,7 @@ def test_square_closing_leaves_a_nan_entry_as_it_came(q):
 
 def test_intermediate_form_three_points():
     pts = np.exp(1j * np.array([2.0, 1.0, 0.0, -1.5]))
-    st = intermediate_form(BoundaryChain.from_points(pts), 1, +1)
+    st = intermediate_form(BoundaryChain.from_points(pts), 1, +1, len(pts))
     assert st.at_inf[0] and st.on_axis[0]
     assert st.z[1] == 0 and st.on_axis[1]
 
@@ -191,13 +191,13 @@ def test_intermediate_form_three_points():
 def test_intermediate_form_semicircle_monotone():
     th = np.linspace(np.pi, 0.0, 50)
     pts = np.concatenate([np.exp(1j * th), [2.0 - 1j]])
-    st = intermediate_form(BoundaryChain.from_points(pts), 49, +1)
+    st = intermediate_form(BoundaryChain.from_points(pts), 49, +1, len(pts))
     ys = st.z[1:50].imag
     assert np.all(st.on_axis[1:50])
     assert np.all(ys[:-1] > ys[1:])  # strictly decreasing to 0
     assert ys[-1] == 0
     # lower half-axis for the other branch
-    st2 = intermediate_form(BoundaryChain.from_points(pts), 49, -1)
+    st2 = intermediate_form(BoundaryChain.from_points(pts), 49, -1, len(pts))
     ys2 = st2.z[1:50].imag
     assert np.all(ys2[:-1] < ys2[1:]) and ys2[-1] == 0
 
@@ -205,7 +205,7 @@ def test_intermediate_form_semicircle_monotone():
 def test_intermediate_form_right_half_plane():
     a, _, k = disk_halves()
     ext = np.concatenate([a - 0.5, [0.0]])
-    st = intermediate_form(BoundaryChain.from_points(ext), k, +1)
+    st = intermediate_form(BoundaryChain.from_points(ext), k, +1, len(ext))
     fin = ~st.at_inf & ~st.on_axis
     assert np.all(st.z[fin].real >= -1e-8 * st.diameter())
 
@@ -316,7 +316,7 @@ def test_passenger_on_boundary_point_lands_on_its_welded_image():
     a, b, r, s, t = annulus_halves()
     off_arcs = np.r_[r + 1 : s, t + 1 : len(a)]  # hole rim share, outer arc
     out_a, _, (moved,), _ = multiconnected_weld(
-        a, b, r, s, t, passengers_a=[a[off_arcs]]
+        a, b, r, s, t, s, t, passengers_a=[a[off_arcs]]
     )
     diam = np.abs(out_a[:, None] - out_a[None, :]).max()
     assert np.abs(moved - out_a[off_arcs]).max() <= 1e-12 * diam
@@ -353,7 +353,7 @@ def test_multiconnected_weld_annulus():
     a, b, r, s, t = annulus_halves()
     # Put B in its own coordinate frame, as separate flattenings would.
     b = (b - 0.05 + 0.1j) / (1 + 0.2j * b) * 1.5
-    out_a, out_b, _, _ = multiconnected_weld(a, b, r, s, t)
+    out_a, out_b, _, _ = multiconnected_weld(a, b, r, s, t, s, t)
     seam = list(range(r + 1)) + list(range(s, t + 1))
     scale = np.abs(out_a).max()
     assert np.abs(out_a[seam] - out_b[seam]).max() <= 1e-8 * scale
@@ -383,7 +383,7 @@ def test_multiconnected_weld_uneven_rims():
 def test_multiconnected_weld_tiny_hole():
     # Hole rim of a single vertex per side still leaves a hole polygon.
     a, b, r, s, t = annulus_halves(r0=0.15, nrim=1, nseam=9)
-    out_a, out_b, _, _ = multiconnected_weld(a, b, r, s, t)
+    out_a, out_b, _, _ = multiconnected_weld(a, b, r, s, t, s, t)
     hole = np.concatenate([out_a[r : s + 1], out_b[r + 1 : s][::-1]])
     assert len(hole) == 4
     assert abs(polygon_area(hole)) > 0
@@ -466,7 +466,7 @@ def test_zipper_matches_reference_on_smooth_chains_with_passengers(zipper_paths)
         inner = inner[np.abs(inner) < 0.6]
         outside = loop.mean() + 2.5 * np.exp(2j * np.pi * rng.random(30))
         st, _ = welding._pack_state(np.append(loop, 0.1 + 0.05j), [inner])
-        intermediate_form(st, 40, +1, n=len(loop) + 1)
+        intermediate_form(st, 40, +1, len(loop) + 1)
         disk_map_interior(loop, [inner])
         circularize_hole(loop, [outside])
         circularize_outer(loop, [inner])
@@ -475,7 +475,7 @@ def test_zipper_matches_reference_on_smooth_chains_with_passengers(zipper_paths)
     partial_weld(a, b, k, passengers_a=[0.6 + 0.1 * rng.standard_normal(20)],
                  passengers_b=[-0.5 + 0.1j * rng.standard_normal(20)])
     a, b, r, s, t = annulus_halves()
-    multiconnected_weld(a, b, r, s, t, passengers_a=[a[r + 1 : s]])
+    multiconnected_weld(a, b, r, s, t, s, t, passengers_a=[a[r + 1 : s]])
 
 
 def test_zipper_matches_reference_with_passengers_at_the_first_point(zipper_paths):
@@ -483,7 +483,7 @@ def test_zipper_matches_reference_with_passengers_at_the_first_point(zipper_path
     # geodesic steps at infinity.
     loop = smooth_chain(np.random.default_rng(3), 60)
     st, _ = welding._pack_state(np.append(loop, 0.0), [loop[:1]])
-    intermediate_form(st, 20, -1, n=len(loop) + 1)
+    intermediate_form(st, 20, -1, len(loop) + 1)
     disk_map_interior(loop, [loop[:1]])
     circularize_hole(loop, [loop[-1:]])
     a, b, k = disk_halves()
