@@ -132,11 +132,11 @@ def assemble_global(submeshes, embeddings, n_vertices):
     lo = np.full((n_vertices, 2), np.inf)
     hi = np.full((n_vertices, 2), -np.inf)
     for sub, emb in zip(submeshes, embeddings):
-        ids = sub.to_parent
+        ids = sub.to_parent  # no id twice, so fancy indexing needs no ufunc.at
         acc[ids] += emb.uv
         cnt[ids] += 1
-        np.minimum.at(lo, ids, emb.uv)
-        np.maximum.at(hi, ids, emb.uv)
+        lo[ids] = np.minimum(lo[ids], emb.uv)
+        hi[ids] = np.maximum(hi[ids], emb.uv)
     if np.any(cnt == 0):
         raise SeamMismatch(
             f"parent vertex {int(np.flatnonzero(cnt == 0)[0])} owned by no submesh"

@@ -87,10 +87,12 @@ def load_mu_csv(path, n_faces):
     """Read a per-face Beltrami coefficient CSV.
 
     Accepts rows "face_index,re,im" (any order, missing faces default to 0)
-    or plain "re,im" rows, one per face in face order. A non-numeric first
-    line is treated as a header.
+    or plain "re,im" rows, one per face in face order. Blank lines and "#"
+    comments are skipped; the first other line is a header when it is not
+    numeric.
     """
     rows = []
+    header = False
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -101,8 +103,9 @@ def load_mu_csv(path, n_faces):
                 try:
                     vals = [float(c) for c in cells]
                 except ValueError:
-                    if lineno == 1:
-                        continue  # header
+                    if not rows and not header:
+                        header = True
+                        continue
                     raise ConfigError(
                         f"bad Beltrami CSV row {lineno}: {line!r}",
                         code="CONFIG_BAD_BELTRAMI",

@@ -8,6 +8,7 @@ which is the orientation all downstream signed-area formulas assume.
 
 from __future__ import annotations
 
+import io
 import os
 import re
 from dataclasses import dataclass, field
@@ -123,13 +124,17 @@ def build_mesh(vertices, faces, twin=None):
         raise WrongTopology("mesh has no faces")
 
     scale = float(np.max(np.abs(vertices))) or 1.0
-    areas = face_areas(vertices, faces)
+    if vertices.shape[1] == 2:
+        # |signed| is face_areas in 2D: the same cross product, scaled by 0.5.
+        signed = signed_face_areas_2d(vertices, faces)
+        areas = np.abs(signed)
+    else:
+        areas = face_areas(vertices, faces)
     if np.any(areas <= _AREA_TOL * scale * scale):
         bad = int(np.argmin(areas))
         raise DegenerateFace(f"face {bad} has (near) zero area")
 
     if vertices.shape[1] == 2:
-        signed = signed_face_areas_2d(vertices, faces)
         if np.any(signed < 0):
             if np.all(signed < 0):
                 raise WrongTopology("2D mesh is clockwise oriented; expected CCW")
@@ -233,19 +238,21 @@ def load_mesh(path):
     return build_mesh(vertices, faces)
 
 
-# OBJ records are matched on the text with its line breaks normalised to
-# "\n" and one "\n" put in front, so every line starts after a "\n" (a
-# literal start lets the regex engine skip between lines). A vertex line is
-# "v" and 2 or more coordinates, of which the first 3 are read; a face line
-# is "f" and exactly 3 tokens, each an index optionally followed by "/vt",
-# "/vt/vn" or "//vn".
+# OBJ records are read from the text with its line breaks normalised to
+# "\n" and one "\n" put in front, so every line starts after a "\n". A
+# vertex line is "v" and 2 or more coordinates, of which the first 3 are
+# read; a face line is "f" and exactly 3 tokens, each an index optionally
+# followed by "/vt", "/vt/vn" or "//vn". Each run of consecutive vertex
+# lines, or of face lines, is read by one np.loadtxt call.
 _WS = r"[^\S\n]"  # whitespace inside a line, as str.split() splits on
-_OBJ_KIND = re.compile(rf"\n{_WS}*([vf])(?!\S)")
-_OBJ_V = re.compile(rf"\n{_WS}*v{_WS}+(\S+{_WS}+\S+(?:{_WS}+\S+)?)")
-_OBJ_F = re.compile(rf"\n{_WS}*f{_WS}+(\S+{_WS}+\S+{_WS}+\S+){_WS}*(?![^\n])")
+_OBJ_RUN = re.compile(rf"\n{_WS}*([vf])(?!\S)")  # the first line of a run
+# The end of a run: the first line after it of another kind.
+_OBJ_RUN_END = {kind: re.compile(rf"\n(?!{_WS}*{kind}(?!\S))") for kind in "vf"}
 _OBJ_SUFFIX = re.compile(r"(?<=\S)/\S*")  # a suffix after an index
 _OBJ_NOT_INT = re.compile(r"[^0-9+\-\s]")
 _INT_BYTES = b"0123456789+- \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"  # what _OBJ_NOT_INT lets through in ASCII
+# The ASCII line breaks of str.splitlines other than "\n".
+_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 
 
 def _parse_obj(text):
@@ -254,50 +261,77 @@ def _parse_obj(text):
     A relative (negative) face index counts back from the vertices defined
     before its face line.
     """
-    lines = "\n" + "\n".join(text.splitlines())
-    kinds = np.frombuffer("".join(_OBJ_KIND.findall(lines)).encode(), np.uint8)
-    is_vertex = kinds == ord("v")
-    n_vertices = int(np.count_nonzero(is_vertex))
-    rows = _OBJ_V.findall(lines)
-    face_rows = _OBJ_F.findall(lines)
-    joined = "\n".join(face_rows)
-    if "/" in joined:
-        joined = _OBJ_SUFFIX.sub("", joined)
-        face_rows = joined.splitlines()
-    # A vertex row holds 2 or 3 coordinates, the same count on every row.
-    # loadtxt reads an integer "via a float" (2.7 as 2), so a face token
-    # that is not a plain integer, such as a bare suffix ("/2"), is caught
-    # first; bytes.translate does that check on ASCII text at C speed.
-    if joined.isascii():
-        plain = not joined.encode().translate(None, _INT_BYTES)
-    else:
-        plain = not _OBJ_NOT_INT.search(joined)
+    lines = text
+    if not text.isascii() or any(brk in text for brk in _LINE_BREAKS):
+        lines = "\n".join(text.splitlines())
+    lines = "\n" + lines
+    coords, faces = [], []
+    width = seen = pos = 0  # coordinates per vertex; vertices so far
     try:
-        if not plain:
-            raise ValueError("face token is not an integer")
-        coords = _read_rows(rows, np.float64)
-        index = _read_rows(face_rows, np.int64)
+        while run := _OBJ_RUN.search(lines, pos):
+            kind = run.group(1)
+            end = _OBJ_RUN_END[kind].search(lines, run.end())
+            pos = end.start() if end else len(lines)
+            block = lines[run.start() : pos]
+            n = block.count("\n")
+            if kind == "v":
+                # The first vertex line sets the count for every line.
+                width = width or min(len(block.split("\n", 2)[1].split()) - 1, 3)
+                coords.append(_read_vertices(block, n, width))
+                seen += n
+            else:
+                index = _read_faces(block, n)
+                faces.append(np.where(index > 0, index - 1, seen + index))
     except ValueError:
         raise _obj_error(text) from None
-    if (
-        n_vertices == 0
-        or len(rows) != n_vertices
-        or len(face_rows) != len(kinds) - n_vertices
-        or index.shape != (len(face_rows), 3)
-    ):
+    if not seen:
         raise _obj_error(text)
-    seen = np.cumsum(is_vertex)[~is_vertex]
-    faces = np.where(index > 0, index - 1, seen[:, None] + index)
-    return coords, faces
+    faces = np.concatenate(faces) if faces else np.empty((0, 3), dtype=np.int64)
+    return np.concatenate(coords), faces
 
 
-def _read_rows(rows, dtype):
-    """Array of the numbers in text rows, one array row per text row. Raises
-    ValueError on rows of different lengths or a token that is not a plain
-    ASCII number (such as 1_000)."""
-    if not rows:
-        return np.empty((0, 3), dtype=dtype)
-    return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
+def _read_vertices(block, n, width):
+    """The first width coordinates of each of the n "v" lines of block.
+    Raises ValueError unless every line has width numbers there, and none
+    has a third coordinate when width is 2."""
+    if width == 3:
+        # Numbers after the third (such as a vertex colour) are not read.
+        return _loadtxt(block, np.float64, (1, 2, 3))
+    # A "v" in a coordinate would read as 0 below; it is not a number.
+    if width != 2 or block.count("v") != n:
+        raise ValueError("bad vertex")
+    rows = _loadtxt(block.replace("v", "0"), np.float64, None)
+    if rows.shape != (n, 3):
+        raise ValueError("vertex lines mix coordinate counts")
+    return rows[:, 1:]
+
+
+def _read_faces(block, n):
+    """The (n, 3) indices of the n "f" lines of block, suffixes dropped.
+    Raises ValueError unless every line has 3 plain integer tokens."""
+    if "/" in block:
+        block = _OBJ_SUFFIX.sub("", block)
+    # loadtxt reads an integer "via a float" (2.7 as 2), so a token that is
+    # not a plain integer, such as a bare suffix ("/2"), is caught first:
+    # only the "f" of each line may be left. bytes.translate does that check
+    # on ASCII text at C speed.
+    if block.isascii():
+        plain = block.encode().translate(None, _INT_BYTES) == b"f" * n
+    else:
+        plain = "".join(_OBJ_NOT_INT.findall(block)) == "f" * n
+    if not plain:
+        raise ValueError("face token is not an integer")
+    index = _loadtxt(block.replace("f", "0"), np.int64, None)
+    if index.shape != (n, 4):
+        raise ValueError("face is not a triangle")
+    return index[:, 1:]
+
+
+def _loadtxt(block, dtype, usecols):
+    """np.loadtxt of the lines of block (the columns usecols, or all of
+    them): an array row per line. Raises ValueError on lines of different
+    lengths or a token that is not a plain ASCII number (such as 1_000)."""
+    return np.loadtxt(io.StringIO(block), dtype=dtype, comments=None, ndmin=2, usecols=usecols)
 
 
 def _obj_error(text):
@@ -331,7 +365,7 @@ def _obj_error(text):
 
 
 def _number(token, kind):
-    """kind(token) for the tokens _read_rows reads: float() and int() also
+    """kind(token) for the tokens _loadtxt reads: float() and int() also
     take "_" separators and non-ASCII digits, which it rejects."""
     if not token.isascii() or "_" in token:
         raise ValueError(f"not a plain number: {token!r}")
@@ -395,12 +429,13 @@ def save_obj_with_uv(path, mesh, uv):
     """Write the mesh with per-vertex UV as `vt` records and `f v/vt` faces."""
     uv = np.asarray(uv, dtype=np.float64)
     v_record = "v %.17g %.17g 0\n" if mesh.is_planar else "v %.17g %.17g %.17g\n"
-    # Each face corner is "i/i": its 1-based vertex index twice.
-    corners = np.broadcast_to((mesh.faces + 1)[:, :, None], (mesh.n_faces, 3, 2))
+    # Each face corner is "i/i", its 1-based vertex index twice: formatted
+    # once per vertex, not once per corner.
+    corner = np.array([f"{i}/{i}" for i in range(1, mesh.n_vertices + 1)], dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         _write_records(fh, v_record, mesh.vertices)
         _write_records(fh, "vt %.17g %.17g\n", uv[:, :2])
-        _write_records(fh, "f %d/%d %d/%d %d/%d\n", corners)
+        _write_records(fh, "f %s %s %s\n", corner[mesh.faces])
 
 
 def _write_records(fh, record, rows):

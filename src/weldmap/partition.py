@@ -11,7 +11,7 @@ component before hole circularization.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,14 +27,21 @@ from .errors import (
 from .mesh import TriangleMesh, build_mesh, region_boundary
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartitionLabeling:
-    """Per-face submesh labels; labels are consecutive ints starting at 0."""
+    """Per-face submesh labels; labels are consecutive ints starting at 0.
+
+    The labels are a read-only copy of those given, and validate remembers
+    the mesh they passed on, so a labeling is checked once per mesh.
+    """
 
     face_label: np.ndarray
+    _valid_on: TriangleMesh | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.face_label = np.ascontiguousarray(self.face_label, dtype=np.int64)
+        face_label = np.array(self.face_label, dtype=np.int64)
+        face_label.flags.writeable = False
+        object.__setattr__(self, "face_label", face_label)
 
     @property
     def n_parts(self):
@@ -47,7 +54,10 @@ class PartitionLabeling:
         return np.flatnonzero(pick[self.face_label])
 
     def validate(self, mesh):
-        """Check connectivity and the at-most-one-hole restriction per part."""
+        """Check connectivity and the at-most-one-hole restriction per part;
+        a labeling that passed on mesh passes again at once."""
+        if self._valid_on is mesh:
+            return
         if len(self.face_label) != mesh.n_faces:
             raise ParseError(
                 f"label count does not match face count: {len(self.face_label)} "
@@ -82,6 +92,7 @@ class PartitionLabeling:
             holes = region_hole_count(mesh, face_ids)
             if holes > 1:
                 raise SubmeshWithTwoHoles(f"submesh {lab} has {holes} holes")
+        object.__setattr__(self, "_valid_on", mesh)
 
 
 def load_labels(path, n_faces):
@@ -338,7 +349,7 @@ def default_partition(mesh, target_parts):
     if target_parts > max(n_holes, 1):
         split = _split_regions(mesh, adj, base, target_parts)
         if split is not None:
-            return PartitionLabeling(face_label=_relabel(split))
+            return split
     if n_holes:
         part = PartitionLabeling(face_label=_relabel(base))
         try:
@@ -378,11 +389,11 @@ def _split_regions(mesh, adj, base, target_parts):
     """Split regions in two (far-apart BFS seeds) until target: each round
     splits the largest region whose split passes validation.
 
-    Returns the last labeling that passed validation, or None when no split
-    of base passed.
+    Returns the last PartitionLabeling that passed validation on mesh, or
+    None when no split of base passed.
     """
     label = base.copy()
-    accepted = False
+    accepted = None
     next_label = int(label.max()) + 1
     # Each pass adds exactly one label or stops.
     while len(np.unique(label)) < target_parts:
@@ -396,8 +407,9 @@ def _split_regions(mesh, adj, base, target_parts):
                 continue
             trial = label.copy()
             trial[face_ids] = split
+            part = PartitionLabeling(face_label=_relabel(trial))
             try:
-                PartitionLabeling(face_label=_relabel(trial)).validate(mesh)
+                part.validate(mesh)
             except WeldmapError:
                 continue
             break
@@ -405,8 +417,8 @@ def _split_regions(mesh, adj, base, target_parts):
             break  # no region splits validly
         label = trial
         next_label += 1
-        accepted = True
-    return label if accepted else None
+        accepted = part
+    return accepted
 
 
 def _bisect_region(face_ids, adj, new_label, old_label):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import obj_reference
 from weldmap.errors import (
     DegenerateFace,
     NonManifold,
@@ -297,6 +300,77 @@ def test_obj_reader_matches_line_reference(tmp_path):
         v_ref, f_ref = _reference_parse_obj(text)
         assert np.array_equal(v.view(np.int64), v_ref.view(np.int64))
         assert np.array_equal(f, f_ref)
+
+
+# Tokens the OBJ reader rejects (the error tests above), put in now and then.
+_BAD_TOKENS = (
+    "x", "zero", "/2", "/1", "1.5", "1e0", "2.7/1", "3.0", "1_000", "0_3",
+    "\u0661", "\u0663/1", "1\u00a02",
+)
+_COORDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-9, 9).map(str),
+    st.sampled_from(["-0.0", "1e-300", "+2", ".5", "nan", "-inf"]),
+)
+_INDEX = st.tuples(
+    st.integers(-6, 8).map(str), st.sampled_from(["", "", "/2", "/2/3", "//3"])
+).map("".join)
+
+
+@st.composite
+def _obj_texts(draw):
+    """OBJ texts of interleaved v and f lines among other records, with
+    mixed whitespace, line breaks, index suffixes and vertex widths, and now
+    and then a bad token, a short vertex or a quad."""
+    width = draw(st.sampled_from([2, 3, 6]))
+    bad = st.sampled_from(_BAD_TOKENS)
+
+    def tokens(good, count):
+        return [draw(bad) if draw(st.integers(0, 40)) == 0 else draw(good) for _ in range(count)]
+
+    lines = []
+    for kind in draw(st.lists(st.sampled_from("vvvfff#-ton"), min_size=1, max_size=24)):
+        if kind == "v":
+            count = width if draw(st.integers(0, 30)) else draw(st.sampled_from([1, 2, 3, 6]))
+            parts = ["v"] + tokens(_COORDS, count)
+        elif kind == "f":
+            count = 3 if draw(st.integers(0, 30)) else draw(st.sampled_from([2, 4]))
+            parts = ["f"] + tokens(_INDEX, count)
+        elif kind == "t":
+            parts = ["vt", "0.5", "0.25"]
+        elif kind == "n":
+            parts = ["vn", "0", "0", "1"]
+        elif kind == "o":
+            parts = [draw(st.sampled_from(["o square", "g grp", "s 1", "#v 9 9", "# f 1 1 1"]))]
+        else:
+            parts = [] if kind == "-" else ["#", "comment"]
+        sep = draw(st.sampled_from([" ", " ", "\t", "  "]))
+        lead = draw(st.sampled_from(["", "", " ", "\t"]))
+        trail = draw(st.sampled_from(["", "", " ", "\t"]))
+        lines.append(lead + sep.join(parts) + trail)
+    brk = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return brk.join(lines) + draw(st.sampled_from(["", brk]))
+
+
+def _read_or_message(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.describe()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_obj_texts())
+def test_obj_reader_matches_regex_reference(text):
+    new = _read_or_message(_parse_obj, text)
+    ref = _read_or_message(obj_reference.parse_obj, text)
+    if isinstance(ref, str):
+        assert new == ref
+    else:
+        assert not isinstance(new, str), new
+        assert new[0].dtype == ref[0].dtype and new[1].dtype == ref[1].dtype
+        assert np.array_equal(new[0].view(np.int64), ref[0].view(np.int64))
+        assert np.array_equal(new[1], ref[1])
 
 
 # ---------------------------------------------------------------------------

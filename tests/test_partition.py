@@ -387,3 +387,32 @@ def test_invalid_user_labels_fail_with_their_codes(mesh, labeled, code, tmp_path
         counts = set(re.findall(r"\d+", str(info.value)))
         assert {str(mesh.n_faces), str(mesh.n_faces + 1)} <= counts
         assert info.value.hint
+
+
+def test_accepted_labeling_is_validated_once(monkeypatch):
+    # default_partition validates the labeling it accepts; the map that
+    # extracts its submeshes does not check it again. A check does its work
+    # in one connected_components call.
+    checked = []  # the labels of each validate call that did the work
+    real_validate = PartitionLabeling.validate
+    real_components = partition.csgraph.connected_components
+    components = []
+
+    def counting_components(*args, **kwargs):
+        components.append(1)
+        return real_components(*args, **kwargs)
+
+    def recording_validate(self, mesh):
+        before = len(components)
+        real_validate(self, mesh)
+        if len(components) > before:
+            checked.append(self.face_label.tobytes())
+
+    monkeypatch.setattr(partition.csgraph, "connected_components", counting_components)
+    monkeypatch.setattr(PartitionLabeling, "validate", recording_validate)
+    mesh = two_hole_grid(40)
+    labels = default_partition(mesh, 4)
+    assert labels.n_parts == 4
+    compute_parameterization(mesh, labels, np.zeros(mesh.n_faces, complex), qc=False)
+    assert checked.count(labels.face_label.tobytes()) == 1
+    assert not labels.face_label.flags.writeable

@@ -215,6 +215,12 @@ def test_mu_csv_formats(tmp_path):
     p3.write_text("face_index,re,im\n1,0.25,-0.5\n")
     mu = load_mu_csv(str(p3), 3)
     assert mu[0] == 0 and mu[1] == 0.25 - 0.5j and mu[2] == 0
+    # The header is the first line that is not blank or a comment.
+    p3.write_text("# mu field\n\nface,re,im\n1,0.25,-0.5\n")
+    assert np.array_equal(load_mu_csv(str(p3), 3), mu)
+    p3.write_text("face,re,im\nface,re,im\n1,0.25,-0.5\n")
+    with pytest.raises(ConfigError, match="bad Beltrami CSV row 2"):
+        load_mu_csv(str(p3), 3)
     p2 = tmp_path / "mu2.csv"
     p2.write_text("0.1,0.2\n0.3,0.4\n")
     mu = load_mu_csv(str(p2), 2)
