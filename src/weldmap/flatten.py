@@ -72,21 +72,17 @@ def _hat_gradients(corners):
     corners: (m, 3, 2).  Returns grads (m, 3, 2) and areas (m,).
     grad lambda_i = rot90(p_{i+2} - p_{i+1}) / (2 A).
     """
-    x, y = corners[:, :, 0], corners[:, :, 1]
+    d = corners[:, [2, 0, 1], :] - corners[:, [1, 2, 0], :]
     areas = 0.5 * (
-        (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-        - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
+        (corners[:, 1, 0] - corners[:, 0, 0]) * (corners[:, 2, 1] - corners[:, 0, 1])
+        - (corners[:, 1, 1] - corners[:, 0, 1]) * (corners[:, 2, 0] - corners[:, 0, 0])
     )
     if np.any(areas <= 0):
         raise DegenerateFace("non-positive face area in gradient assembly")
-    two_a = 2.0 * areas
-    grads = np.empty_like(corners)
-    for i in range(3):
-        # rot90(d) = (-d_y, d_x) for d = p_{i+2} - p_{i+1}, written column
-        # by column so no (m, 3, 2) temporaries are made.
-        p, q = (i + 2) % 3, (i + 1) % 3
-        np.divide(np.negative(y[:, p] - y[:, q]), two_a, out=grads[:, i, 0])
-        np.divide(x[:, p] - x[:, q], two_a, out=grads[:, i, 1])
+    rot = np.empty_like(d)
+    rot[:, :, 0] = -d[:, :, 1]
+    rot[:, :, 1] = d[:, :, 0]
+    grads = rot / (2.0 * areas)[:, None, None]
     return grads, areas
 
 
@@ -97,13 +93,7 @@ def _assemble_stiffness(faces, grads, areas, A=None):
         gA = grads
     else:
         gA = np.einsum("fab,fib->fia", A, grads)
-    # vals[f, i, j] = Area * <gA[f, i], grads[f, j]>: the dot product is
-    # accumulated from +0, as np.einsum accumulates it, so an entry is +0
-    # even when both products are -0 (grid faces have right angles).
-    vals = gA[:, :, None, 0] * grads[:, None, :, 0]
-    vals += 0.0
-    vals += gA[:, :, None, 1] * grads[:, None, :, 1]
-    vals *= areas[:, None, None]
+    vals = np.einsum("fia,fja->fij", gA, grads) * areas[:, None, None]
     rows = np.repeat(faces, 3, axis=1).reshape(m, 3, 3)
     cols = np.tile(faces, 3).reshape(m, 3, 3)
     n = int(faces.max()) + 1

@@ -124,17 +124,13 @@ def build_mesh(vertices, faces, twin=None):
         raise WrongTopology("mesh has no faces")
 
     scale = float(np.max(np.abs(vertices))) or 1.0
-    if vertices.shape[1] == 2:
-        # |signed| is face_areas in 2D: the same cross product, scaled by 0.5.
-        signed = signed_face_areas_2d(vertices, faces)
-        areas = np.abs(signed)
-    else:
-        areas = face_areas(vertices, faces)
+    areas = face_areas(vertices, faces)
     if np.any(areas <= _AREA_TOL * scale * scale):
         bad = int(np.argmin(areas))
         raise DegenerateFace(f"face {bad} has (near) zero area")
 
     if vertices.shape[1] == 2:
+        signed = signed_face_areas_2d(vertices, faces)
         if np.any(signed < 0):
             if np.all(signed < 0):
                 raise WrongTopology("2D mesh is clockwise oriented; expected CCW")
@@ -242,12 +238,14 @@ def load_mesh(path):
 # "\n" and one "\n" put in front, so every line starts after a "\n". A
 # vertex line is "v" and 2 or more coordinates, of which the first 3 are
 # read; a face line is "f" and exactly 3 tokens, each an index optionally
-# followed by "/vt", "/vt/vn" or "//vn". Each run of consecutive vertex
-# lines, or of face lines, is read by one np.loadtxt call.
+# followed by "/vt", "/vt/vn" or "//vn". One regex pass finds each run of
+# consecutive vertex lines, or of face lines (possessive, so it never
+# backtracks); the runs of each kind are joined and read by one np.loadtxt
+# call, so the cost does not grow with the number of runs.
 _WS = r"[^\S\n]"  # whitespace inside a line, as str.split() splits on
-_OBJ_RUN = re.compile(rf"\n{_WS}*([vf])(?!\S)")  # the first line of a run
-# The end of a run: the first line after it of another kind.
-_OBJ_RUN_END = {kind: re.compile(rf"\n(?!{_WS}*{kind}(?!\S))") for kind in "vf"}
+_OBJ_RUN = re.compile(
+    rf"(?P<v>(?:\n{_WS}*+v(?!\S)[^\n]*+)++)|(?P<f>(?:\n{_WS}*+f(?!\S)[^\n]*+)++)"
+)
 _OBJ_SUFFIX = re.compile(r"(?<=\S)/\S*")  # a suffix after an index
 _OBJ_NOT_INT = re.compile(r"[^0-9+\-\s]")
 _INT_BYTES = b"0123456789+- \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"  # what _OBJ_NOT_INT lets through in ASCII
@@ -265,29 +263,31 @@ def _parse_obj(text):
     if not text.isascii() or any(brk in text for brk in _LINE_BREAKS):
         lines = "\n".join(text.splitlines())
     lines = "\n" + lines
-    coords, faces = [], []
-    width = seen = pos = 0  # coordinates per vertex; vertices so far
-    try:
-        while run := _OBJ_RUN.search(lines, pos):
-            kind = run.group(1)
-            end = _OBJ_RUN_END[kind].search(lines, run.end())
-            pos = end.start() if end else len(lines)
-            block = lines[run.start() : pos]
-            n = block.count("\n")
-            if kind == "v":
-                # The first vertex line sets the count for every line.
-                width = width or min(len(block.split("\n", 2)[1].split()) - 1, 3)
-                coords.append(_read_vertices(block, n, width))
-                seen += n
-            else:
-                index = _read_faces(block, n)
-                faces.append(np.where(index > 0, index - 1, seen + index))
-    except ValueError:
-        raise _obj_error(text) from None
+    vertex_runs, face_runs = [], []
+    face_rows, face_seen = [], []  # per face run: its lines, the vertices before it
+    seen = 0
+    for run in _OBJ_RUN.finditer(lines):
+        block = run.group()
+        n = block.count("\n")
+        if run.lastgroup == "v":
+            vertex_runs.append(block)
+            seen += n
+        else:
+            face_runs.append(block)
+            face_rows.append(n)
+            face_seen.append(seen)
     if not seen:
         raise _obj_error(text)
-    faces = np.concatenate(faces) if faces else np.empty((0, 3), dtype=np.int64)
-    return np.concatenate(coords), faces
+    vertex_lines = "".join(vertex_runs)
+    # The first vertex line sets the count for every line.
+    width = min(len(vertex_lines.split("\n", 2)[1].split()) - 1, 3)
+    try:
+        coords = _read_vertices(vertex_lines, seen, width)
+        index = _read_faces("".join(face_runs), sum(face_rows))
+    except ValueError:
+        raise _obj_error(text) from None
+    before = np.repeat(np.array(face_seen, dtype=np.int64), face_rows)[:, None]
+    return coords, np.where(index > 0, index - 1, before + index)
 
 
 def _read_vertices(block, n, width):
@@ -309,6 +309,8 @@ def _read_vertices(block, n, width):
 def _read_faces(block, n):
     """The (n, 3) indices of the n "f" lines of block, suffixes dropped.
     Raises ValueError unless every line has 3 plain integer tokens."""
+    if not n:
+        return np.empty((0, 3), dtype=np.int64)
     if "/" in block:
         block = _OBJ_SUFFIX.sub("", block)
     # loadtxt reads an integer "via a float" (2.7 as 2), so a token that is

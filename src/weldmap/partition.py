@@ -11,6 +11,7 @@ component before hole circularization.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,21 +28,21 @@ from .errors import (
 from .mesh import TriangleMesh, build_mesh, region_boundary
 
 
-@dataclass(frozen=True)
+@dataclass
 class PartitionLabeling:
     """Per-face submesh labels; labels are consecutive ints starting at 0.
 
     The labels are a read-only copy of those given, and validate remembers
-    the mesh they passed on, so a labeling is checked once per mesh.
+    (by weak reference) the mesh they passed on, so a labeling is checked
+    once per mesh.
     """
 
     face_label: np.ndarray
-    _valid_on: TriangleMesh | None = field(default=None, init=False, repr=False, compare=False)
+    _valid_on: weakref.ref | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        face_label = np.array(self.face_label, dtype=np.int64)
-        face_label.flags.writeable = False
-        object.__setattr__(self, "face_label", face_label)
+        self.face_label = np.array(self.face_label, dtype=np.int64)
+        self.face_label.flags.writeable = False
 
     @property
     def n_parts(self):
@@ -56,7 +57,7 @@ class PartitionLabeling:
     def validate(self, mesh):
         """Check connectivity and the at-most-one-hole restriction per part;
         a labeling that passed on mesh passes again at once."""
-        if self._valid_on is mesh:
+        if self._valid_on is not None and self._valid_on() is mesh:
             return
         if len(self.face_label) != mesh.n_faces:
             raise ParseError(
@@ -92,7 +93,7 @@ class PartitionLabeling:
             holes = region_hole_count(mesh, face_ids)
             if holes > 1:
                 raise SubmeshWithTwoHoles(f"submesh {lab} has {holes} holes")
-        object.__setattr__(self, "_valid_on", mesh)
+        self._valid_on = weakref.ref(mesh)
 
 
 def load_labels(path, n_faces):

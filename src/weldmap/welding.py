@@ -256,32 +256,18 @@ class _Zipper:
         which maps into itself. The branch decides the half-axis for points
         on the cut. In an unzip every odd entry is at infinity."""
         y, z, inf = self.y, self.z, self.inf
-        # Each line below is one operation of den = 1 - im*y,
-        # den_t = 1 + (im*i)*z, Y = re*y / den, L = re*z / den_t,
-        # y = sgn*sqrt(Y*Y + 1) and z = sqrt(L*L - 1), done in place.
-        den = np.multiply(im, y[:j])
-        np.subtract(1.0, den, out=den)
+        den = 1.0 - im * y[:j]
         tail = z[j + 1 :]
-        den_t = np.multiply(1j * im, tail)
-        np.add(1.0, den_t, out=den_t)
+        den_t = 1.0 + 1j * im * tail
         poles = self._hits(den, 0) + self._hits(den_t, j + 1)
-        Y = np.multiply(re, y[:j])
-        np.divide(Y, den, out=Y)
+        Y = re * y[:j] / den
         # The image lies on the branch cut; the half-axis of the Mobius
         # image decides the side, with the chain orientation breaking the
-        # tie for the point currently sitting at the origin: np.sign gives
-        # 0 there (and NaN for a NaN ordinate), and branch replaces both.
-        sgn = np.sign(Y)
-        sgn[np.abs(sgn) != 1.0] = branch
-        L = np.multiply(re, tail)
-        np.divide(L, den_t, out=L)
-        np.multiply(L, L, out=L)
-        np.subtract(L, 1.0, out=L)
-        w = sqrt_branch(L, branch)
-        np.multiply(Y, Y, out=Y)
-        np.add(Y, 1.0, out=Y)
-        np.sqrt(Y, out=Y)
-        np.multiply(sgn, Y, out=y[:j])
+        # tie for the point currently sitting at the origin.
+        sgn = np.where(Y > 0, 1.0, np.where(Y < 0, -1.0, float(branch)))
+        L = re * tail / den_t
+        w = sqrt_branch(L * L - 1.0, branch)
+        y[:j] = sgn * np.sqrt(Y * Y + 1.0)
         z[j + 1 :] = w
         if abs(im) >= _TINY:
             for i in self.odd:
@@ -293,8 +279,7 @@ class _Zipper:
                     L = re / (1j * im)
                     z[i] = sqrt_branch(L * L - 1.0, branch)
                 inf[i] = False
-        if poles:
-            inf[poles] = True
+        inf[poles] = True
         z[j], y[j], inf[j], self.axis[j] = 0.0, 0.0, False, True
         self.t = j + 1
         self._settle(poles)
@@ -329,8 +314,7 @@ class _Zipper:
                 i for i in np.flatnonzero(v >= 0).tolist()
                 if i not in self.odd and i not in poles
             ]
-        if len(hits_t):
-            poles += [i for i in (hits_t + j + 1).tolist() if i not in self.odd]
+        poles += [i for i in (hits_t + j + 1).tolist() if i not in self.odd]
         gen = [i for i in self.odd if not inf[i]]
         if gen:
             gen = np.array(gen)
@@ -358,9 +342,8 @@ class _Zipper:
             poles += gen_poles
         for i in welded:
             z[i] = np.sqrt(np.maximum(v[i], 0.0)) + 0j
-        if poles or welded:
-            inf[poles] = True
-            axis[poles + welded] = False
+        inf[poles] = True
+        axis[poles + welded] = False
         z[j], inf[j] = 0.0, False
         # The tail is generic; the first step also takes entry k, the end
         # of the arc, off the axis: it sits at exactly 0 there, where the
