@@ -1,3 +1,4 @@
+import gc
 import re
 
 import numpy as np
@@ -416,3 +417,7 @@ def test_accepted_labeling_is_validated_once(monkeypatch):
     compute_parameterization(mesh, labels, np.zeros(mesh.n_faces, complex), qc=False)
     assert checked.count(labels.face_label.tobytes()) == 1
     assert not labels.face_label.flags.writeable
+    # The labeling remembers the mesh without keeping it alive.
+    del mesh
+    gc.collect()
+    assert labels._valid_on() is None
