@@ -21,7 +21,6 @@ from .errors import (
     SeamMismatch,
 )
 from .flatten import (
-    PlanarEmbedding,
     beltrami_per_face,
     compose_beltrami,
     cotan_laplacian,
@@ -55,7 +54,8 @@ def laplace_dirichlet(mesh, boundary, factor):
     target position of each vertex of mesh.boundary_vertices(), in that
     order. factor is dirichlet_factor(mesh): its solve gives the interior
     rows of the cotangent Laplacian, failing above a relative residual of
-    LAPLACE_RTOL; boundary rows are reproduced exactly.
+    LAPLACE_RTOL; boundary rows are reproduced exactly. Returns the (n, 2)
+    uv array of mesh's vertices.
     """
     n_fixed = len(mesh.boundary_vertices())
     if len(boundary) != n_fixed:
@@ -63,7 +63,7 @@ def laplace_dirichlet(mesh, boundary, factor):
             f"{len(boundary)} boundary values for {n_fixed} boundary vertices"
         )
     vals = np.column_stack([boundary.real, boundary.imag])
-    return PlanarEmbedding(uv=vals if factor is None else factor(vals, LAPLACE_RTOL))
+    return vals if factor is None else factor(vals, LAPLACE_RTOL)
 
 
 # ---------------------------------------------------------------------------
@@ -74,22 +74,22 @@ def qc_correction(source_vertices, faces, image, mu_target):
     """Compose the map with a quasi-conformal correction toward mu_target.
 
     source_vertices/faces describe the original submesh; image is its current
-    planar embedding. The correction coefficient comes from the composition
+    (n, 2) uv array. The correction coefficient comes from the composition
     rule, the correction itself from a least-squares quasi-conformal solve on
     the image domain pinned at two far-apart vertices (so a null correction
-    is the identity). Kept-best: the corrected map is returned only when the
-    mean absolute Beltrami error strictly decreases.
+    is the identity). Kept-best: the corrected uv is returned only when the
+    mean absolute Beltrami error strictly decreases, else image itself.
     """
     source_vertices = np.asarray(source_vertices, dtype=float)
     mu_target = np.asarray(mu_target, dtype=np.complex128)
-    fd = beltrami_per_face(source_vertices, faces, image.uv)
+    fd = beltrami_per_face(source_vertices, faces, image)
     e_before = float(np.abs(fd.mu_face - mu_target).mean())
 
     image_mesh = TriangleMesh(
-        vertices=image.uv, faces=faces,
-        boundary_loops=walk_boundary_loops(faces, len(image.uv)),
+        vertices=image, faces=faces,
+        boundary_loops=walk_boundary_loops(faces, len(image)),
     )
-    z = image.complex_view
+    z = image[:, 0] + 1j * image[:, 1]
     i0 = int(np.argmin(z.real + z.imag))
     i1 = int(np.argmax(np.abs(z - z[i0])))
     pins = [
@@ -97,13 +97,13 @@ def qc_correction(source_vertices, faces, image, mu_target):
         (i1, (float(z[i1].real), float(z[i1].imag))),
     ]
     try:
-        nu = compose_beltrami(source_vertices, faces, image.uv, mu_target)
+        nu = compose_beltrami(source_vertices, faces, image, mu_target)
         corrected = lsqc_flatten(image_mesh, nu, pins=pins)
     except MuOutOfRange:
         # flipped or near-degenerate faces make the composed coefficient
         # inadmissible; kept-best then means "no correction"
         return image
-    fd2 = beltrami_per_face(source_vertices, faces, corrected.uv)
+    fd2 = beltrami_per_face(source_vertices, faces, corrected)
     e_after = float(np.abs(fd2.mu_face - mu_target).mean())
     if e_after < e_before:
         return corrected
@@ -117,11 +117,12 @@ def qc_correction(source_vertices, faces, image, mu_target):
 @dataclass
 class GlobalParameterization:
     uv: np.ndarray  # (n_parent, 2)
-    submesh_uv: list  # PlanarEmbedding per submesh
+    submesh_uv: list  # (n_submesh, 2) uv array per submesh
 
 
 def assemble_global(submeshes, embeddings, n_vertices):
-    """Merge per-submesh embeddings into uv of the n_vertices parent vertices.
+    """Merge the per-submesh uv arrays embeddings into uv of the n_vertices
+    parent vertices.
 
     Cut vertices appear in several submeshes; their copies must agree to
     1e-6 of the overall diameter (a larger gap signals an upstream welding
@@ -133,15 +134,15 @@ def assemble_global(submeshes, embeddings, n_vertices):
     hi = np.full((n_vertices, 2), -np.inf)
     for sub, emb in zip(submeshes, embeddings):
         ids = sub.to_parent  # no id twice, so fancy indexing needs no ufunc.at
-        acc[ids] += emb.uv
+        acc[ids] += emb
         cnt[ids] += 1
-        lo[ids] = np.minimum(lo[ids], emb.uv)
-        hi[ids] = np.maximum(hi[ids], emb.uv)
+        lo[ids] = np.minimum(lo[ids], emb)
+        hi[ids] = np.maximum(hi[ids], emb)
     if np.any(cnt == 0):
         raise SeamMismatch(
             f"parent vertex {int(np.flatnonzero(cnt == 0)[0])} owned by no submesh"
         )
-    all_uv = np.concatenate([e.uv for e in embeddings])
+    all_uv = np.concatenate(embeddings)
     diam = float(np.ptp(all_uv, axis=0).max())
     gap = (hi - lo).max(axis=1)
     worst = float(gap.max())

@@ -18,18 +18,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DegenerateFace, MuOutOfRange, SingularSystem, WrongTopology
+from .mesh import signed_areas_2d
 
 EPS_MU = 1e-3
 SOLVE_RTOL = 1e-10
-
-
-@dataclass
-class PlanarEmbedding:
-    uv: np.ndarray  # (n, 2)
-
-    @property
-    def complex_view(self):
-        return self.uv[:, 0] + 1j * self.uv[:, 1]
 
 
 @dataclass
@@ -73,10 +65,7 @@ def _hat_gradients(corners):
     grad lambda_i = rot90(p_{i+2} - p_{i+1}) / (2 A).
     """
     d = corners[:, [2, 0, 1], :] - corners[:, [1, 2, 0], :]
-    areas = 0.5 * (
-        (corners[:, 1, 0] - corners[:, 0, 0]) * (corners[:, 2, 1] - corners[:, 0, 1])
-        - (corners[:, 1, 1] - corners[:, 0, 1]) * (corners[:, 2, 0] - corners[:, 0, 0])
-    )
+    areas = signed_areas_2d(corners)
     if np.any(areas <= 0):
         raise DegenerateFace("non-positive face area in gradient assembly")
     rot = np.empty_like(d)
@@ -222,7 +211,8 @@ def solve_fixed(K, fixed, values, fail_rtol):
 def _free_boundary_flatten(mesh, L, pins):
     """Minimize 1/2 (u^T L u + v^T L v) minus the image area over (u; v),
     with (u, v) pinned at the given vertices. The default pins are two
-    outer-loop vertices at maximal cyclic distance, at (0, 0) and (1, 0)."""
+    outer-loop vertices at maximal cyclic distance, at (0, 0) and (1, 0).
+    Returns the (n, 2) uv array of mesh's vertices."""
     n = mesh.n_vertices
     M = 0.5 * sp.block_diag([L, L], format="csr") - area_form_boundary(mesh)
     if pins is None:
@@ -233,11 +223,12 @@ def _free_boundary_flatten(mesh, L, pins):
         pinned[vid], pinned[vid + n] = pu, pv
     fixed = np.asarray(sorted(pinned), dtype=np.int64)
     x = solve_fixed(M, fixed, [pinned[i] for i in fixed], 1e3 * SOLVE_RTOL)
-    return PlanarEmbedding(uv=np.column_stack([x[:n], x[n:]]))
+    return np.column_stack([x[:n], x[n:]])
 
 
 def dncp_flatten(mesh):
-    """Free-boundary conformal flattening (Dirichlet energy minus area)."""
+    """Free-boundary conformal flattening (Dirichlet energy minus area): the
+    (n, 2) uv array of mesh's vertices."""
     return _free_boundary_flatten(mesh, cotan_laplacian(mesh), None)
 
 
@@ -245,7 +236,7 @@ def lsqc_flatten(mesh, mu, pins=None):
     """Free-boundary flattening attaining the prescribed per-face mu.
 
     mesh must be a 2D embedding (the conformal chart); mu is per face in
-    that chart.
+    that chart. Returns the (n, 2) uv array of mesh's vertices.
     """
     return _free_boundary_flatten(mesh, generalized_laplacian(mesh, mu), pins)
 

@@ -61,26 +61,21 @@ class TriangleMesh:
 
 def face_areas(vertices, faces):
     """Unsigned triangle areas; works for 2D and 3D vertex arrays."""
+    if vertices.shape[1] == 2:
+        return np.abs(signed_areas_2d(vertices[faces]))
     p0 = vertices[faces[:, 0]]
     p1 = vertices[faces[:, 1]]
     p2 = vertices[faces[:, 2]]
-    if vertices.shape[1] == 2:
-        cross = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (
-            p1[:, 1] - p0[:, 1]
-        ) * (p2[:, 0] - p0[:, 0])
-        return 0.5 * np.abs(cross)
     cross = np.cross(p1 - p0, p2 - p0)
     return 0.5 * np.linalg.norm(cross, axis=1)
 
 
-def signed_face_areas_2d(vertices, faces):
-    p0 = vertices[faces[:, 0]]
-    p1 = vertices[faces[:, 1]]
-    p2 = vertices[faces[:, 2]]
-    cross = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p1[:, 1] - p0[:, 1]) * (
-        p2[:, 0] - p0[:, 0]
-    )
-    return 0.5 * cross
+def signed_areas_2d(corners):
+    """Signed areas of the triangles of an (m, 3, 2) corner array, positive
+    for counter-clockwise corners."""
+    e1 = corners[:, 1] - corners[:, 0]
+    e2 = corners[:, 2] - corners[:, 0]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
 def half_edge_twins(faces, n_vertices):
@@ -109,8 +104,9 @@ def build_mesh(vertices, faces, twin=None):
     """Validate raw arrays and return a TriangleMesh with boundary loops.
 
     A given twin is taken as the twin table of faces (half_edge_twins), such
-    as one cut out of a parent mesh's. Raises NonManifold, WrongTopology or
-    DegenerateFace on invalid input.
+    as one cut out of a parent mesh's. Raises ParseError (a non-finite
+    coordinate among them), NonManifold, WrongTopology or DegenerateFace on
+    invalid input.
     """
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     faces = np.ascontiguousarray(faces, dtype=np.int64)
@@ -123,14 +119,22 @@ def build_mesh(vertices, faces, twin=None):
     if faces.shape[0] == 0:
         raise WrongTopology("mesh has no faces")
 
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if len(bad):
+        raise ParseError(
+            f"vertex {int(bad[0])} has a non-finite coordinate",
+            hint="give every vertex finite coordinates",
+        )
+
     scale = float(np.max(np.abs(vertices))) or 1.0
-    areas = face_areas(vertices, faces)
+    planar = vertices.shape[1] == 2
+    signed = signed_areas_2d(vertices[faces]) if planar else None
+    areas = np.abs(signed) if planar else face_areas(vertices, faces)
     if np.any(areas <= _AREA_TOL * scale * scale):
         bad = int(np.argmin(areas))
         raise DegenerateFace(f"face {bad} has (near) zero area")
 
-    if vertices.shape[1] == 2:
-        signed = signed_face_areas_2d(vertices, faces)
+    if planar:
         if np.any(signed < 0):
             if np.all(signed < 0):
                 raise WrongTopology("2D mesh is clockwise oriented; expected CCW")
@@ -150,9 +154,12 @@ def build_mesh(vertices, faces, twin=None):
     chi = len(vertices) - n_edges + len(faces)
     k = len(loops) - 1
     if chi != 1 - k:
+        unused = np.flatnonzero(np.bincount(faces.ravel(), minlength=len(vertices)) == 0)
         raise WrongTopology(
             f"Euler characteristic {chi} incompatible with genus-0 surface "
             f"with {k + 1} boundary loops (expected {1 - k})"
+            + (f": vertex {int(unused[0])} is in no face" if len(unused) else ""),
+            hint="remove the vertices that no face uses" if len(unused) else None,
         )
     # Outer loop = largest 3D perimeter; stable for all fixtures.
     perimeters = [

@@ -27,7 +27,7 @@ import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .flatten import (
     lsqc_flatten,
 )
 from .koebe import circularize_hole, circularize_outer, koebe_refine, loop_circularity
-from .mesh import TriangleMesh, region_loops
+from .mesh import region_loops
 from .partition import build_weld_specs, extract_submeshes
 from .welding import multiconnected_weld, partial_weld
 
@@ -95,7 +95,7 @@ class _Tracker:
             # boundary_vertices is sorted and to_parent increasing, so the
             # parent ids come out sorted.
             local = sub.mesh.boundary_vertices()
-            uv = chart.uv[local]
+            uv = chart[local]
             self.comps[frozenset({lab})] = (
                 sub.to_parent[local], uv[:, 0] + 1j * uv[:, 1]
             )
@@ -174,27 +174,17 @@ def _subdivide_runs(pos, runs, q):
     """Split every edge inside the given index runs [(start, end), ...] into
     q pieces. Returns (new polygon, sel) where sel maps each original index
     to its position in the new polygon."""
-    n = len(pos)
+    t = np.arange(q) / q
+    sel = np.arange(len(pos))
     parts = []
-    sel = np.empty(n, dtype=np.int64)
-    cursor = 0
     prev_end = 0
     for start, end in runs:
-        if prev_end < start:
-            seg = pos[prev_end:start]
-            sel[prev_end:start] = cursor + np.arange(start - prev_end)
-            parts.append(seg)
-            cursor += start - prev_end
-        for j in range(start, end):
-            t = np.arange(q) / q
-            parts.append(pos[j] + (pos[j + 1] - pos[j]) * t)
-            sel[j] = cursor
-            cursor += q
-        sel[end] = cursor
+        a, b = pos[start:end, None], pos[start + 1 : end + 1, None]
+        parts += [pos[prev_end:start], (a + (b - a) * t).ravel()]
+        # Each run edge before an index moves it on by q - 1 new points.
+        sel[start:] += (q - 1) * np.minimum(np.arange(len(pos) - start), end - start)
         prev_end = end
-    tail = pos[prev_end:]
-    sel[prev_end:] = cursor + np.arange(n - prev_end)
-    parts.append(tail)
+    parts.append(pos[prev_end:])
     return np.concatenate(parts), sel
 
 
@@ -328,12 +318,8 @@ def _flatten_submesh(sub, mu_faces):
     with _stage("flatten", sub.label):
         chart = dncp_flatten(sub.mesh)
         if np.any(mu_faces != 0):
-            nu = compose_beltrami(sub.mesh.vertices, sub.mesh.faces, chart.uv, mu_faces)
-            chart_mesh = TriangleMesh(
-                vertices=chart.uv, faces=sub.mesh.faces,
-                boundary_loops=sub.mesh.boundary_loops,
-            )
-            chart = lsqc_flatten(chart_mesh, nu)
+            nu = compose_beltrami(sub.mesh.vertices, sub.mesh.faces, chart, mu_faces)
+            chart = lsqc_flatten(replace(sub.mesh, vertices=chart), nu)
     return chart
 
 
@@ -342,8 +328,8 @@ def _correct_submesh(sub, emb, mu_faces):
     with _stage("laplace", sub.label):
         corrected = qc_correction(sub.mesh.vertices, sub.mesh.faces, emb, mu_faces)
         bidx = sub.mesh.boundary_vertices()
-        move = float(np.linalg.norm(corrected.uv[bidx] - emb.uv[bidx], axis=1).max())
-        diam = max(float(np.ptp(emb.uv, axis=0).max()), 1e-300)
+        move = float(np.linalg.norm(corrected[bidx] - emb[bidx], axis=1).max())
+        diam = max(float(np.ptp(emb, axis=0).max()), 1e-300)
         # keep the seam budget: a correction that walks the welded
         # boundary would break cross-submesh consistency
         if move <= SEAM_SNAP * diam:
@@ -405,7 +391,9 @@ def compute_parameterization(
         if want_snapshots and snap:
             snapshots.append((name, tracker.loops(submeshes)))
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    # A worker per submesh and one for the chain at most: more get no work.
+    workers = min(max(1, threads), len(submeshes) + 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         with stage("flatten"):
             charts = list(pool.map(_flatten_submesh, submeshes, mu_subs))
             tracker = _Tracker(submeshes, charts)
@@ -455,10 +443,7 @@ def compute_parameterization(
                         return  # the chain failed: nothing to solve
                     sub = submeshes[i]
                     with _stage("laplace", sub.label):
-                        flat = TriangleMesh(
-                            vertices=charts[i].uv, faces=sub.mesh.faces,
-                            boundary_loops=sub.mesh.boundary_loops,
-                        )
+                        flat = replace(sub.mesh, vertices=charts[i])
                         held.append((sub, flat, dirichlet_factor(flat)))
                     if k + 1 < len(block) and not chain.done():
                         continue
@@ -482,7 +467,7 @@ def compute_parameterization(
         # beside it on the other workers, or after it at one thread.
         chain = pool.submit(weld_chain)
         embeddings = [None] * len(submeshes)
-        blocks = np.array_split(np.arange(len(submeshes)), max(1, threads - 1))
+        blocks = np.array_split(np.arange(len(submeshes)), max(1, workers - 1))
         lanes = [pool.submit(dirichlet_lane, block) for block in blocks]
         refine_history = chain.result()  # a chain error comes first
         with stage("laplace", snap=False):

@@ -148,13 +148,19 @@ def quadratic_form_value(Q, u, v):
     return float(x @ (Q @ x))
 
 
-def harmonic_residual(mesh, embedding):
-    """Relative residual of the interior cotan Laplacian rows of a map."""
+def complex_uv(uv):
+    """The rows u, v of an (n, 2) uv array as complex numbers u + iv."""
+    return uv[:, 0] + 1j * uv[:, 1]
+
+
+def harmonic_residual(mesh, uv):
+    """Relative residual of the interior cotan Laplacian rows of the (n, 2)
+    map uv."""
     boundary_ids = mesh.boundary_vertices()
     free = np.setdiff1d(np.arange(mesh.n_vertices), boundary_ids)
     if len(free) == 0:
         return 0.0
     L = cotan_laplacian(mesh).tocsr()
-    full = L[free] @ embedding.uv
-    ref = np.linalg.norm(L[free][:, boundary_ids] @ embedding.uv[boundary_ids])
+    full = L[free] @ uv
+    ref = np.linalg.norm(L[free][:, boundary_ids] @ uv[boundary_ids])
     return float(np.linalg.norm(full) / max(ref, 1e-300))

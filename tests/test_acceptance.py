@@ -27,6 +27,7 @@ from weldmap.welding import partial_weld
 from fixtures import (
     annulus_mesh,
     area_form_faces,
+    complex_uv,
     curved_annulus,
     disk_mesh,
     grid_mesh,
@@ -245,10 +246,10 @@ def test_criterion_06_mu_preservation(two_hole_conformal):
     drift = 0.0
     for lab, (sub, chart) in enumerate(zip(subs, charts)):
         mu_chart = beltrami_per_face(
-            sub.mesh.vertices, sub.mesh.faces, chart.uv
+            sub.mesh.vertices, sub.mesh.faces, chart
         ).mu_face
         mu_final = beltrami_per_face(
-            sub.mesh.vertices, sub.mesh.faces, res.param.submesh_uv[lab].uv
+            sub.mesh.vertices, sub.mesh.faces, res.param.submesh_uv[lab]
         ).mu_face
         drift = max(drift, float(np.abs(mu_final - mu_chart).max()))
     ok = drift <= 1e-5
@@ -297,7 +298,7 @@ def test_criterion_07_weld_exactness(two_hole, two_hole_stitched):
     pos = {}
     seam_gap = 0.0
     for lab, sub in enumerate(subs):
-        uv = res.param.submesh_uv[lab].uv
+        uv = res.param.submesh_uv[lab]
         for lv in sub.mesh.boundary_vertices():
             p = int(sub.to_parent[lv])
             if p in pos:
@@ -330,8 +331,8 @@ def test_criterion_08_pin_invariance():
     loop = mesh.boundary_loops[0]
     pins1 = [(int(loop[0]), (0, 0)), (int(loop[len(loop) // 2]), (1, 0))]
     pins2 = [(int(loop[5]), (0, 0)), (int(loop[len(loop) // 3]), (1, 0))]
-    z1 = lsqc_flatten(mesh, mu, pins=pins1).complex_view
-    z2 = lsqc_flatten(mesh, mu, pins=pins2).complex_view
+    z1 = complex_uv(lsqc_flatten(mesh, mu, pins=pins1))
+    z2 = complex_uv(lsqc_flatten(mesh, mu, pins=pins2))
     A = np.column_stack([z1, np.ones_like(z1)])
     coef, *_ = np.linalg.lstsq(A, z2, rcond=None)
     resid = float(np.abs(A @ coef - z2).max())
@@ -354,7 +355,7 @@ def test_criterion_09_harmonicity(two_hole_conformal, two_hole_stitched):
     worst = 0.0
     for lab, (sub, chart) in enumerate(zip(subs, charts)):
         flat = TriangleMesh(
-            vertices=chart.uv,
+            vertices=chart,
             faces=sub.mesh.faces,
             boundary_loops=sub.mesh.boundary_loops,
         )
@@ -369,7 +370,7 @@ def test_criterion_09_harmonicity(two_hole_conformal, two_hole_stitched):
     bd = np.array([fn(complex(*gm.vertices[v])) for v in gm.boundary_vertices()])
     emb = laplace_dirichlet(gm, bd, dirichlet_factor(gm))
     want = np.array([fn(complex(*p)) for p in gm.vertices])
-    affine_err = float(np.abs(emb.complex_view - want).max())
+    affine_err = float(np.abs(complex_uv(emb) - want).max())
 
     zsq_errs = []
     for n_rings in (8, 16):
@@ -377,7 +378,7 @@ def test_criterion_09_harmonicity(two_hole_conformal, two_hole_stitched):
         z = dm.vertices[:, 0] + 1j * dm.vertices[:, 1]
         bd = z[dm.boundary_vertices()] ** 2
         emb = laplace_dirichlet(dm, bd, dirichlet_factor(dm))
-        zsq_errs.append(float(np.abs(emb.complex_view - z * z).max()))
+        zsq_errs.append(float(np.abs(complex_uv(emb) - z * z).max()))
     rate = zsq_errs[0] / zsq_errs[1]
     ok = worst <= 1e-8 and affine_err <= 1e-10 and rate >= 3.0
     _line(

@@ -13,7 +13,6 @@ from weldmap.assemble import (
 )
 from weldmap.errors import MissingBoundaryValue, SeamMismatch
 from weldmap.flatten import (
-    PlanarEmbedding,
     beltrami_per_face,
     cotan_laplacian,
     lsqc_flatten,
@@ -22,7 +21,7 @@ from weldmap.flatten import (
 from weldmap.mesh import build_mesh
 from weldmap.partition import default_partition, extract_submeshes
 
-from fixtures import disk_mesh, grid_mesh, harmonic_residual
+from fixtures import complex_uv, disk_mesh, grid_mesh, harmonic_residual
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +43,7 @@ def test_laplace_affine_boundary_reproduces_affine():
     )
     emb = harmonic(mesh, fn)
     want = np.array([fn(complex(*p)) for p in mesh.vertices])
-    assert np.abs(emb.complex_view - want).max() < 1e-10
+    assert np.abs(complex_uv(emb) - want).max() < 1e-10
 
 
 def test_laplace_z_squared_on_disk():
@@ -52,13 +51,13 @@ def test_laplace_z_squared_on_disk():
     emb = harmonic(mesh, lambda z: z * z)
     z = mesh.vertices[:, 0] + 1j * mesh.vertices[:, 1]
     h = 1.0 / 12
-    assert np.abs(emb.complex_view - z * z).max() < 2.0 * h * h
+    assert np.abs(complex_uv(emb) - z * z).max() < 2.0 * h * h
 
 
 def test_laplace_constant_boundary_is_constant():
     mesh = grid_mesh(6, 6)
     emb = harmonic(mesh, lambda z: 2.5 - 1.5j)
-    assert np.abs(emb.complex_view - (2.5 - 1.5j)).max() < 1e-12
+    assert np.abs(complex_uv(emb) - (2.5 - 1.5j)).max() < 1e-12
 
 
 def test_laplace_missing_boundary_value():
@@ -82,7 +81,7 @@ def test_laplace_all_boundary_mesh():
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]])
     )
     emb = harmonic(mesh, lambda z: 3 * z + 1j)
-    assert np.abs(emb.complex_view - (3 * (mesh.vertices[:, 0] + 1j * mesh.vertices[:, 1]) + 1j)).max() < 1e-14
+    assert np.abs(complex_uv(emb) - (3 * (mesh.vertices[:, 0] + 1j * mesh.vertices[:, 1]) + 1j)).max() < 1e-14
     assert dirichlet_factor(mesh) is None  # nothing to factor
 
 
@@ -98,7 +97,7 @@ def test_laplace_with_a_prepared_factor_matches_a_fresh_one():
             cotan_laplacian(mesh), mesh.boundary_vertices(),
             np.column_stack([bv.real, bv.imag]), LAPLACE_RTOL,
         )
-        assert np.array_equal(laplace_dirichlet(mesh, bv, factor).uv, fresh)
+        assert np.array_equal(laplace_dirichlet(mesh, bv, factor), fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +106,13 @@ def test_laplace_with_a_prepared_factor_matches_a_fresh_one():
 
 def test_qc_correction_identity_when_on_target():
     mesh = grid_mesh(8, 8)
-    image = PlanarEmbedding(uv=mesh.vertices.copy())
-    fd = beltrami_per_face(mesh.vertices, mesh.faces, image.uv)
+    image = mesh.vertices.copy()
+    fd = beltrami_per_face(mesh.vertices, mesh.faces, image)
     out = qc_correction(mesh.vertices, mesh.faces, image, fd.mu_face)
-    # already exactly on target: kept-best rejects any change
-    assert np.array_equal(out.uv, image.uv)
+    # already exactly on target: kept-best rejects any change and hands
+    # back its own argument
+    assert np.array_equal(out, image)
+    assert out is image
 
 
 def test_qc_correction_removes_constant_drift():
@@ -119,10 +120,10 @@ def test_qc_correction_removes_constant_drift():
     drift = np.full(mesh.n_faces, 0.05 + 0j)
     image = lsqc_flatten(mesh, drift)
     target = np.zeros(mesh.n_faces, dtype=complex)
-    _, e_before = beltrami_error(mesh.vertices, mesh.faces, image.uv, target)
+    _, e_before = beltrami_error(mesh.vertices, mesh.faces, image, target)
     assert e_before > 0.04
     out = qc_correction(mesh.vertices, mesh.faces, image, target)
-    _, e_after = beltrami_error(mesh.vertices, mesh.faces, out.uv, target)
+    _, e_after = beltrami_error(mesh.vertices, mesh.faces, out, target)
     assert e_after <= 0.01
 
 
@@ -131,10 +132,10 @@ def test_qc_correction_never_increases_error():
     mesh = grid_mesh(6, 6)
     rng = np.random.default_rng(7)
     target = 0.4 * np.exp(2j * np.pi * rng.random(mesh.n_faces))
-    image = PlanarEmbedding(uv=mesh.vertices.copy())
-    _, e_before = beltrami_error(mesh.vertices, mesh.faces, image.uv, target)
+    image = mesh.vertices.copy()
+    _, e_before = beltrami_error(mesh.vertices, mesh.faces, image, target)
     out = qc_correction(mesh.vertices, mesh.faces, image, target)
-    _, e_after = beltrami_error(mesh.vertices, mesh.faces, out.uv, target)
+    _, e_after = beltrami_error(mesh.vertices, mesh.faces, out, target)
     assert e_after <= e_before
 
 
@@ -146,10 +147,10 @@ def test_assemble_single_submesh_is_identity():
     mesh = grid_mesh(6, 5)
     labels = default_partition(mesh, 1)
     subs = extract_submeshes(mesh, labels)
-    emb = PlanarEmbedding(uv=subs[0].mesh.vertices.copy())
+    emb = subs[0].mesh.vertices.copy()
     g = assemble_global(subs, [emb], n_vertices=mesh.n_vertices)
     # single part: local order equals parent order up to the index map
-    assert np.abs(g.uv[subs[0].to_parent] - emb.uv).max() == 0.0
+    assert np.abs(g.uv[subs[0].to_parent] - emb).max() == 0.0
 
 
 def test_assemble_two_submeshes_consistent_seam():
@@ -157,9 +158,7 @@ def test_assemble_two_submeshes_consistent_seam():
     labels = default_partition(mesh, 2)
     subs = extract_submeshes(mesh, labels)
     fn = lambda p: (p[0] + 0.1 * (p[0] ** 2 - p[1] ** 2), p[1] + 0.2 * p[0] * p[1])
-    embs = [
-        PlanarEmbedding(uv=np.array([fn(p) for p in s.mesh.vertices])) for s in subs
-    ]
+    embs = [np.array([fn(p) for p in s.mesh.vertices]) for s in subs]
     g = assemble_global(subs, embs, n_vertices=mesh.n_vertices)
     want = np.array([fn(p) for p in mesh.vertices])
     assert np.abs(g.uv - want).max() < 1e-12
@@ -170,8 +169,8 @@ def test_assemble_seam_mismatch_raises():
     mesh = grid_mesh(8, 8)
     labels = default_partition(mesh, 2)
     subs = extract_submeshes(mesh, labels)
-    embs = [PlanarEmbedding(uv=s.mesh.vertices.copy()) for s in subs]
-    embs[1] = PlanarEmbedding(uv=embs[1].uv + 1e-3)
+    embs = [s.mesh.vertices.copy() for s in subs]
+    embs[1] = embs[1] + 1e-3
     with pytest.raises(SeamMismatch):
         assemble_global(subs, embs, n_vertices=mesh.n_vertices)
 

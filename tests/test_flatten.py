@@ -23,6 +23,7 @@ from weldmap.mesh import TriangleMesh, build_mesh
 from fixtures import (
     annulus_mesh,
     area_form_faces,
+    complex_uv,
     grid_mesh,
     hemisphere_cap,
     quadratic_form_value,
@@ -102,7 +103,7 @@ def test_face_form_identity_is_area():
 def test_dncp_planar_is_conformal():
     m = grid_mesh(8, 6)
     emb = dncp_flatten(m)
-    fd = beltrami_per_face(m.vertices, m.faces, emb.uv)
+    fd = beltrami_per_face(m.vertices, m.faces, emb)
     assert np.abs(fd.mu_face).max() < 1e-8
     assert np.all(fd.jacobian_sign == 1)
 
@@ -110,14 +111,14 @@ def test_dncp_planar_is_conformal():
 def test_dncp_annulus_conformal():
     m = annulus_mesh()
     emb = dncp_flatten(m)
-    fd = beltrami_per_face(m.vertices, m.faces, emb.uv)
+    fd = beltrami_per_face(m.vertices, m.faces, emb)
     assert np.abs(fd.mu_face).mean() < 1e-8
 
 
 def test_dncp_hemisphere_cap():
     m = hemisphere_cap(n_rings=24, n_sect=72)
     emb = dncp_flatten(m)
-    fd = beltrami_per_face(m.vertices, m.faces, emb.uv)
+    fd = beltrami_per_face(m.vertices, m.faces, emb)
     assert np.abs(fd.mu_face).mean() < 0.02
 
 
@@ -154,14 +155,14 @@ def test_lsqc_rejects_a_nan_mu_naming_its_face():
 def test_lsqc_mu_zero_matches_conformal():
     m = grid_mesh(6, 6)
     emb = lsqc_flatten(m, np.zeros(m.n_faces, dtype=complex))
-    fd = beltrami_per_face(m.vertices, m.faces, emb.uv)
+    fd = beltrami_per_face(m.vertices, m.faces, emb)
     assert np.abs(fd.mu_face).max() < 1e-8
 
 
 def test_lsqc_mu_zero_equals_dncp_on_annulus():
     m = annulus_mesh()
     lsqc = lsqc_flatten(m, np.zeros(m.n_faces, dtype=complex))
-    np.testing.assert_allclose(lsqc.uv, dncp_flatten(m).uv, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lsqc, dncp_flatten(m), rtol=0, atol=1e-12)
 
 
 def test_lsqc_system_couples_u_and_v_on_boundary_edges_only(monkeypatch):
@@ -220,9 +221,9 @@ def test_flatten_and_dirichlet_solves_keep_their_own_residual_bounds(monkeypatch
     # of 3e-8 is inside the flattens' 1e3 * SOLVE_RTOL = 1e-7 and outside
     # the Dirichlet solves' LAPLACE_RTOL = 1e-8.
     m = grid_mesh(6, 6)
-    exact = dncp_flatten(m).uv
+    exact = dncp_flatten(m)
     _stall_solves(monkeypatch, 3e-8)
-    stalled = dncp_flatten(m).uv
+    stalled = dncp_flatten(m)
     assert 0 < np.abs(stalled - exact).max() < 1e-6
     lsqc_flatten(m, smooth_beltrami(m, 5))
     bidx = m.boundary_vertices()
@@ -250,7 +251,7 @@ def test_lsqc_constant_real_mu_is_affine():
     # mu = 1/3 corresponds to (x, y) -> (2x, y) up to similarity.
     m = grid_mesh(6, 6)
     emb = lsqc_flatten(m, np.full(m.n_faces, 1 / 3 + 0j))
-    fd = beltrami_per_face(m.vertices, m.faces, emb.uv)
+    fd = beltrami_per_face(m.vertices, m.faces, emb)
     np.testing.assert_allclose(fd.mu_face, 1 / 3, atol=1e-8)
 
 
@@ -259,7 +260,7 @@ def test_lsqc_recovers_smooth_mu():
     cent = m.vertices[m.faces].mean(axis=1)
     mu = 0.3 * np.sin(np.pi * cent[:, 0]) * np.exp(1j * np.pi * cent[:, 1])
     emb = lsqc_flatten(m, mu)
-    fd = beltrami_per_face(m.vertices, m.faces, emb.uv)
+    fd = beltrami_per_face(m.vertices, m.faces, emb)
     assert np.abs(fd.mu_face - mu).mean() < 0.02
 
 
@@ -292,7 +293,7 @@ def test_pin_invariance_up_to_similarity():
     loop = m.boundary_loops[0]
     e1 = lsqc_flatten(m, mu, pins=[(int(loop[0]), (0, 0)), (int(loop[len(loop) // 2]), (1, 0))])
     e2 = lsqc_flatten(m, mu, pins=[(int(loop[3]), (0, 0)), (int(loop[len(loop) // 3]), (1, 0))])
-    z1, z2 = e1.complex_view, e2.complex_view
+    z1, z2 = complex_uv(e1), complex_uv(e2)
     # Optimal similarity z2 ~ a z1 + b (least squares).
     A = np.column_stack([z1, np.ones_like(z1)])
     coef, *_ = np.linalg.lstsq(A, z2, rcond=None)
@@ -336,17 +337,17 @@ def test_compose_beltrami_roundtrip():
     mu_f = 0.3 * (rng.random(m.n_faces) - 0.5) + 0.3j * (rng.random(m.n_faces) - 0.5)
     f = lsqc_flatten(m, mu_f)
     target = 0.3 * np.exp(1j * rng.random(m.n_faces))
-    nu = compose_beltrami(m.vertices, m.faces, f.uv, target)
+    nu = compose_beltrami(m.vertices, m.faces, f, target)
     # Forward check via the composition rule.
-    fz, fzbar = wirtinger_derivatives(m.vertices, m.faces, f.uv)
+    fz, fzbar = wirtinger_derivatives(m.vertices, m.faces, f)
     got = compose_beltrami_forward(fzbar / fz, np.conj(fz) / fz, nu)
     np.testing.assert_allclose(got, target, atol=1e-10)
     # Geometric roundtrip with a constant (hence exactly attainable) target:
     # solve for g on the image with coefficient nu, recompute the composite.
     const = np.full(m.n_faces, 0.2 + 0.15j)
-    nu_c = compose_beltrami(m.vertices, m.faces, f.uv, const)
-    g = lsqc_flatten(build_mesh(f.uv, m.faces), nu_c)
-    fd = beltrami_per_face(m.vertices, m.faces, g.uv)
+    nu_c = compose_beltrami(m.vertices, m.faces, f, const)
+    g = lsqc_flatten(build_mesh(f, m.faces), nu_c)
+    fd = beltrami_per_face(m.vertices, m.faces, g)
     assert np.abs(fd.mu_face - const).mean() < 1e-6
 
 
@@ -354,5 +355,5 @@ def test_compose_beltrami_trivial():
     m = grid_mesh(4, 4)
     mu = np.full(m.n_faces, 0.25 + 0.1j)
     f = lsqc_flatten(m, mu)
-    nu = compose_beltrami(m.vertices, m.faces, f.uv, mu)
+    nu = compose_beltrami(m.vertices, m.faces, f, mu)
     assert np.abs(nu).max() < 1e-8

@@ -90,6 +90,30 @@ def test_bad_index_rejected():
         build_mesh(v, np.array([[0, 1, 7]]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinate_is_parse_error_naming_its_vertex(value):
+    m = annulus_mesh(6, 32)
+    v = m.vertices.copy()
+    v[17, 1] = value
+    with pytest.raises(ParseError, match="^vertex 17 has a non-finite coordinate$"):
+        build_mesh(v, m.faces)
+
+
+def test_obj_with_a_non_finite_coordinate_is_parse_error(tmp_path):
+    path = tmp_path / "nan.obj"
+    path.write_text("v 0 0\nv nan 1\nv 1 1\nf 1 2 3\n")
+    with pytest.raises(ParseError, match="^vertex 1 has a non-finite coordinate$"):
+        load_mesh(path)
+
+
+def test_vertex_in_no_face_is_named():
+    m = annulus_mesh(6, 32)
+    v = np.vstack([m.vertices, [[2.0, 2.0]]])
+    with pytest.raises(WrongTopology, match=r"\(expected 0\): vertex 224 is in no face$") as info:
+        build_mesh(v, m.faces)
+    assert info.value.hint == "remove the vertices that no face uses"
+
+
 def test_obj_roundtrip(tmp_path):
     m = disk_mesh(n_rings=3, n_sect=8)
     uv = m.vertices.copy()

@@ -44,7 +44,7 @@ from weldmap.partition import (
     default_partition,
     extract_submeshes,
 )
-from weldmap.pipeline import _run_weld, compute_parameterization
+from weldmap.pipeline import _DENSIFY, _run_weld, _subdivide_runs, compute_parameterization
 
 from fixtures import annulus_mesh, curved_annulus, grid_mesh, smooth_beltrami, two_hole_grid
 
@@ -621,6 +621,67 @@ def test_dirichlet_failures_beside_the_chain_name_their_submesh(monkeypatch):
         compute_parameterization(mesh, labels, _zero_mu(mesh), qc=False, threads=2)
     assert dirichlet_failed.is_set()
     assert info.value.stage == "weld"
+
+
+def test_the_pool_starts_no_thread_without_work(monkeypatch):
+    # Two submeshes give work to at most three threads: the chain and two
+    # Dirichlet lanes (the flatten uses two of them).
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    mesh = annulus_mesh(6, 32)
+    labels = default_partition(mesh, 2)
+    assert labels.n_parts == 2
+    compute_parameterization(mesh, labels, _zero_mu(mesh), threads=8)
+    assert len(started) == 3, started
+
+
+def _subdivide_runs_reference(pos, runs, q):
+    """_subdivide_runs as an edge-by-edge loop."""
+    n = len(pos)
+    parts = []
+    sel = np.empty(n, dtype=np.int64)
+    cursor = 0
+    prev_end = 0
+    for start, end in runs:
+        if prev_end < start:
+            parts.append(pos[prev_end:start])
+            sel[prev_end:start] = cursor + np.arange(start - prev_end)
+            cursor += start - prev_end
+        for j in range(start, end):
+            t = np.arange(q) / q
+            parts.append(pos[j] + (pos[j + 1] - pos[j]) * t)
+            sel[j] = cursor
+            cursor += q
+        sel[end] = cursor
+        prev_end = end
+    sel[prev_end:] = cursor + np.arange(n - prev_end)
+    parts.append(pos[prev_end:])
+    return np.concatenate(parts), sel
+
+
+@pytest.mark.parametrize("q", _DENSIFY)
+def test_subdivided_runs_match_the_edge_loop_bit_for_bit(q):
+    rng = np.random.default_rng(q)
+    for _ in range(50):
+        n = int(rng.integers(4, 40))
+        xy = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-3, 4, size=(n, 2))
+        # Signed zeros: pos[j] + (pos[j + 1] - pos[j]) * 0 is not a copy of them.
+        xy[rng.random((n, 2)) < 0.3] = -0.0
+        pos = xy.view(np.complex128)[:, 0]
+        cuts = np.sort(rng.choice(n, size=4, replace=False))
+        runs = [(int(cuts[0]), int(cuts[1]))]
+        if rng.random() < 0.5:
+            runs.append((int(cuts[2]), int(cuts[3])))
+        got, sel = _subdivide_runs(pos, runs, q)
+        want, want_sel = _subdivide_runs_reference(pos, runs, q)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(sel, want_sel)
 
 
 def test_auto_partition_with_more_holes_than_parts_is_logged(tmp_path, caplog):
