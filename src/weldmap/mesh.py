@@ -62,7 +62,9 @@ class TriangleMesh:
 def face_areas(vertices, faces):
     """Unsigned triangle areas; works for 2D and 3D vertex arrays."""
     if vertices.shape[1] == 2:
-        return np.abs(signed_areas_2d(vertices[faces]))
+        # take gathers the (m, 3, 2) corners several times faster than
+        # vertices[faces] does.
+        return np.abs(signed_areas_2d(vertices.take(faces, axis=0)))
     p0 = vertices[faces[:, 0]]
     p1 = vertices[faces[:, 1]]
     p2 = vertices[faces[:, 2]]
@@ -70,12 +72,13 @@ def face_areas(vertices, faces):
     return 0.5 * np.linalg.norm(cross, axis=1)
 
 
-def signed_areas_2d(corners):
-    """Signed areas of the triangles of an (m, 3, 2) corner array, positive
-    for counter-clockwise corners."""
-    e1 = corners[:, 1] - corners[:, 0]
-    e2 = corners[:, 2] - corners[:, 0]
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+def signed_areas_2d(c):
+    """Signed areas of the triangles of the (m, 3, 2) corner array c,
+    positive for counter-clockwise corners."""
+    return 0.5 * (
+        (c[:, 1, 0] - c[:, 0, 0]) * (c[:, 2, 1] - c[:, 0, 1])
+        - (c[:, 1, 1] - c[:, 0, 1]) * (c[:, 2, 0] - c[:, 0, 0])
+    )
 
 
 def half_edge_twins(faces, n_vertices):
@@ -128,7 +131,7 @@ def build_mesh(vertices, faces, twin=None):
 
     scale = float(np.max(np.abs(vertices))) or 1.0
     planar = vertices.shape[1] == 2
-    signed = signed_areas_2d(vertices[faces]) if planar else None
+    signed = signed_areas_2d(vertices.take(faces, axis=0)) if planar else None
     areas = np.abs(signed) if planar else face_areas(vertices, faces)
     if np.any(areas <= _AREA_TOL * scale * scale):
         bad = int(np.argmin(areas))
