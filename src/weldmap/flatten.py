@@ -38,7 +38,7 @@ def face_frames_2d(vertices, faces):
     Returns (m, 3, 2) corner array.
     """
     if vertices.shape[1] == 2:
-        return vertices[faces]
+        return vertices.take(faces, axis=0)
     p0 = vertices[faces[:, 0]]
     p1 = vertices[faces[:, 1]]
     p2 = vertices[faces[:, 2]]
@@ -203,11 +203,6 @@ def _solve_factored(lu, n, fixed, free, K_free, Kff, values, fail_rtol):
     return x
 
 
-def solve_fixed(K, fixed, values, fail_rtol):
-    """Solve K x = 0 with x[fixed] = values: factor_fixed, then its solve."""
-    return factor_fixed(K, fixed)(values, fail_rtol)
-
-
 def _free_boundary_flatten(mesh, L, pins):
     """Minimize 1/2 (u^T L u + v^T L v) minus the image area over (u; v),
     with (u, v) pinned at the given vertices. The default pins are two
@@ -222,7 +217,7 @@ def _free_boundary_flatten(mesh, L, pins):
     for vid, (pu, pv) in pins:
         pinned[vid], pinned[vid + n] = pu, pv
     fixed = np.asarray(sorted(pinned), dtype=np.int64)
-    x = solve_fixed(M, fixed, [pinned[i] for i in fixed], 1e3 * SOLVE_RTOL)
+    x = factor_fixed(M, fixed)([pinned[i] for i in fixed], 1e3 * SOLVE_RTOL)
     return np.column_stack([x[:n], x[n:]])
 
 

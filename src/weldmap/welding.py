@@ -691,73 +691,28 @@ def _check_weld(st_a, st_b, k):
 
 def auxiliary_path(a_r, a_s, count, polygon):
     """Evenly spaced points on the segment between a_r and a_s, listed from
-    the a_s side toward a_r, verified to lie strictly outside the polygon."""
+    the a_s side toward a_r, verified to lie strictly outside the polygon:
+    the open segment crosses no polygon edge (sample points alone miss
+    corner clipping) and no point lies inside."""
     a_r = complex(a_r)
     a_s = complex(a_s)
     polygon = np.asarray(polygon, dtype=np.complex128)
+    a, b = polygon, np.roll(polygon, -1)
+    d = a_s - a_r
+    e = b - a
+    c1 = d.real * (a - a_r).imag - d.imag * (a - a_r).real
+    c2 = d.real * (b - a_r).imag - d.imag * (b - a_r).real
+    c3 = e.real * (a_r - a).imag - e.imag * (a_r - a).real
+    c4 = e.real * (a_s - a).imag - e.imag * (a_s - a).real
+    if np.any((c1 * c2 < 0) & (c3 * c4 < 0)):
+        raise PathInsidePolygon("the auxiliary segment crosses a polygon edge")
     pts = [
         (i / (count + 1)) * a_r + (1 - i / (count + 1)) * a_s
         for i in range(1, count + 1)
     ]
     if point_in_polygon(np.asarray(pts), polygon).any():
-        raise PathInsidePolygon(
-            "auxiliary segment crosses the submesh; a detour path is required"
-        )
+        raise PathInsidePolygon("auxiliary points lie inside the polygon")
     return pts
-
-
-def _chord_clear(points, i0, i1):
-    """True when the open segment points[i0]..points[i1] properly crosses no
-    polygon edge. Sample-point checks alone miss corner clipping."""
-    p = points[i0]
-    q = points[i1]
-    a = points
-    b = np.roll(points, -1)
-    d = q - p
-    e = b - a
-    c1 = d.real * (a - p).imag - d.imag * (a - p).real
-    c2 = d.real * (b - p).imag - d.imag * (b - p).real
-    c3 = e.real * (p - a).imag - e.imag * (p - a).real
-    c4 = e.real * (q - a).imag - e.imag * (q - a).real
-    crossing = (c1 * c2 < 0) & (c3 * c4 < 0)
-    return not bool(np.any(crossing))
-
-
-def _detour_path(points, i0, i1, count):
-    """Bridge path from points[i0] to points[i1] hugging the stretch of the
-    polygon between them from the outside.
-
-    For a counter-clockwise polygon the exterior lies to the right of travel
-    (left for clockwise); each rim sample is pushed that way by a fraction of
-    the local spacing, and the offset polyline is resampled to `count`
-    interior points.
-    """
-    outward = -1j if _polygon_area(points) > 0 else 1j
-    rim = points[i0 : i1 + 1]
-    seg = np.diff(rim)
-    dirs = np.empty(len(rim), dtype=np.complex128)
-    dirs[0] = seg[0]
-    dirs[-1] = seg[-1]
-    dirs[1:-1] = seg[:-1] + seg[1:]
-    mags = np.abs(dirs)
-    if np.any(mags == 0):
-        raise PathInsidePolygon("degenerate rim share; cannot build a detour")
-    dirs /= mags
-    spacing = np.empty(len(rim))
-    spacing[0] = np.abs(seg[0])
-    spacing[-1] = np.abs(seg[-1])
-    spacing[1:-1] = 0.5 * (np.abs(seg[:-1]) + np.abs(seg[1:]))
-    for eps in (0.4, 0.2, 0.1, 0.05):
-        off = rim + outward * dirs * (eps * spacing)
-        arc = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(off)))])
-        total = arc[-1]
-        ts = total * np.arange(1, count + 1) / (count + 1)
-        re = np.interp(ts, arc, off.real)
-        im = np.interp(ts, arc, off.imag)
-        path = re + 1j * im
-        if not point_in_polygon(path, points).any():
-            return path
-    raise PathInsidePolygon("no clear detour outside the hole rim")
 
 
 def multiconnected_weld(a_points, b_points, r, s_a, t_a, s_b, t_b,
@@ -768,8 +723,8 @@ def multiconnected_weld(a_points, b_points, r, s_a, t_a, s_b, t_b,
     single-arc welding algorithm applies; the bridged region is discarded
     afterwards, leaving a hole bounded by the images of both rim arcs.
 
-    The bridge is the straight chord from r to s when it is clear of both
-    polygons, and otherwise a detour just outside each rim share.
+    The bridge is the straight chord from r to s on each chain; when it
+    clips either chain, PathInsidePolygon names the side.
 
     As in partial_weld, a_points must run counter-clockwise and b_points
     clockwise. Returns (welded a, welded b, moved_a, moved_b): the welded
@@ -788,27 +743,27 @@ def multiconnected_weld(a_points, b_points, r, s_a, t_a, s_b, t_b,
     if _polygon_area(b_points) >= 0:
         raise MisorderedArc("chain B must be clockwise")
 
-    aux_a = aux_b = None
-    if _chord_clear(a_points, r, s_a) and _chord_clear(b_points, r, s_b):
-        segs = [np.abs(np.diff(a_points[: r + 1])), np.abs(np.diff(b_points[: r + 1]))]
-        if t_a > s_a:
-            segs.append(np.abs(np.diff(a_points[s_a : t_a + 1])))
-            segs.append(np.abs(np.diff(b_points[s_b : t_b + 1])))
-        h = np.mean(np.concatenate(segs))
-        gap = 0.5 * (abs(a_points[r] - a_points[s_a]) + abs(b_points[r] - b_points[s_b]))
-        count = max(1, int(round(gap / max(h, 1e-300))) - 1)
+    segs = [np.abs(np.diff(a_points[: r + 1])), np.abs(np.diff(b_points[: r + 1]))]
+    if t_a > s_a:
+        segs.append(np.abs(np.diff(a_points[s_a : t_a + 1])))
+        segs.append(np.abs(np.diff(b_points[s_b : t_b + 1])))
+    h = np.mean(np.concatenate(segs))
+    gap = 0.5 * (abs(a_points[r] - a_points[s_a]) + abs(b_points[r] - b_points[s_b]))
+    count = max(1, int(round(gap / max(h, 1e-300))) - 1)
+    bridges = []
+    for side, points, s in (("A", a_points, s_a), ("B", b_points, s_b)):
         try:
-            # The path formula lists points from the a_s end; the chain
-            # needs them running from a_r to a_s.
-            aux_a = auxiliary_path(a_points[r], a_points[s_a], count, a_points)[::-1]
-            aux_b = auxiliary_path(b_points[r], b_points[s_b], count, b_points)[::-1]
-        except PathInsidePolygon:
-            aux_a = None
-    if aux_a is None:
-        # The straight bridge clips the polygon (jagged hole mouths).
-        count = max(1, (s_a - r + s_b - r) // 2 - 1)
-        aux_a = _detour_path(a_points, r, s_a, count)
-        aux_b = _detour_path(b_points, r, s_b, count)
+            # The path formula lists points from the s end; the chain needs
+            # them running from r to s.
+            bridges.append(auxiliary_path(points[r], points[s], count, points)[::-1])
+        except PathInsidePolygon as err:
+            raise PathInsidePolygon(
+                f"the straight bridge over side {side}'s rim share "
+                f"(chain indices {r}..{s}) clips the chain: {err}",
+                hint="use fewer parts, or a cut that gives the hole mouth "
+                "a clear straight bridge",
+            ) from err
+    aux_a, aux_b = bridges
 
     aug_a = np.concatenate([a_points[: r + 1], aux_a, a_points[s_a:]])
     aug_b = np.concatenate([b_points[: r + 1], aux_b, b_points[s_b:]])

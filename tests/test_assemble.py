@@ -15,8 +15,8 @@ from weldmap.errors import MissingBoundaryValue, SeamMismatch
 from weldmap.flatten import (
     beltrami_per_face,
     cotan_laplacian,
+    factor_fixed,
     lsqc_flatten,
-    solve_fixed,
 )
 from weldmap.mesh import build_mesh
 from weldmap.partition import default_partition, extract_submeshes
@@ -93,9 +93,8 @@ def test_laplace_with_a_prepared_factor_matches_a_fresh_one():
     factor = dirichlet_factor(mesh)
     for fn in (lambda z: z * z, lambda z: 2 * z - 1j):
         bv = boundary_values(mesh, fn)
-        fresh = solve_fixed(
-            cotan_laplacian(mesh), mesh.boundary_vertices(),
-            np.column_stack([bv.real, bv.imag]), LAPLACE_RTOL,
+        fresh = factor_fixed(cotan_laplacian(mesh), mesh.boundary_vertices())(
+            np.column_stack([bv.real, bv.imag]), LAPLACE_RTOL
         )
         assert np.array_equal(laplace_dirichlet(mesh, bv, factor), fresh)
 

@@ -13,9 +13,9 @@ from weldmap.flatten import (
     compose_beltrami,
     cotan_laplacian,
     dncp_flatten,
+    factor_fixed,
     generalized_laplacian,
     lsqc_flatten,
-    solve_fixed,
     wirtinger_derivatives,
 )
 from weldmap.mesh import TriangleMesh, build_mesh
@@ -188,12 +188,12 @@ def test_lsqc_system_couples_u_and_v_on_boundary_edges_only(monkeypatch):
     assert stored[1] == stored[0]
 
 
-def test_solve_fixed_raises_singular_system_when_the_factorization_fails():
+def test_factor_fixed_raises_singular_system_when_the_factorization_fails():
     # The last unknown has no entry at all, so the free block is
     # structurally singular and splu gives up.
     K = sp.csr_matrix(np.diag([1.0, 1.0, 0.0]))
     with pytest.raises(SingularSystem, match="^sparse LU factorization failed"):
-        solve_fixed(K, np.array([0]), [1.0], 1e3 * flatten.SOLVE_RTOL)
+        factor_fixed(K, np.array([0]))([1.0], 1e3 * flatten.SOLVE_RTOL)
 
 
 def _stall_solves(monkeypatch, rel):

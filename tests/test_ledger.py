@@ -30,6 +30,7 @@ LEDGER = [
       for p in (4, 6, 8) for mu in ("0", "smooth")],
     *[("hemisphere_cap()", p, "0", "ok" if p in (1, 3) else MIS) for p in PARTS],
     *[("hemisphere_cap()", p, "smooth", CAP_SMOOTH.get(p, NUM)) for p in PARTS],
+    ("curved_annulus()", 2, "smooth", "PATH_INSIDE_POLYGON"),
     *[("curved_annulus()", p, "smooth", MIS) for p in (3, 4)],
 ]
 

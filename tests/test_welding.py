@@ -368,6 +368,29 @@ def test_multiconnected_weld_annulus():
     assert all(not point_in_polygon(z, hole) for z in mids)
 
 
+def test_multiconnected_weld_raises_when_the_mouth_chord_clips_a_side():
+    # Push chain A's middle rim vertex across the mouth chord (the imaginary
+    # axis from a[r] to a[s]): the straight bridge then clips chain A.
+    a, b, r, s, t = annulus_halves()
+    a[(r + s) // 2] = -0.1
+    with pytest.raises(PathInsidePolygon) as info:
+        multiconnected_weld(a, b, r, s, t, s, t)
+    err = info.value
+    assert f"side A's rim share (chain indices {r}..{s})" in str(err)
+    assert "fewer parts" in err.hint and "clear straight bridge" in err.hint
+
+
+def test_auxiliary_path_rejects_a_chord_that_clips_a_corner():
+    # Both sample points lie outside the square, but the chord cuts across
+    # its corner at 1 + 1j.
+    square = np.array([0j, 1 + 0j, 1 + 1j, 0 + 1j])
+    a_r, a_s = 0.5 + 1.45j, 1.45 + 0.45j
+    samples = [a_r + (a_s - a_r) * f for f in (1 / 3, 2 / 3)]
+    assert not point_in_polygon(np.array(samples), square).any()
+    with pytest.raises(PathInsidePolygon, match="crosses a polygon edge"):
+        auxiliary_path(a_r, a_s, 2, square)
+
+
 def test_multiconnected_weld_uneven_rims():
     a, b, r, s, t = annulus_halves(nrim=17)
     a2, b2, _, s2, t2 = annulus_halves(nrim=9)
