@@ -11,8 +11,7 @@ component before hole circularization.
 from __future__ import annotations
 
 import itertools
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,22 +22,16 @@ from .errors import (
     NoValidPlan,
     ParseError,
     SubmeshWithTwoHoles,
-    WeldmapError,
 )
 from .mesh import TriangleMesh, build_mesh, region_boundary
 
 
 @dataclass
 class PartitionLabeling:
-    """Per-face submesh labels; labels are consecutive ints starting at 0.
-
-    The labels are a read-only copy of those given, and validate remembers
-    (by weak reference) the mesh they passed on, so a labeling is checked
-    once per mesh.
-    """
+    """Per-face submesh labels; labels are consecutive ints starting at 0,
+    kept as a read-only copy of those given."""
 
     face_label: np.ndarray
-    _valid_on: weakref.ref | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.face_label = np.array(self.face_label, dtype=np.int64)
@@ -55,10 +48,8 @@ class PartitionLabeling:
         return np.flatnonzero(pick[self.face_label])
 
     def validate(self, mesh):
-        """Check connectivity and the at-most-one-hole restriction per part;
-        a labeling that passed on mesh passes again at once."""
-        if self._valid_on is not None and self._valid_on() is mesh:
-            return
+        """Check the label format, then the partition rule of each part in
+        label order (see _region_error); the first failure raises."""
         if len(self.face_label) != mesh.n_faces:
             raise ParseError(
                 f"label count does not match face count: {len(self.face_label)} "
@@ -69,31 +60,35 @@ class PartitionLabeling:
             raise ParseError("negative partition label")
         # Consecutive labels from 0 never exceed the face count, which also
         # bounds the bincount below.
-        if self.face_label.max() >= len(self.face_label) or not np.all(
-            np.bincount(self.face_label)
-        ):
+        counts = np.bincount(self.face_label)
+        if self.face_label.max() >= len(self.face_label) or not np.all(counts):
             raise ParseError("partition labels must be consecutive from 0")
-        # Faces joined across the edges inside one part: a part is
-        # edge-connected when exactly one component of that graph carries its
-        # label. Row f holds the face across each edge of f, or f itself
-        # across a boundary or cut edge, so the rows need no sorting.
-        twin, m = mesh.twins(), mesh.n_faces
-        own = np.arange(m)[:, None]
-        across = np.where(twin >= 0, twin // 3, own)
-        across = np.where(self.face_label[across] == self.face_label[:, None], across, own)
-        graph = sp.csr_matrix((np.ones(3 * m), across.ravel(), np.arange(0, 3 * m + 1, 3)), (m, m))
-        n_comp, comp = csgraph.connected_components(graph, directed=False)
-        comp_label = np.empty(n_comp, dtype=np.int64)
-        comp_label[comp] = self.face_label
-        pieces = np.bincount(comp_label, minlength=self.n_parts)
-        for lab in range(self.n_parts):
-            if pieces[lab] != 1:
-                raise DisconnectedSubmesh(f"submesh {lab} is not edge-connected")
-            face_ids = np.flatnonzero(self.face_label == lab)
-            holes = region_hole_count(mesh, face_ids)
-            if holes > 1:
-                raise SubmeshWithTwoHoles(f"submesh {lab} has {holes} holes")
-        self._valid_on = weakref.ref(mesh)
+        by_label = np.argsort(self.face_label, kind="stable")
+        for lab, face_ids in enumerate(np.split(by_label, np.cumsum(counts)[:-1])):
+            err = _region_error(mesh, face_ids, lab)
+            if err is not None:
+                raise err
+
+
+def _region_error(mesh, face_ids, lab):
+    """The partition rule for one part, given its face ids in increasing
+    order: None when the faces are edge-connected and hold at most one hole,
+    else the error naming submesh lab. Connectivity is checked first."""
+    k = len(face_ids)
+    local = np.full(mesh.n_faces, -1, dtype=np.int64)
+    local[face_ids] = np.arange(k)
+    # Row i holds the part's face across each edge of face i, or i itself
+    # across a boundary or cut edge, so the rows need no sorting.
+    twin = mesh.twins()[face_ids]
+    across = local[twin // 3]  # twin -1 reads the last face
+    across = np.where((twin >= 0) & (across >= 0), across, np.arange(k)[:, None])
+    graph = sp.csr_matrix((np.ones(3 * k), across.ravel(), np.arange(0, 3 * k + 1, 3)), (k, k))
+    if csgraph.connected_components(graph, directed=False, return_labels=False) != 1:
+        return DisconnectedSubmesh(f"submesh {lab} is not edge-connected")
+    holes = region_hole_count(mesh, face_ids)
+    if holes > 1:
+        return SubmeshWithTwoHoles(f"submesh {lab} has {holes} holes")
+    return None
 
 
 def load_labels(path, n_faces):
@@ -228,15 +223,24 @@ def _shared_arcs(comp_a, comp_b, cut_cache):
     return arcs
 
 
+def _corner_loops(mesh):
+    """Boundary-loop index of the vertex at each face corner, -1 off the
+    boundary, shaped like mesh.faces. A boundary vertex lies on one loop
+    only: build_mesh rejects a vertex with two outgoing boundary edges."""
+    loop_of = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    for li, loop in enumerate(mesh.boundary_loops):
+        loop_of[loop] = li
+    return loop_of[mesh.faces]
+
+
 def _touching_labels(mesh, labels):
     """For each inner loop: set of labels owning a face incident to the loop."""
-    flat_verts = mesh.faces.ravel()
+    corner = _corner_loops(mesh).ravel()
     flat_labels = np.repeat(labels.face_label, 3)
-    touch = {}
-    for li in range(1, len(mesh.boundary_loops)):
-        on_loop = np.isin(flat_verts, mesh.boundary_loops[li])
-        touch[li] = set(np.unique(flat_labels[on_loop]).tolist())
-    return touch
+    return {
+        li: set(np.unique(flat_labels[corner == li]).tolist())
+        for li in range(1, len(mesh.boundary_loops))
+    }
 
 
 def build_weld_specs(mesh, labels, submeshes):
@@ -335,6 +339,14 @@ def build_weld_specs(mesh, labels, submeshes):
 def default_partition(mesh, target_parts):
     """Greedy BFS face-growth partition honoring the one-hole restriction.
 
+    The start is one region per hole (hop-distance regions around the rims)
+    or the whole mesh. While there are fewer regions than target_parts (and
+    more than holes are asked for), the largest region that splits validly
+    is split in two from far-apart BFS seeds. A split is valid when both
+    halves pass the partition rule (see _region_error) and every other
+    region has passed it; only the two halves are checked. The labels are
+    numbered once, at the end, and extraction validates them.
+
     The part count may differ from target_parts. A mesh with more holes than
     target_parts gets one part per hole (each part may hold at most one
     hole). Fewer parts than asked come back when splitting stops early, and
@@ -344,38 +356,47 @@ def default_partition(mesh, target_parts):
         raise ParseError("target_parts must be >= 1")
     n_holes = mesh.n_holes
     adj = face_adjacency(mesh)
-    one_part = np.zeros(mesh.n_faces, dtype=np.int64)
-    base = _hole_voronoi(mesh, adj) if n_holes else one_part
+    base = _hole_voronoi(mesh, adj) if n_holes else np.zeros(mesh.n_faces, dtype=np.int64)
+    # The face ids of each raw label, and whether that region passes.
+    regions = {lab: np.flatnonzero(base == lab) for lab in np.unique(base).tolist()}
+    passed = {lab: _region_error(mesh, ids, lab) is None for lab, ids in regions.items()}
+    next_label = max(regions) + 1
+    # Each pass adds exactly one region or stops.
+    while target_parts > max(n_holes, len(regions)):
+        failed = {lab for lab, ok in passed.items() if not ok}
+        # Largest first, ties to the smaller raw label; while another region
+        # fails, no split of this one is accepted.
+        for lab in sorted(regions, key=lambda lab: (-len(regions[lab]), lab)):
+            face_ids = regions[lab]
+            if failed - {lab} or len(face_ids) < 8:
+                continue
+            far_side = _bisect_region(face_ids, adj)
+            if far_side is None:
+                continue
+            halves = face_ids[~far_side], face_ids[far_side]
+            if all(_region_error(mesh, ids, lab) is None for ids in halves):
+                break
+        else:
+            break  # no region splits validly
+        regions[lab], regions[next_label] = halves
+        passed[lab] = passed[next_label] = True
+        next_label += 1
 
-    if target_parts > max(n_holes, 1):
-        split = _split_regions(mesh, adj, base, target_parts)
-        if split is not None:
-            return split
-    if n_holes:
-        part = PartitionLabeling(face_label=_relabel(base))
-        try:
-            part.validate(mesh)
-            return part
-        except WeldmapError:
-            pass
-    return PartitionLabeling(face_label=one_part)
-
-
-def _relabel(raw):
-    _, inv = np.unique(raw, return_inverse=True)
-    return inv.astype(np.int64)
+    label = np.zeros(mesh.n_faces, dtype=np.int64)
+    if all(passed.values()):
+        for new, lab in enumerate(sorted(regions)):
+            label[regions[lab]] = new
+    return PartitionLabeling(face_label=label)
 
 
 def _hole_voronoi(mesh, adj):
     """Multi-source hop-distance regions, one per hole rim; region i holds hole i."""
     n_holes = mesh.n_holes
-    seed_label = np.full(mesh.n_faces, -1, dtype=np.int64)
-    # Faces touching several rims go to the lowest hole index.
-    for hi in reversed(range(n_holes)):
-        rim = mesh.boundary_loops[hi + 1]
-        incident = np.isin(mesh.faces, rim).any(axis=1)
-        seed_label[incident] = hi
-    seeds = np.flatnonzero(seed_label >= 0)
+    # Faces touching several rims go to the lowest hole index; hole i is
+    # loop i + 1, and n_holes marks a face on no rim.
+    corner = _corner_loops(mesh)
+    seed_label = np.where(corner > 0, corner - 1, n_holes).min(axis=1)
+    seeds = np.flatnonzero(seed_label < n_holes)
     if len(seeds) == 0:
         return np.zeros(mesh.n_faces, dtype=np.int64)
     _, _, sources = csgraph.dijkstra(
@@ -386,44 +407,9 @@ def _hole_voronoi(mesh, adj):
     return label.astype(np.int64)
 
 
-def _split_regions(mesh, adj, base, target_parts):
-    """Split regions in two (far-apart BFS seeds) until target: each round
-    splits the largest region whose split passes validation.
-
-    Returns the last PartitionLabeling that passed validation on mesh, or
-    None when no split of base passed.
-    """
-    label = base.copy()
-    accepted = None
-    next_label = int(label.max()) + 1
-    # Each pass adds exactly one label or stops.
-    while len(np.unique(label)) < target_parts:
-        labs, counts = np.unique(label, return_counts=True)
-        for lab in labs[np.argsort(-counts, kind="stable")]:
-            face_ids = np.flatnonzero(label == lab)
-            if len(face_ids) < 8:
-                continue
-            split = _bisect_region(face_ids, adj, next_label, int(lab))
-            if split is None:
-                continue
-            trial = label.copy()
-            trial[face_ids] = split
-            part = PartitionLabeling(face_label=_relabel(trial))
-            try:
-                part.validate(mesh)
-            except WeldmapError:
-                continue
-            break
-        else:
-            break  # no region splits validly
-        label = trial
-        next_label += 1
-        accepted = part
-    return accepted
-
-
-def _bisect_region(face_ids, adj, new_label, old_label):
-    """2-seed hop-distance split of one region; returns labels per face_id."""
+def _bisect_region(face_ids, adj):
+    """2-seed hop-distance split of one region: a mask over face_ids of the
+    faces nearer the second seed, or None when there is no second seed."""
     sub = adj[face_ids][:, face_ids]
     d0 = csgraph.dijkstra(sub, directed=False, unweighted=True, indices=0)
     d0 = np.where(np.isfinite(d0), d0, -1.0)
@@ -436,5 +422,4 @@ def _bisect_region(face_ids, adj, new_label, old_label):
         sub, directed=False, unweighted=True, indices=[0, seed1],
         min_only=True, return_predecessors=True,
     )
-    out = np.where(sources == seed1, new_label, old_label)
-    return out.astype(np.int64)
+    return sources == seed1

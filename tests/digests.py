@@ -8,11 +8,14 @@ Run it on two trees and compare the files. One line per map and thread count
 sha256 of its uv and of report.as_dict() or, for a failed map, the error's
 code and describe(). The maps are the beltrami workload, the conformal_grid
 mesh as a library call, and the 60 corpus maps, all taken read-only from
-perfbench/workloads.py. The file name keeps pytest from collecting it.
+perfbench/workloads.py; then the conformal_grid mesh again at 8, 12, 16 and
+24 parts, after the others so that older digest files still compare line by
+line. The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -29,12 +32,17 @@ from weldmap.partition import default_partition  # noqa: E402
 from weldmap.pipeline import compute_parameterization  # noqa: E402
 
 THREADS = (1, 2)
+GRID_PARTS = (8, 12, 16, 24)  # the conformal_grid mesh at many parts
 
 
 def cases(workdir):
     """The maps to digest, all through the library."""
-    out = workloads.beltrami(workdir) + workloads.conformal_grid(workdir)
-    return out + workloads.corpus(workdir)
+    grid = workloads.conformal_grid(workdir)
+    out = workloads.beltrami(workdir) + grid + workloads.corpus(workdir)
+    return out + [
+        dataclasses.replace(grid[0], name=f"grid_mesh(300)/parts={parts}/mu=0", parts=parts)
+        for parts in GRID_PARTS
+    ]
 
 
 def digest(case, threads):

@@ -1,0 +1,136 @@
+"""The region splitter that checked the whole labeling after every trial
+split, kept as the reference for weldmap.partition.default_partition.
+
+Each trial split here is relabeled and validated as a whole labeling: one
+connected-components pass over all faces, then the hole count of every
+label, the way the package checked a split before it checked only the two
+halves a split makes. The hole seeds and the labels touching each hole are
+found with one np.isin pass per hole. `default_partition` takes the same
+arguments and returns the same labels as the package's, so a test can
+compare the two byte for byte.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
+
+from weldmap.errors import DisconnectedSubmesh, ParseError, SubmeshWithTwoHoles, WeldmapError
+from weldmap.partition import (
+    PartitionLabeling,
+    _bisect_region,
+    face_adjacency,
+    region_hole_count,
+)
+
+
+def validate(mesh, labels):
+    """Whole-labeling check: connectivity of every label from one face graph,
+    then at most one hole per label, in label order."""
+    face_label = labels.face_label
+    # Faces joined across the edges inside one part: a part is
+    # edge-connected when exactly one component of that graph carries its
+    # label.
+    twin, m = mesh.twins(), mesh.n_faces
+    own = np.arange(m)[:, None]
+    across = np.where(twin >= 0, twin // 3, own)
+    across = np.where(face_label[across] == face_label[:, None], across, own)
+    graph = sp.csr_matrix((np.ones(3 * m), across.ravel(), np.arange(0, 3 * m + 1, 3)), (m, m))
+    n_comp, comp = csgraph.connected_components(graph, directed=False)
+    comp_label = np.empty(n_comp, dtype=np.int64)
+    comp_label[comp] = face_label
+    pieces = np.bincount(comp_label, minlength=labels.n_parts)
+    for lab in range(labels.n_parts):
+        if pieces[lab] != 1:
+            raise DisconnectedSubmesh(f"submesh {lab} is not edge-connected")
+        holes = region_hole_count(mesh, np.flatnonzero(face_label == lab))
+        if holes > 1:
+            raise SubmeshWithTwoHoles(f"submesh {lab} has {holes} holes")
+
+
+def touching_labels(mesh, labels):
+    """For each inner loop: set of labels owning a face incident to the loop."""
+    flat_verts = mesh.faces.ravel()
+    flat_labels = np.repeat(labels.face_label, 3)
+    touch = {}
+    for li in range(1, len(mesh.boundary_loops)):
+        on_loop = np.isin(flat_verts, mesh.boundary_loops[li])
+        touch[li] = set(np.unique(flat_labels[on_loop]).tolist())
+    return touch
+
+
+def default_partition(mesh, target_parts):
+    if target_parts < 1:
+        raise ParseError("target_parts must be >= 1")
+    n_holes = mesh.n_holes
+    adj = face_adjacency(mesh)
+    one_part = np.zeros(mesh.n_faces, dtype=np.int64)
+    base = _hole_voronoi(mesh, adj) if n_holes else one_part
+
+    if target_parts > max(n_holes, 1):
+        split = _split_regions(mesh, adj, base, target_parts)
+        if split is not None:
+            return split
+    if n_holes:
+        part = PartitionLabeling(face_label=_relabel(base))
+        try:
+            validate(mesh, part)
+            return part
+        except WeldmapError:
+            pass
+    return PartitionLabeling(face_label=one_part)
+
+
+def _relabel(raw):
+    _, inv = np.unique(raw, return_inverse=True)
+    return inv.astype(np.int64)
+
+
+def _hole_voronoi(mesh, adj):
+    n_holes = mesh.n_holes
+    seed_label = np.full(mesh.n_faces, -1, dtype=np.int64)
+    # Faces touching several rims go to the lowest hole index.
+    for hi in reversed(range(n_holes)):
+        rim = mesh.boundary_loops[hi + 1]
+        incident = np.isin(mesh.faces, rim).any(axis=1)
+        seed_label[incident] = hi
+    seeds = np.flatnonzero(seed_label >= 0)
+    if len(seeds) == 0:
+        return np.zeros(mesh.n_faces, dtype=np.int64)
+    _, _, sources = csgraph.dijkstra(
+        adj, directed=False, unweighted=True, indices=seeds,
+        min_only=True, return_predecessors=True,
+    )
+    label = np.where(sources >= 0, seed_label[np.clip(sources, 0, None)], 0)
+    return label.astype(np.int64)
+
+
+def _split_regions(mesh, adj, base, target_parts):
+    """Split regions in two until target: each round splits the largest
+    region whose trial labeling passes a whole validation. Returns the last
+    labeling that passed, or None when no split of base passed."""
+    label = base.copy()
+    accepted = None
+    next_label = int(label.max()) + 1
+    while len(np.unique(label)) < target_parts:
+        labs, counts = np.unique(label, return_counts=True)
+        for lab in labs[np.argsort(-counts, kind="stable")]:
+            face_ids = np.flatnonzero(label == lab)
+            if len(face_ids) < 8:
+                continue
+            far_side = _bisect_region(face_ids, adj)
+            if far_side is None:
+                continue
+            trial = label.copy()
+            trial[face_ids] = np.where(far_side, next_label, lab)
+            part = PartitionLabeling(face_label=_relabel(trial))
+            try:
+                validate(mesh, part)
+            except WeldmapError:
+                continue
+            break
+        else:
+            break  # no region splits validly
+        label = trial
+        next_label += 1
+        accepted = part
+    return accepted

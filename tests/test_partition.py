@@ -1,4 +1,3 @@
-import gc
 import re
 
 import numpy as np
@@ -9,6 +8,7 @@ from weldmap.errors import DisconnectedSubmesh, NoValidPlan, ParseError, Submesh
 from weldmap.mesh import build_mesh, region_loops, walk_boundary_loops
 from weldmap.partition import (
     PartitionLabeling,
+    _touching_labels,
     build_weld_specs,
     default_partition,
     extract_submeshes,
@@ -17,6 +17,7 @@ from weldmap.partition import (
 )
 from weldmap.pipeline import compute_parameterization
 
+import partition_reference
 from fixtures import (
     annulus_mesh,
     curved_annulus,
@@ -391,9 +392,9 @@ def test_invalid_user_labels_fail_with_their_codes(mesh, labeled, code, tmp_path
 
 
 def test_accepted_labeling_is_validated_once(monkeypatch):
-    # default_partition validates the labeling it accepts; the map that
-    # extracts its submeshes does not check it again. A check does its work
-    # in one connected_components call.
+    # Extraction validates the labeling, once: default_partition checks
+    # only the regions its splits make. A validate call that does its work
+    # runs connected_components.
     checked = []  # the labels of each validate call that did the work
     real_validate = PartitionLabeling.validate
     real_components = partition.csgraph.connected_components
@@ -417,7 +418,68 @@ def test_accepted_labeling_is_validated_once(monkeypatch):
     compute_parameterization(mesh, labels, np.zeros(mesh.n_faces, complex), qc=False)
     assert checked.count(labels.face_label.tobytes()) == 1
     assert not labels.face_label.flags.writeable
-    # The labeling remembers the mesh without keeping it alive.
-    del mesh
-    gc.collect()
-    assert labels._valid_on() is None
+
+
+def _four_hole_grid():
+    holes = square_hole(8, 8, 6) | square_hole(40, 8, 6) | square_hole(8, 40, 6)
+    return grid_mesh(60, 60, hole_cells=holes | square_hole(40, 40, 6))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: two_hole_grid(40),
+        lambda: annulus_mesh(20, 120),
+        lambda: disk_mesh(16, 64),
+        curved_annulus,
+        hemisphere_cap,
+        lambda: two_hole_grid(100),
+        _four_hole_grid,
+    ],
+    ids=[
+        "two_hole_grid(40)", "annulus_mesh(20,120)", "disk_mesh(16,64)", "curved_annulus()",
+        "hemisphere_cap()", "two_hole_grid(100)", "grid_mesh(60)-4-holes",
+    ],
+)
+def test_default_partition_matches_the_whole_labeling_reference(make):
+    # Checking only the two halves of a split accepts the same splits as
+    # validating every trial labeling whole; the loop table finds the same
+    # labels around each hole as an np.isin pass per hole.
+    m = make()
+    for parts in range(1, 13):
+        got = default_partition(m, parts)
+        want = partition_reference.default_partition(m, parts)
+        assert got.face_label.tobytes() == want.face_label.tobytes(), parts
+        assert _touching_labels(m, got) == partition_reference.touching_labels(m, got), parts
+
+
+def _validate_by_reference(labels, mesh):
+    partition_reference.validate(mesh, labels)
+
+
+@pytest.mark.parametrize("validate", [PartitionLabeling.validate, _validate_by_reference],
+                         ids=["per-label", "reference"])
+@pytest.mark.parametrize(
+    "nx, hole_columns, label_1_cells, error, message",
+    [
+        # Label 0 encloses both holes; label 1, two far corner cells, is
+        # disconnected. The lower label fails first.
+        (12, (2, 8), [(0, 0), (11, 5)], SubmeshWithTwoHoles, "submesh 0 has 2 holes"),
+        # Label 1, a full column, cuts label 0 into a piece around two holes
+        # and a piece around the third: connectivity fails before holes.
+        (18, (2, 6, 14), [(11, j) for j in range(6)], DisconnectedSubmesh,
+         "submesh 0 is not edge-connected"),
+    ],
+    ids=["label-order", "connectivity-first"],
+)
+def test_validate_checks_label_by_label_connectivity_first(
+    validate, nx, hole_columns, label_1_cells, error, message
+):
+    # Square holes of 2 x 2 cells in a grid of nx x 6 unit-square cells.
+    mesh = grid_mesh(nx, 6, hole_cells=set().union(*(square_hole(i, 2, 2) for i in hole_columns)))
+    cent = mesh.vertices[mesh.faces].mean(axis=1)
+    cell = np.floor(cent * [nx, 6]).astype(np.int64)
+    lab = np.array([tuple(c) in set(label_1_cells) for c in cell.tolist()], dtype=np.int64)
+    assert region_hole_count(mesh, np.flatnonzero(lab == 0)) == 2
+    with pytest.raises(error, match=f"^{message}$"):
+        validate(PartitionLabeling(face_label=lab), mesh)
