@@ -237,9 +237,7 @@ def run_pipeline(config):
         os.path.join(config.out_dir, "parameterization.obj"), mesh, result.param.uv
     )
     metrics = {"schema_version": SCHEMA_VERSION, **result.report.as_dict()}
-    metrics["refine_history"] = [
-        [float(c.circularity) for c in row] for row in result.refine_history
-    ]
+    metrics["refine_history"] = result.refine_history
     with open(
         os.path.join(config.out_dir, "metrics.json"), "w", encoding="utf-8"
     ) as fh:

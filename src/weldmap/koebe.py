@@ -7,13 +7,12 @@ so that infinity stays fixed. Cyclic refinement over all loops implements
 the classical iteration that drives every boundary toward a perfect circle.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import MisorderedArc, NumericalBreakdown
 from .welding import (
     BoundaryChain,
+    _check_passengers,
     _interior_point,
     _mobius,
     _pack_state,
@@ -25,29 +24,13 @@ from .welding import (
     sqrt_branch,
 )
 
-CIRCULARITY_TARGET = 1e-3
-
-
-@dataclass
-class CircularityReport:
-    """How circular a boundary loop is: std/mean of distances to centroid."""
-
-    center: complex
-    mean_radius: float
-    std_radius: float
-
-    @property
-    def circularity(self):
-        return self.std_radius / self.mean_radius
-
 
 def loop_circularity(points):
+    """How circular a boundary loop is: std/mean of the distances to its
+    centroid."""
     points = np.asarray(points, dtype=np.complex128)
-    center = points.mean()
-    r = np.abs(points - center)
-    return CircularityReport(
-        center=complex(center), mean_radius=float(r.mean()), std_radius=float(r.std())
-    )
+    r = np.abs(points - points.mean())
+    return float(r.std()) / float(r.mean())
 
 
 def _slit_to_disk(st, side):
@@ -90,12 +73,11 @@ def _closed_geodesic(st, n):
     return st
 
 
-def disk_map_interior(boundary, passengers=(), anchor=None):
+def disk_map_interior(boundary, passengers=()):
     """Riemann map of the interior of a closed counter-clockwise boundary
-    onto the unit disk, anchor point to 0.
+    onto the unit disk, a representative interior point of the polygon to 0.
 
-    Returns (boundary images, passenger images). The anchor defaults to a
-    representative interior point of the polygon.
+    Returns (boundary images, passenger images).
     """
     boundary = np.asarray(boundary, dtype=np.complex128)
     n = len(boundary)
@@ -103,9 +85,7 @@ def disk_map_interior(boundary, passengers=(), anchor=None):
         raise MisorderedArc("closed boundary needs at least 3 points")
     if _polygon_area(boundary) <= 0:
         raise MisorderedArc("boundary must be counter-clockwise")
-    if anchor is None:
-        anchor = _interior_point(boundary)
-    st, offsets = _pack_state(np.append(boundary, anchor), passengers)
+    st, offsets = _pack_state(np.append(boundary, _interior_point(boundary)), passengers)
     return _unpack(_closed_geodesic(st, n), n, offsets)
 
 
@@ -115,7 +95,9 @@ def circularize_hole(hole, passengers=()):
     stays at infinity (up to a similarity far away).
 
     The exterior problem is conjugated to an interior one by the inversion
-    1/(z - c) about an interior point c of the hole.
+    1/(z - c) about an interior point c of the hole, and mapped back by 1/z.
+    One state holds the hole (entries 0..n-1), the anchor (entry n, at
+    infinity, which the inversion puts at 0) and the passengers.
 
     Returns (hole images, passenger images).
     """
@@ -123,24 +105,27 @@ def circularize_hole(hole, passengers=()):
     n = len(hole)
     if n < 3:
         raise MisorderedArc("hole boundary needs at least 3 points")
-    st, offsets = _pack_state(hole, passengers)
-    if point_in_polygon(st.z[n:], hole).any():
+    st, offsets = _pack_state(np.append(hole, 0.0), passengers)
+    if point_in_polygon(st.z[n + 1 :], hole).any():
         raise NumericalBreakdown(
             "a passenger inside the hole has no image: the exterior map "
             "sends the hole's centre to infinity"
         )
-    c = _interior_point(hole)
-    inv, inv_p = _unpack(_mobius(st, 0.0, 1.0, 1.0, -c), n, offsets)
+    st.set_inf(n)
+    st = _mobius(st, 0.0, 1.0, 1.0, -_interior_point(hole))
+    _check_passengers(st, offsets)
     # The inversion swaps interior and exterior and sends infinity to 0, so
     # the inverted hole runs clockwise when the input runs counter-clockwise;
     # map the interior of whichever order is counter-clockwise.
-    flipped = _polygon_area(inv) < 0
+    flipped = _polygon_area(st.z[:n]) < 0
     if flipped:
-        inv = inv[::-1]
-    out, out_p = disk_map_interior(inv, inv_p, anchor=0.0)
+        st.z[:n] = st.z[n - 1 :: -1]
+    if _polygon_area(st.z[:n]) <= 0:
+        raise MisorderedArc("boundary must be counter-clockwise")
+    st = _closed_geodesic(st, n)
+    _check_passengers(st, offsets)
     if flipped:
-        out = out[::-1]
-    st, offsets = _pack_state(out, out_p)
+        st.z[:n] = st.z[n - 1 :: -1]
     return _unpack(_mobius(st, 0.0, 1.0, 1.0, 0.0), n, offsets)
 
 
@@ -158,22 +143,19 @@ def circularize_outer(outer, passengers=()):
     return out_b, out_p
 
 
-def koebe_refine(outer, holes, extras=(), passes=0, target=CIRCULARITY_TARGET):
+def koebe_refine(outer, holes, extras=(), passes=0):
     """Cyclic refinement: circularize each hole in turn, then the outer
-    boundary, for up to `passes` full cycles; stop early once every hole
-    meets the circularity target.
+    boundary, for `passes` full cycles.
 
-    Returns (outer, holes, extras, history) where history is the list of
-    per-hole CircularityReport lists recorded after each pass (history[0] is
-    the state before any refinement).
+    Returns (outer, holes, extras, history) where history holds, after each
+    pass, the list of the holes' loop_circularity floats (history[0] is the
+    state before any refinement).
     """
     outer = np.asarray(outer, dtype=np.complex128)
     holes = [np.asarray(h, dtype=np.complex128) for h in holes]
     extras = [np.asarray(e, dtype=np.complex128) for e in extras]
     history = [[loop_circularity(h) for h in holes]]
     for _ in range(passes):
-        if all(r.circularity <= target for r in history[-1]):
-            break
         for j in range(len(holes)):
             others = [outer] + holes[:j] + holes[j + 1 :] + extras
             holes[j], moved = circularize_hole(holes[j], others)

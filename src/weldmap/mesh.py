@@ -189,6 +189,18 @@ def region_boundary(mesh, face_ids):
     return (twin < 0) | ~inside[twin // 3]  # twin -1 reads the last face
 
 
+def region_twins(mesh, face_ids):
+    """The twin table of the face set face_ids of mesh, cut out of the
+    mesh's: half-edge 3 i + k is corner k of face face_ids[i], and an entry
+    is -1 across the set's boundary, where the twin is missing or in a face
+    outside the set."""
+    local = np.full(mesh.n_faces, -1, dtype=np.int64)
+    local[face_ids] = np.arange(len(face_ids))
+    twin = mesh.twins()[face_ids]
+    across = local[twin // 3]  # twin -1 reads the last face
+    return np.where((twin >= 0) & (across >= 0), 3 * across + twin % 3, -1)
+
+
 def region_loops(mesh, face_ids):
     """Boundary loops of the face set face_ids of mesh (see _walk_loops)."""
     return _walk_loops(mesh.faces[face_ids], region_boundary(mesh, face_ids))

@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     SubmeshWithTwoHoles,
 )
-from .mesh import TriangleMesh, build_mesh, region_boundary
+from .mesh import TriangleMesh, build_mesh, region_boundary, region_twins
 
 
 @dataclass
@@ -49,7 +49,8 @@ class PartitionLabeling:
 
     def validate(self, mesh):
         """Check the label format, then the partition rule of each part in
-        label order (see _region_error); the first failure raises."""
+        label order (see _region_error); the first failure raises. Returns
+        the face ids of each part, in label order."""
         if len(self.face_label) != mesh.n_faces:
             raise ParseError(
                 f"label count does not match face count: {len(self.face_label)} "
@@ -64,10 +65,12 @@ class PartitionLabeling:
         if self.face_label.max() >= len(self.face_label) or not np.all(counts):
             raise ParseError("partition labels must be consecutive from 0")
         by_label = np.argsort(self.face_label, kind="stable")
-        for lab, face_ids in enumerate(np.split(by_label, np.cumsum(counts)[:-1])):
+        parts = np.split(by_label, np.cumsum(counts)[:-1])
+        for lab, face_ids in enumerate(parts):
             err = _region_error(mesh, face_ids, lab)
             if err is not None:
                 raise err
+        return parts
 
 
 def _region_error(mesh, face_ids, lab):
@@ -75,13 +78,10 @@ def _region_error(mesh, face_ids, lab):
     order: None when the faces are edge-connected and hold at most one hole,
     else the error naming submesh lab. Connectivity is checked first."""
     k = len(face_ids)
-    local = np.full(mesh.n_faces, -1, dtype=np.int64)
-    local[face_ids] = np.arange(k)
     # Row i holds the part's face across each edge of face i, or i itself
     # across a boundary or cut edge, so the rows need no sorting.
-    twin = mesh.twins()[face_ids]
-    across = local[twin // 3]  # twin -1 reads the last face
-    across = np.where((twin >= 0) & (across >= 0), across, np.arange(k)[:, None])
+    twin = region_twins(mesh, face_ids)
+    across = np.where(twin >= 0, twin // 3, np.arange(k)[:, None])
     graph = sp.csr_matrix((np.ones(3 * k), across.ravel(), np.arange(0, 3 * k + 1, 3)), (k, k))
     if csgraph.connected_components(graph, directed=False, return_labels=False) != 1:
         return DisconnectedSubmesh(f"submesh {lab} is not edge-connected")
@@ -148,29 +148,21 @@ class Submesh:
     mesh: TriangleMesh
     to_parent: np.ndarray  # local vertex id -> parent vertex id
     label: int
+    faces: np.ndarray  # local face id -> parent face id
 
 
 def extract_submeshes(mesh, labels):
     """Split the mesh by labels; cut vertices are duplicated per submesh.
-    Each submesh's twin table is cut out of the parent's."""
-    labels.validate(mesh)
-    twin = mesh.twins()
-    local_face = np.empty(mesh.n_faces, dtype=np.int64)
+    Each submesh's twin table is cut out of the parent's (region_twins), so
+    a cut edge is on the submesh boundary."""
     subs = []
-    for lab in range(labels.n_parts):
-        face_ids = np.flatnonzero(labels.face_label == lab)
+    for lab, face_ids in enumerate(labels.validate(mesh)):
         faces = mesh.faces[face_ids]
         verts = np.flatnonzero(np.bincount(faces.ravel(), minlength=mesh.n_vertices))
         local = np.full(mesh.n_vertices, -1, dtype=np.int64)
         local[verts] = np.arange(len(verts))
-        local_face[face_ids] = np.arange(len(face_ids))
-        # A half-edge whose twin lies in another part is on the cut, so on
-        # the submesh boundary.
-        tw = twin[face_ids]
-        inside = (tw >= 0) & (labels.face_label[tw // 3] == lab)
-        tw = np.where(inside, 3 * local_face[tw // 3] + tw % 3, -1)
-        sub = build_mesh(mesh.vertices[verts], local[faces], twin=tw)
-        subs.append(Submesh(mesh=sub, to_parent=verts, label=lab))
+        sub = build_mesh(mesh.vertices[verts], local[faces], twin=region_twins(mesh, face_ids))
+        subs.append(Submesh(mesh=sub, to_parent=verts, label=lab, faces=face_ids))
     return subs
 
 

@@ -375,8 +375,7 @@ def compute_parameterization(
         )
     submeshes = extract_submeshes(mesh, labels)
     plan = build_weld_specs(mesh, labels, submeshes)
-    face_ids = [np.flatnonzero(labels.face_label == s.label) for s in submeshes]
-    mu_subs = [mu[ids] for ids in face_ids]
+    mu_subs = [mu[sub.faces] for sub in submeshes]
     timings = {}
     snapshots = []
 
@@ -427,8 +426,7 @@ def compute_parameterization(
                     loops = [outer_ids, *hole_loops]
                     (outer_poly, *hole_polys), rest = tracker.take(whole, loops)
                     out_o, out_h, (out_e,), history = koebe_refine(
-                        outer_poly, hole_polys, extras=[rest],
-                        passes=koebe_passes, target=0.0,
+                        outer_poly, hole_polys, extras=[rest], passes=koebe_passes
                     )
                     tracker.put(whole, loops, [out_o, *out_h], out_e)
             return history
@@ -486,27 +484,22 @@ def compute_parameterization(
             log.debug("area correction alpha = %s", alpha)
 
     with _stage("report"):
-        report = _build_report(mesh, mu, labels, param, timings)
+        report = _build_report(mesh, mu, submeshes, param, timings)
     return PipelineResult(
         param=param, report=report, snapshots=snapshots,
         refine_history=refine_history,
     )
 
 
-def _build_report(mesh, mu, labels, param, timings):
+def _build_report(mesh, mu, submeshes, param, timings):
     fd = beltrami_per_face(mesh.vertices, mesh.faces, param.uv)
     e_face = np.abs(fd.mu_face - mu)
     e_global = float(e_face.mean())
     flipped = int(np.count_nonzero(fd.jacobian_sign < 0))
-    e_sub = [
-        float(e_face[labels.face_label == lab].mean())
-        for lab in range(labels.n_parts)
-    ]
+    e_sub = [float(e_face[sub.faces].mean()) for sub in submeshes]
     d, summary = area_distortion(mesh.vertices, mesh.faces, param.uv)
     holes = [
-        loop_circularity(
-            param.uv[lp][:, 0] + 1j * param.uv[lp][:, 1]
-        ).circularity
+        loop_circularity(param.uv[lp][:, 0] + 1j * param.uv[lp][:, 1])
         for lp in mesh.boundary_loops[1:]
     ]
     return ParamReport(

@@ -175,11 +175,16 @@ def _pack_state(points, passengers=()):
     return BoundaryChain.from_points(np.concatenate(parts)), offsets
 
 
-def _unpack(st, n, offsets):
-    """Copies of the first n entries and of each passenger array; a
-    passenger at infinity has no planar image and raises."""
+def _check_passengers(st, offsets):
+    """Raise when a passenger is at infinity: it has no planar image."""
     if any(st.at_inf[a:b].any() for a, b in offsets):
         raise NumericalBreakdown("a passenger point escaped to infinity")
+
+
+def _unpack(st, n, offsets):
+    """Copies of the first n entries and of each passenger array, after
+    _check_passengers."""
+    _check_passengers(st, offsets)
     return st.z[:n].copy(), [st.z[a:b].copy() for a, b in offsets]
 
 

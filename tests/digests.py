@@ -9,8 +9,11 @@ sha256 of its uv and of report.as_dict() or, for a failed map, the error's
 code and describe(). The maps are the beltrami workload, the conformal_grid
 mesh as a library call, and the 60 corpus maps, all taken read-only from
 perfbench/workloads.py; then the conformal_grid mesh again at 8, 12, 16 and
-24 parts, after the others so that older digest files still compare line by
-line. The file name keeps pytest from collecting it.
+24 parts; then the many-hole maps of tests/test_ledger.py; then the beltrami
+map and one many-hole map at koebe_passes 1 and 2, whose lines also hash the
+refinement history. Each group comes after the ones before it, so that older
+digest files still compare line by line. The file name keeps pytest from
+collecting it.
 """
 
 from __future__ import annotations
@@ -22,10 +25,13 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path[:0] = [os.path.join(ROOT, "src"), HERE, os.path.join(ROOT, "perfbench")]
 
+import fixtures  # noqa: E402
 import workloads  # noqa: E402
 from weldmap.errors import WeldmapError  # noqa: E402
 from weldmap.partition import default_partition  # noqa: E402
@@ -33,31 +39,70 @@ from weldmap.pipeline import compute_parameterization  # noqa: E402
 
 THREADS = (1, 2)
 GRID_PARTS = (8, 12, 16, 24)  # the conformal_grid mesh at many parts
+KOEBE_PASSES = (1, 2)
+
+
+def many_hole_cases():
+    """The many-hole maps of tests/test_ledger.py, in its row order."""
+    out = []
+    for k in (3, 6, 9):
+        for make in (fixtures.many_hole_grid, fixtures.many_hole_sphere):
+            mesh = make(30, k)
+            fields = (("0", np.zeros(mesh.n_faces, complex)),
+                      ("smooth", fixtures.smooth_beltrami(mesh, 42)))
+            for parts in (1, 4, 8):
+                for tag, mu in fields:
+                    name = f"{make.__name__}(30,{k})/parts={parts}/mu={tag}"
+                    out.append(workloads.Case(name, mesh, parts, mu))
+    return out
 
 
 def cases(workdir):
-    """The maps to digest, all through the library."""
+    """The maps to digest at koebe_passes 0, all through the library."""
     grid = workloads.conformal_grid(workdir)
     out = workloads.beltrami(workdir) + grid + workloads.corpus(workdir)
     return out + [
         dataclasses.replace(grid[0], name=f"grid_mesh(300)/parts={parts}/mu=0", parts=parts)
         for parts in GRID_PARTS
+    ] + many_hole_cases()
+
+
+def refined_cases(workdir):
+    """The maps to digest again at each of KOEBE_PASSES."""
+    mesh = fixtures.many_hole_grid(30, 9)
+    zero = np.zeros(mesh.n_faces, complex)
+    return workloads.beltrami(workdir) + [
+        workloads.Case("many_hole_grid(30,9)/parts=4/mu=0", mesh, 4, zero)
     ]
 
 
-def digest(case, threads):
-    """The line of one map at the given thread count."""
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(case, threads, koebe_passes=0):
+    """The line of one map at the given thread count and Koebe passes; a
+    line with passes also hashes the refinement history as floats (the
+    .circularity of an entry that has one)."""
     head = f"{case.name} threads={threads}"
+    if koebe_passes:
+        head += f" koebe_passes={koebe_passes}"
     try:
         labels = default_partition(case.mesh, case.parts)
         res = compute_parameterization(
-            case.mesh, labels, case.mu, qc=case.qc, threads=threads, deterministic=True
+            case.mesh, labels, case.mu, koebe_passes=koebe_passes, qc=case.qc,
+            threads=threads, deterministic=True,
         )
     except WeldmapError as err:
         return f"{head} error {err.code} {err.describe()}"
-    uv = hashlib.sha256(res.param.uv.tobytes()).hexdigest()
     report = json.dumps(res.report.as_dict(), sort_keys=True)
-    return f"{head} uv {uv} report {hashlib.sha256(report.encode()).hexdigest()}"
+    line = f"{head} uv {_sha(res.param.uv.tobytes())} report {_sha(report.encode())}"
+    if koebe_passes:
+        history = [
+            [float(getattr(c, "circularity", c)) for c in row] for row in res.refine_history
+        ]
+        line += f" refine {_sha(np.array(history, dtype=float).tobytes())}"
+    return line
 
 
 def main():
@@ -65,6 +110,10 @@ def main():
         for case in cases(workdir):
             for threads in THREADS:
                 print(digest(case, threads), flush=True)
+        for case in refined_cases(workdir):
+            for koebe_passes in KOEBE_PASSES:
+                for threads in THREADS:
+                    print(digest(case, threads, koebe_passes), flush=True)
 
 
 if __name__ == "__main__":

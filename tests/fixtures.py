@@ -1,5 +1,7 @@
 """Shared mesh generators and measurements for the test suite."""
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -107,6 +109,30 @@ def two_hole_grid(n=100):
         round(0.65 * n), round(0.6 * n), s
     )
     return grid_mesh(n, n, width=3.0, height=3.0, hole_cells=holes)
+
+
+def many_hole_grid(n, k):
+    """Square grid with k square holes of side about 0.08 n, on a lattice of
+    ceil(sqrt(k)) columns filled row by row; ~n^2 vertices, k inner loops."""
+    s = max(2, round(0.08 * n))
+    cols = math.ceil(math.sqrt(k))
+    rows = math.ceil(k / cols)
+    holes = set()
+    for slot in range(k):
+        r, c = divmod(slot, cols)
+        holes |= square_hole(
+            round((c + 0.5) * n / cols - s / 2), round((r + 0.5) * n / rows - s / 2), s
+        )
+    return grid_mesh(n, n, width=3.0, height=3.0, hole_cells=holes)
+
+
+def many_hole_sphere(n, k):
+    """many_hole_grid(n, k) centred at 0 and lifted onto the sphere of
+    radius 3: an open 3D surface with k holes."""
+    flat = many_hole_grid(n, k)
+    xy = flat.vertices - 1.5
+    z = np.sqrt(9.0 - (xy**2).sum(axis=1))
+    return build_mesh(np.column_stack([xy, z]), flat.faces)
 
 
 def smooth_beltrami(mesh, seed=42, modes=4, amplitude=0.37):

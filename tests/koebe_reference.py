@@ -1,0 +1,57 @@
+"""The three-state hole map, kept as the reference for
+weldmap.koebe.circularize_hole.
+
+Here the map packs and unpacks its points three times: once for the
+inversion 1/(z - c), once for the interior map of the inverted hole with the
+anchor appended at 0, and once for the inversion 1/z back, the way the
+package computed it before one state carried the hole, the anchor and the
+passengers through every step. `circularize_hole` takes the same arguments
+and returns the same images, so a test can compare the two bit for bit.
+"""
+
+import numpy as np
+
+from weldmap.errors import MisorderedArc, NumericalBreakdown
+from weldmap.koebe import _closed_geodesic
+from weldmap.welding import (
+    _interior_point,
+    _mobius,
+    _pack_state,
+    _polygon_area,
+    _unpack,
+    point_in_polygon,
+)
+
+
+def _disk_map_about_origin(boundary, passengers):
+    """Interior map of a counter-clockwise boundary onto the unit disk with
+    the origin (the anchor) sent to 0."""
+    n = len(boundary)
+    if _polygon_area(boundary) <= 0:
+        raise MisorderedArc("boundary must be counter-clockwise")
+    st, offsets = _pack_state(np.append(boundary, 0.0), passengers)
+    return _unpack(_closed_geodesic(st, n), n, offsets)
+
+
+def circularize_hole(hole, passengers=()):
+    """weldmap.koebe.circularize_hole through three packed states."""
+    hole = np.asarray(hole, dtype=np.complex128)
+    n = len(hole)
+    if n < 3:
+        raise MisorderedArc("hole boundary needs at least 3 points")
+    st, offsets = _pack_state(hole, passengers)
+    if point_in_polygon(st.z[n:], hole).any():
+        raise NumericalBreakdown(
+            "a passenger inside the hole has no image: the exterior map "
+            "sends the hole's centre to infinity"
+        )
+    c = _interior_point(hole)
+    inv, inv_p = _unpack(_mobius(st, 0.0, 1.0, 1.0, -c), n, offsets)
+    flipped = _polygon_area(inv) < 0
+    if flipped:
+        inv = inv[::-1]
+    out, out_p = _disk_map_about_origin(inv, inv_p)
+    if flipped:
+        out = out[::-1]
+    st, offsets = _pack_state(out, out_p)
+    return _unpack(_mobius(st, 0.0, 1.0, 1.0, 0.0), n, offsets)

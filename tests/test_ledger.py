@@ -2,7 +2,7 @@
 
 Each case is default_partition plus compute_parameterization at one thread,
 with mu = 0 or smooth_beltrami(mesh, 42). A change that turns a failure into
-a success (or the reverse) updates this table on purpose.
+a success (or the reverse) updates these tables on purpose.
 """
 
 import numpy as np
@@ -12,12 +12,21 @@ from weldmap.errors import WeldmapError
 from weldmap.partition import default_partition
 from weldmap.pipeline import compute_parameterization
 
-from fixtures import curved_annulus, disk_mesh, hemisphere_cap, smooth_beltrami
+from fixtures import (
+    curved_annulus,
+    disk_mesh,
+    hemisphere_cap,
+    many_hole_grid,
+    many_hole_sphere,
+    smooth_beltrami,
+)
 
 MESHES = {
     "disk_mesh(16,64)": lambda: disk_mesh(16, 64),
     "hemisphere_cap()": hemisphere_cap,
     "curved_annulus()": curved_annulus,
+    **{f"many_hole_grid(30,{k})": (lambda k=k: many_hole_grid(30, k)) for k in (3, 6, 9)},
+    **{f"many_hole_sphere(30,{k})": (lambda k=k: many_hole_sphere(30, k)) for k in (3, 6, 9)},
 }
 
 MIS = "MISORDERED_ARC"
@@ -33,6 +42,59 @@ LEDGER = [
     ("curved_annulus()", 2, "smooth", "PATH_INSIDE_POLYGON"),
     *[("curved_annulus()", p, "smooth", MIS) for p in (3, 4)],
 ]
+
+
+# Many holes, 2D and lifted onto a sphere: a success pins its flipped-face
+# count, a failure its code and stage. A part that default_partition makes
+# pinched at a vertex fails extraction, before any stage.
+PIN = "NON_MANIFOLD"
+MANY_HOLES = [
+    ("many_hole_grid(30,3)", 1, "0", 0),
+    ("many_hole_grid(30,3)", 1, "smooth", 0),
+    ("many_hole_grid(30,3)", 4, "0", 0),
+    ("many_hole_grid(30,3)", 4, "smooth", 0),
+    ("many_hole_grid(30,3)", 8, "0", (PIN, None)),
+    ("many_hole_grid(30,3)", 8, "smooth", (PIN, None)),
+    ("many_hole_sphere(30,3)", 1, "0", 0),
+    ("many_hole_sphere(30,3)", 1, "smooth", (MIS, "weld")),
+    ("many_hole_sphere(30,3)", 4, "0", 0),
+    ("many_hole_sphere(30,3)", 4, "smooth", (ZXI, "weld")),
+    ("many_hole_sphere(30,3)", 8, "0", (PIN, None)),
+    ("many_hole_sphere(30,3)", 8, "smooth", (PIN, None)),
+    ("many_hole_grid(30,6)", 1, "0", 0),
+    ("many_hole_grid(30,6)", 1, "smooth", 0),
+    ("many_hole_grid(30,6)", 4, "0", 0),
+    ("many_hole_grid(30,6)", 4, "smooth", 0),
+    ("many_hole_grid(30,6)", 8, "0", 0),
+    ("many_hole_grid(30,6)", 8, "smooth", 2),
+    ("many_hole_sphere(30,6)", 1, "0", 0),
+    ("many_hole_sphere(30,6)", 1, "smooth", (MIS, "weld")),
+    ("many_hole_sphere(30,6)", 4, "0", 0),
+    ("many_hole_sphere(30,6)", 4, "smooth", (MIS, "weld")),
+    ("many_hole_sphere(30,6)", 8, "0", 1),
+    ("many_hole_sphere(30,6)", 8, "smooth", ("PATH_INSIDE_POLYGON", "weld")),
+    *[("many_hole_grid(30,9)", p, mu, 0) for p in (1, 4, 8) for mu in ("0", "smooth")],
+    *[("many_hole_sphere(30,9)", p, "0", 0) for p in (1, 4, 8)],
+    *[("many_hole_sphere(30,9)", p, "smooth", (NUM, "koebe")) for p in (1, 4, 8)],
+]
+
+
+@pytest.mark.parametrize(
+    "name, parts, mu_kind, want", MANY_HOLES,
+    ids=[f"{n}/parts={p}/mu={m}" for n, p, m, _ in MANY_HOLES],
+)
+def test_many_hole_ledger(name, parts, mu_kind, want):
+    mesh = MESHES[name]()
+    mu = np.zeros(mesh.n_faces, complex)
+    if mu_kind == "smooth":
+        mu = smooth_beltrami(mesh, 42)
+    labels = default_partition(mesh, parts)
+    try:
+        res = compute_parameterization(mesh, labels, mu, threads=1)
+    except WeldmapError as err:
+        assert (err.code, err.stage) == want, err.describe()
+        return
+    assert res.report.flipped_faces == want
 
 
 @pytest.mark.parametrize(

@@ -406,9 +406,10 @@ def test_accepted_labeling_is_validated_once(monkeypatch):
 
     def recording_validate(self, mesh):
         before = len(components)
-        real_validate(self, mesh)
+        parts = real_validate(self, mesh)
         if len(components) > before:
             checked.append(self.face_label.tobytes())
+        return parts
 
     monkeypatch.setattr(partition.csgraph, "connected_components", counting_components)
     monkeypatch.setattr(PartitionLabeling, "validate", recording_validate)
