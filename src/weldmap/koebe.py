@@ -1,10 +1,11 @@
 """Circularization of boundary loops via the closed-curve geodesic map.
 
-The two building blocks are an interior Riemann map of a Jordan polygon onto
-the unit disk (disk_map_interior) and its exterior counterpart for inner
+The two building blocks are an interior Riemann map of the outer loop onto
+the unit disk (circularize_outer) and its exterior counterpart for inner
 holes (circularize_hole), which conjugates the interior map by an inversion
-so that infinity stays fixed. Cyclic refinement over all loops implements
-the classical iteration that drives every boundary toward a perfect circle.
+so that infinity stays fixed. Each maps one packed state: the loop, an
+anchor and the passengers. Cyclic refinement over all loops implements the
+classical iteration that drives every boundary toward a perfect circle.
 """
 
 import numpy as np
@@ -73,22 +74,6 @@ def _closed_geodesic(st, n):
     return st
 
 
-def disk_map_interior(boundary, passengers=()):
-    """Riemann map of the interior of a closed counter-clockwise boundary
-    onto the unit disk, a representative interior point of the polygon to 0.
-
-    Returns (boundary images, passenger images).
-    """
-    boundary = np.asarray(boundary, dtype=np.complex128)
-    n = len(boundary)
-    if n < 3:
-        raise MisorderedArc("closed boundary needs at least 3 points")
-    if _polygon_area(boundary) <= 0:
-        raise MisorderedArc("boundary must be counter-clockwise")
-    st, offsets = _pack_state(np.append(boundary, _interior_point(boundary)), passengers)
-    return _unpack(_closed_geodesic(st, n), n, offsets)
-
-
 def circularize_hole(hole, passengers=()):
     """Normalized conformal map of the hole's exterior onto the exterior of
     the unit disk: the hole boundary goes to the unit circle and infinity
@@ -130,17 +115,26 @@ def circularize_hole(hole, passengers=()):
 
 
 def circularize_outer(outer, passengers=()):
-    """Map the interior of the outer boundary onto the unit disk. The loop lands
-    on the unit circle unless a passenger's image reaches |w| >= 1 - 1e-12:
-    one real factor then shrinks all, loop too, to put the outermost passenger
-    at 1 - 1e-12."""
-    out_b, out_p = disk_map_interior(outer, passengers)
-    worst = max((np.abs(p).max() for p in out_p if len(p)), default=0.0)
+    """Riemann map of the interior of the counter-clockwise outer loop onto
+    the unit disk, on one state: the loop, an interior anchor sent to 0 and
+    the passengers. The loop lands on the unit circle unless a passenger's
+    image reaches |w| >= 1 - 1e-12: one real factor then shrinks all, loop
+    too, to put the outermost passenger at 1 - 1e-12.
+
+    Returns (outer images, passenger images).
+    """
+    outer = np.asarray(outer, dtype=np.complex128)
+    n = len(outer)
+    if n < 3:
+        raise MisorderedArc("closed boundary needs at least 3 points")
+    if _polygon_area(outer) <= 0:
+        raise MisorderedArc("boundary must be counter-clockwise")
+    st, offsets = _pack_state(np.append(outer, _interior_point(outer)), passengers)
+    st = _closed_geodesic(st, n)
+    worst = max((np.abs(st.z[a:b]).max() for a, b in offsets if b > a), default=0.0)
     if worst >= 1.0 - 1e-12:
-        st, offsets = _pack_state(out_b, out_p)
-        scaled = _mobius(st, (1.0 - 1e-12) / worst, 0.0, 0.0, 1.0)
-        out_b, out_p = _unpack(scaled, len(out_b), offsets)
-    return out_b, out_p
+        st = _mobius(st, (1.0 - 1e-12) / worst, 0.0, 0.0, 1.0)
+    return _unpack(st, n, offsets)
 
 
 def koebe_refine(outer, holes, extras=(), passes=0):

@@ -27,7 +27,7 @@ class TriangleMesh:
     vertices: np.ndarray  # (n, 2) or (n, 3) float64
     faces: np.ndarray  # (m, 3) int64, CCW
     boundary_loops: list = field(default_factory=list)  # loop 0 is the outer one
-    # half_edge_twins of faces: set by build_mesh, else computed by twins()
+    # half_edge_twins of faces, set by build_mesh
     twin: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -51,12 +51,6 @@ class TriangleMesh:
         if not self.boundary_loops:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(self.boundary_loops))
-
-    def twins(self):
-        """The (m, 3) half-edge twin table of the mesh."""
-        if self.twin is None:
-            self.twin = half_edge_twins(self.faces, self.n_vertices)
-        return self.twin
 
 
 def face_areas(vertices, faces):
@@ -183,7 +177,7 @@ def walk_boundary_loops(faces, n_vertices):
 def region_boundary(mesh, face_ids):
     """Mask, shaped like mesh.faces[face_ids], of the boundary half-edges of
     that face set: those without a twin or with one in a face outside it."""
-    twin = mesh.twins()[face_ids]
+    twin = mesh.twin[face_ids]
     inside = np.zeros(mesh.n_faces, dtype=bool)
     inside[face_ids] = True
     return (twin < 0) | ~inside[twin // 3]  # twin -1 reads the last face
@@ -196,7 +190,7 @@ def region_twins(mesh, face_ids):
     outside the set."""
     local = np.full(mesh.n_faces, -1, dtype=np.int64)
     local[face_ids] = np.arange(len(face_ids))
-    twin = mesh.twins()[face_ids]
+    twin = mesh.twin[face_ids]
     across = local[twin // 3]  # twin -1 reads the last face
     return np.where((twin >= 0) & (across >= 0), 3 * across + twin % 3, -1)
 

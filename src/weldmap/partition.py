@@ -19,6 +19,7 @@ from scipy.sparse import csgraph
 
 from .errors import (
     DisconnectedSubmesh,
+    NonManifold,
     NoValidPlan,
     ParseError,
     SubmeshWithTwoHoles,
@@ -50,7 +51,8 @@ class PartitionLabeling:
     def validate(self, mesh):
         """Check the label format, then the partition rule of each part in
         label order (see _region_error); the first failure raises. Returns
-        the face ids of each part, in label order."""
+        (face ids, twin cut) of each part, in label order: its face ids and
+        its twin table cut out of the mesh's (region_twins)."""
         if len(self.face_label) != mesh.n_faces:
             raise ParseError(
                 f"label count does not match face count: {len(self.face_label)} "
@@ -65,26 +67,37 @@ class PartitionLabeling:
         if self.face_label.max() >= len(self.face_label) or not np.all(counts):
             raise ParseError("partition labels must be consecutive from 0")
         by_label = np.argsort(self.face_label, kind="stable")
-        parts = np.split(by_label, np.cumsum(counts)[:-1])
-        for lab, face_ids in enumerate(parts):
-            err = _region_error(mesh, face_ids, lab)
+        parts = []
+        for lab, face_ids in enumerate(np.split(by_label, np.cumsum(counts)[:-1])):
+            twin = region_twins(mesh, face_ids)
+            err = _region_error(mesh, face_ids, lab, twin)
             if err is not None:
                 raise err
+            parts.append((face_ids, twin))
         return parts
 
 
-def _region_error(mesh, face_ids, lab):
-    """The partition rule for one part, given its face ids in increasing
-    order: None when the faces are edge-connected and hold at most one hole,
-    else the error naming submesh lab. Connectivity is checked first."""
-    k = len(face_ids)
-    # Row i holds the part's face across each edge of face i, or i itself
-    # across a boundary or cut edge, so the rows need no sorting.
-    twin = region_twins(mesh, face_ids)
+def _face_graph(twin):
+    """The face graph of a twin table as a sparse matrix: row i holds the
+    face across each edge of face i, or i itself across a boundary edge, so
+    the rows need no sorting."""
+    k = len(twin)
     across = np.where(twin >= 0, twin // 3, np.arange(k)[:, None])
-    graph = sp.csr_matrix((np.ones(3 * k), across.ravel(), np.arange(0, 3 * k + 1, 3)), (k, k))
-    if csgraph.connected_components(graph, directed=False, return_labels=False) != 1:
+    return sp.csr_matrix((np.ones(3 * k), across.ravel(), np.arange(0, 3 * k + 1, 3)), (k, k))
+
+
+def _region_error(mesh, face_ids, lab, twin):
+    """The partition rule for one part, given its face ids in increasing
+    order and its twin cut (region_twins): None when the faces are
+    edge-connected, touch themselves at no vertex and hold at most one hole,
+    else the error naming submesh lab, checked in that order."""
+    if csgraph.connected_components(_face_graph(twin), directed=False, return_labels=False) != 1:
         return DisconnectedSubmesh(f"submesh {lab} is not edge-connected")
+    # A vertex that starts two of the part's boundary half-edges is a pinch.
+    tails = np.sort(mesh.faces[face_ids][twin < 0])
+    pinched = tails[1:][tails[1:] == tails[:-1]]
+    if len(pinched):
+        return NonManifold(f"submesh {lab} touches itself at vertex {int(pinched[0])}")
     holes = region_hole_count(mesh, face_ids)
     if holes > 1:
         return SubmeshWithTwoHoles(f"submesh {lab} has {holes} holes")
@@ -110,21 +123,12 @@ def load_labels(path, n_faces):
 def _interior_edges(mesh):
     """Interior (two-face) edges of the mesh, each once, as arrays
     (u, v, f0, f1): face f0 runs the edge u -> v, face f1 runs it v -> u."""
-    twin = mesh.twins().ravel()
+    twin = mesh.twin.ravel()
     # Half-edge h of face h // 3 runs its edge from faces.ravel()[h]; the
     # twin runs it back, from the other end.
     h = np.flatnonzero(twin > np.arange(len(twin)))
     tail = mesh.faces.ravel()
     return tail[h], tail[twin[h]], h // 3, twin[h] // 3
-
-
-def face_adjacency(mesh):
-    """Shared-edge face adjacency as a symmetric sparse CSR matrix."""
-    _, _, f0, f1 = _interior_edges(mesh)
-    data = np.ones(2 * len(f0), dtype=np.int8)
-    rows = np.concatenate([f0, f1])
-    cols = np.concatenate([f1, f0])
-    return sp.csr_matrix((data, (rows, cols)), shape=(mesh.n_faces, mesh.n_faces))
 
 
 def region_hole_count(mesh, face_ids):
@@ -153,15 +157,15 @@ class Submesh:
 
 def extract_submeshes(mesh, labels):
     """Split the mesh by labels; cut vertices are duplicated per submesh.
-    Each submesh's twin table is cut out of the parent's (region_twins), so
-    a cut edge is on the submesh boundary."""
+    Each submesh's twin table is the twin cut that validate made, so a cut
+    edge is on the submesh boundary."""
     subs = []
-    for lab, face_ids in enumerate(labels.validate(mesh)):
+    for lab, (face_ids, twin) in enumerate(labels.validate(mesh)):
         faces = mesh.faces[face_ids]
         verts = np.flatnonzero(np.bincount(faces.ravel(), minlength=mesh.n_vertices))
         local = np.full(mesh.n_vertices, -1, dtype=np.int64)
         local[verts] = np.arange(len(verts))
-        sub = build_mesh(mesh.vertices[verts], local[faces], twin=region_twins(mesh, face_ids))
+        sub = build_mesh(mesh.vertices[verts], local[faces], twin=twin)
         subs.append(Submesh(mesh=sub, to_parent=verts, label=lab, faces=face_ids))
     return subs
 
@@ -347,11 +351,13 @@ def default_partition(mesh, target_parts):
     if target_parts < 1:
         raise ParseError("target_parts must be >= 1")
     n_holes = mesh.n_holes
-    adj = face_adjacency(mesh)
-    base = _hole_voronoi(mesh, adj) if n_holes else np.zeros(mesh.n_faces, dtype=np.int64)
+    base = _hole_voronoi(mesh) if n_holes else np.zeros(mesh.n_faces, dtype=np.int64)
     # The face ids of each raw label, and whether that region passes.
     regions = {lab: np.flatnonzero(base == lab) for lab in np.unique(base).tolist()}
-    passed = {lab: _region_error(mesh, ids, lab) is None for lab, ids in regions.items()}
+    passed = {
+        lab: _region_error(mesh, ids, lab, region_twins(mesh, ids)) is None
+        for lab, ids in regions.items()
+    }
     next_label = max(regions) + 1
     # Each pass adds exactly one region or stops.
     while target_parts > max(n_holes, len(regions)):
@@ -362,11 +368,11 @@ def default_partition(mesh, target_parts):
             face_ids = regions[lab]
             if failed - {lab} or len(face_ids) < 8:
                 continue
-            far_side = _bisect_region(face_ids, adj)
+            far_side = _bisect_region(region_twins(mesh, face_ids))
             if far_side is None:
                 continue
             halves = face_ids[~far_side], face_ids[far_side]
-            if all(_region_error(mesh, ids, lab) is None for ids in halves):
+            if all(_region_error(mesh, ids, lab, region_twins(mesh, ids)) is None for ids in halves):
                 break
         else:
             break  # no region splits validly
@@ -381,7 +387,7 @@ def default_partition(mesh, target_parts):
     return PartitionLabeling(face_label=label)
 
 
-def _hole_voronoi(mesh, adj):
+def _hole_voronoi(mesh):
     """Multi-source hop-distance regions, one per hole rim; region i holds hole i."""
     n_holes = mesh.n_holes
     # Faces touching several rims go to the lowest hole index; hole i is
@@ -392,17 +398,18 @@ def _hole_voronoi(mesh, adj):
     if len(seeds) == 0:
         return np.zeros(mesh.n_faces, dtype=np.int64)
     _, _, sources = csgraph.dijkstra(
-        adj, directed=False, unweighted=True, indices=seeds,
+        _face_graph(mesh.twin), directed=False, unweighted=True, indices=seeds,
         min_only=True, return_predecessors=True,
     )
     label = np.where(sources >= 0, seed_label[np.clip(sources, 0, None)], 0)
     return label.astype(np.int64)
 
 
-def _bisect_region(face_ids, adj):
-    """2-seed hop-distance split of one region: a mask over face_ids of the
-    faces nearer the second seed, or None when there is no second seed."""
-    sub = adj[face_ids][:, face_ids]
+def _bisect_region(twin):
+    """2-seed hop-distance split of the region of twin cut twin: a mask over
+    its faces of those nearer the second seed, or None when there is no
+    second seed."""
+    sub = _face_graph(twin)
     d0 = csgraph.dijkstra(sub, directed=False, unweighted=True, indices=0)
     d0 = np.where(np.isfinite(d0), d0, -1.0)
     # Farthest face from seed 0 becomes seed 1; ties go to the largest face id.

@@ -277,11 +277,10 @@ def _run_weld(spec, mesh, labels, tracker):
                         passengers_a=[rest_a], passengers_b=[rest_b],
                     )
                 else:
-                    st_a, st_b, moved_a, moved_b = partial_weld(
+                    dn_a, dn_b, moved_a, moved_b = partial_weld(
                         dp_a, dp_b, r * q,
                         passengers_a=[rest_a], passengers_b=[rest_b],
                     )
-                    dn_a, dn_b = st_a.z[: len(dp_a)], st_b.z[: len(dp_b)]
             except NumericalBreakdown as err:
                 failed.append((q, err))
                 continue

@@ -68,10 +68,6 @@ class BoundaryChain:
             np.hypot(np.ptp(f.real), np.ptp(f.imag))
         ) or 1.0
 
-    def head(self, n):
-        """The first n entries, as a chain of views."""
-        return BoundaryChain(self.z[:n], self.at_inf[:n], self.on_axis[:n])
-
     def set_exact(self, i, value, on_axis=False):
         self.z[i] = value
         self.at_inf[i] = False
@@ -439,8 +435,7 @@ def intermediate_form(st, k, branch, n):
         st.set_inf(0, on_axis=True)
 
     new_scale = st.diameter(n)
-    head = st.head(n)
-    bad = (~head.at_inf) & (~head.on_axis) & (head.z.real < -AXIS_RTOL * new_scale)
+    bad = (~st.at_inf[:n]) & (~st.on_axis[:n]) & (st.z[:n].real < -AXIS_RTOL * new_scale)
     if np.any(bad):
         raise NumericalBreakdown(
             f"{int(bad.sum())} points left the right half-plane"
@@ -582,10 +577,9 @@ def partial_weld(a_points, b_points, k, passengers_a=(), passengers_b=()):
     arc point. passengers_a and passengers_b are lists of arrays of further
     points of each side's plane that ride through the same conformal maps.
 
-    Returns (state_a, state_b, moved_a, moved_b): the welded boundary states
-    (each with its two normalization markers appended) and lists of the
-    passengers' images. A passenger sent to infinity raises
-    NumericalBreakdown.
+    Returns (welded a, welded b, moved_a, moved_b): the welded chains, of
+    the input lengths, and lists of the passengers' images. A passenger sent
+    to infinity raises NumericalBreakdown.
     """
     a_points = np.asarray(a_points, dtype=np.complex128)
     b_points = np.asarray(b_points, dtype=np.complex128)
@@ -661,13 +655,10 @@ def partial_weld(a_points, b_points, k, passengers_a=(), passengers_b=()):
     if st_a.at_inf[0] or st_b.at_inf[0]:
         raise NumericalBreakdown("weld arc endpoint remained at infinity")
 
-    head_a = st_a.head(m + 2)
-    head_b = st_b.head(n + 2)
-    _check_weld(head_a, head_b, k)
-    return (
-        head_a, head_b,
-        _unpack(st_a, m + 2, offsets_a)[1], _unpack(st_b, n + 2, offsets_b)[1],
-    )
+    _check_weld(st_a, st_b, k, m + 2, n + 2)
+    welded_a, moved_a = _unpack(st_a, m, offsets_a)
+    welded_b, moved_b = _unpack(st_b, n, offsets_b)
+    return welded_a, welded_b, moved_a, moved_b
 
 
 def _three_point_mobius(p1, p2, p3):
@@ -680,8 +671,10 @@ def _three_point_mobius(p1, p2, p3):
     return 2.0 * kk - 1.0, p3 - 2.0 * kk * p1, 1.0, -p3
 
 
-def _check_weld(st_a, st_b, k):
-    scale = max(st_a.diameter(), st_b.diameter())
+def _check_weld(st_a, st_b, k, na, nb):
+    """Raise unless the welded pairs 0..k coincide, on the scale of the
+    first na entries of A and nb of B (the chains and their markers)."""
+    scale = max(st_a.diameter(na), st_b.diameter(nb))
     for j in range(k + 1):
         if st_a.at_inf[j] != st_b.at_inf[j]:
             raise NumericalBreakdown(f"weld pair {j} split at infinity")
@@ -776,11 +769,11 @@ def multiconnected_weld(a_points, b_points, r, s_a, t_a, s_b, t_b,
 
     # The rim points (excluded from the augmented polygon) ride as the first
     # passengers; the original indexing is stitched back together after.
-    st_a, st_b, moved_a, moved_b = partial_weld(
+    welded_a, welded_b, moved_a, moved_b = partial_weld(
         aug_a, aug_b, k_weld,
         passengers_a=[a_points[r + 1 : s_a], *passengers_a],
         passengers_b=[b_points[r + 1 : s_b], *passengers_b],
     )
-    out_a = np.concatenate([st_a.z[: r + 1], moved_a[0], st_a.z[r + 1 + count :][: len(a_points) - s_a]])
-    out_b = np.concatenate([st_b.z[: r + 1], moved_b[0], st_b.z[r + 1 + count :][: len(b_points) - s_b]])
+    out_a = np.concatenate([welded_a[: r + 1], moved_a[0], welded_a[r + 1 + count :]])
+    out_b = np.concatenate([welded_b[: r + 1], moved_b[0], welded_b[r + 1 + count :]])
     return out_a, out_b, moved_a[1:], moved_b[1:]

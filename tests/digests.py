@@ -11,7 +11,9 @@ mesh as a library call, and the 60 corpus maps, all taken read-only from
 perfbench/workloads.py; then the conformal_grid mesh again at 8, 12, 16 and
 24 parts; then the many-hole maps of tests/test_ledger.py; then the beltrami
 map and one many-hole map at koebe_passes 1 and 2, whose lines also hash the
-refinement history. Each group comes after the ones before it, so that older
+refinement history; then the tiny annulus map that perfbench/workloads.py
+runs to warm up and perfbench/test_perfbench.py runs as its library map, at
+three mu fields. Each group comes after the ones before it, so that older
 digest files still compare line by line. The file name keeps pytest from
 collecting it.
 """
@@ -76,6 +78,19 @@ def refined_cases(workdir):
     ]
 
 
+def warm_up_cases():
+    """annulus_mesh(6,32) at 2 parts with the warm-up library map's mu
+    (smooth_beltrami with seed 42), the warm-up CLI map's (0) and the
+    perfbench tests' library map's (seed 1)."""
+    mesh = fixtures.annulus_mesh(6, 32)
+    fields = (
+        ("smooth42", fixtures.smooth_beltrami(mesh, workloads.MU_SEED)),
+        ("0", np.zeros(mesh.n_faces, complex)),
+        ("smooth1", fixtures.smooth_beltrami(mesh, 1)),
+    )
+    return [workloads.Case(f"annulus_mesh(6,32)/parts=2/mu={tag}", mesh, 2, mu) for tag, mu in fields]
+
+
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
@@ -114,6 +129,9 @@ def main():
             for koebe_passes in KOEBE_PASSES:
                 for threads in THREADS:
                     print(digest(case, threads, koebe_passes), flush=True)
+        for case in warm_up_cases():
+            for threads in THREADS:
+                print(digest(case, threads), flush=True)
 
 
 if __name__ == "__main__":

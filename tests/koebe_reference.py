@@ -1,5 +1,6 @@
 """The three-state hole map, kept as the reference for
-weldmap.koebe.circularize_hole.
+weldmap.koebe.circularize_hole, and the unshrunk outer map, the reference
+for weldmap.koebe.circularize_outer.
 
 Here the map packs and unpacks its points three times: once for the
 inversion 1/(z - c), once for the interior map of the inverted hole with the
@@ -7,6 +8,10 @@ anchor appended at 0, and once for the inversion 1/z back, the way the
 package computed it before one state carried the hole, the anchor and the
 passengers through every step. `circularize_hole` takes the same arguments
 and returns the same images, so a test can compare the two bit for bit.
+
+`disk_map_interior` is the interior map that circularize_outer makes before
+it shrinks: the package's outer map once called it and repacked its images
+to shrink them, so a test can check the shrink against it.
 """
 
 import numpy as np
@@ -21,6 +26,22 @@ from weldmap.welding import (
     _unpack,
     point_in_polygon,
 )
+
+
+def disk_map_interior(boundary, passengers=()):
+    """Riemann map of the interior of a closed counter-clockwise boundary
+    onto the unit disk, a representative interior point of the polygon to 0.
+
+    Returns (boundary images, passenger images).
+    """
+    boundary = np.asarray(boundary, dtype=np.complex128)
+    n = len(boundary)
+    if n < 3:
+        raise MisorderedArc("closed boundary needs at least 3 points")
+    if _polygon_area(boundary) <= 0:
+        raise MisorderedArc("boundary must be counter-clockwise")
+    st, offsets = _pack_state(np.append(boundary, _interior_point(boundary)), passengers)
+    return _unpack(_closed_geodesic(st, n), n, offsets)
 
 
 def _disk_map_about_origin(boundary, passengers):

@@ -5,9 +5,11 @@ Each trial split here is relabeled and validated as a whole labeling: one
 connected-components pass over all faces, then the hole count of every
 label, the way the package checked a split before it checked only the two
 halves a split makes. The hole seeds and the labels touching each hole are
-found with one np.isin pass per hole. `default_partition` takes the same
-arguments and returns the same labels as the package's, so a test can
-compare the two byte for byte.
+found with one np.isin pass per hole, and the hop searches run on a face
+adjacency matrix built from the interior edges (sliced to a region for a
+split), where the package runs them on the face graph of a twin table.
+`default_partition` takes the same arguments and returns the same labels as
+the package's, so a test can compare the two byte for byte.
 """
 
 import numpy as np
@@ -15,12 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from weldmap.errors import DisconnectedSubmesh, ParseError, SubmeshWithTwoHoles, WeldmapError
-from weldmap.partition import (
-    PartitionLabeling,
-    _bisect_region,
-    face_adjacency,
-    region_hole_count,
-)
+from weldmap.partition import PartitionLabeling, _interior_edges, region_hole_count
 
 
 def validate(mesh, labels):
@@ -30,7 +27,7 @@ def validate(mesh, labels):
     # Faces joined across the edges inside one part: a part is
     # edge-connected when exactly one component of that graph carries its
     # label.
-    twin, m = mesh.twins(), mesh.n_faces
+    twin, m = mesh.twin, mesh.n_faces
     own = np.arange(m)[:, None]
     across = np.where(twin >= 0, twin // 3, own)
     across = np.where(face_label[across] == face_label[:, None], across, own)
@@ -45,6 +42,33 @@ def validate(mesh, labels):
         holes = region_hole_count(mesh, np.flatnonzero(face_label == lab))
         if holes > 1:
             raise SubmeshWithTwoHoles(f"submesh {lab} has {holes} holes")
+
+
+def face_adjacency(mesh):
+    """Shared-edge face adjacency as a symmetric sparse CSR matrix."""
+    _, _, f0, f1 = _interior_edges(mesh)
+    data = np.ones(2 * len(f0), dtype=np.int8)
+    rows = np.concatenate([f0, f1])
+    cols = np.concatenate([f1, f0])
+    return sp.csr_matrix((data, (rows, cols)), shape=(mesh.n_faces, mesh.n_faces))
+
+
+def _bisect_region(face_ids, adj):
+    """2-seed hop-distance split of one region: a mask over face_ids of the
+    faces nearer the second seed, or None when there is no second seed."""
+    sub = adj[face_ids][:, face_ids]
+    d0 = csgraph.dijkstra(sub, directed=False, unweighted=True, indices=0)
+    d0 = np.where(np.isfinite(d0), d0, -1.0)
+    # Farthest face from seed 0 becomes seed 1; ties go to the largest face id.
+    far = np.flatnonzero(d0 == d0.max())
+    seed1 = int(far[-1])
+    if seed1 == 0:
+        return None
+    _, _, sources = csgraph.dijkstra(
+        sub, directed=False, unweighted=True, indices=[0, seed1],
+        min_only=True, return_predecessors=True,
+    )
+    return sources == seed1
 
 
 def touching_labels(mesh, labels):

@@ -285,12 +285,9 @@ def _chord_split_disk(c=0.35, ns=41):
 
 def test_criterion_07_weld_exactness(two_hole, two_hole_stitched):
     a, b, k = _chord_split_disk()
-    st_a, st_b, _, _ = partial_weld(a, b, k)
-    weld_gap = float(np.abs(st_a.z[: k + 1] - st_b.z[: k + 1]).max())
-    # Diameter of the welded boundary only: the far-field marker sits ~1e14
-    # away and would make the bound vacuous.
-    boundary = st_a.z[: len(a)]
-    chain_diam = float(np.abs(boundary[:, None] - boundary[None, :]).max())
+    welded_a, welded_b, _, _ = partial_weld(a, b, k)
+    weld_gap = float(np.abs(welded_a[: k + 1] - welded_b[: k + 1]).max())
+    chain_diam = float(np.abs(welded_a[:, None] - welded_a[None, :]).max())
 
     mesh, labels, _ = two_hole
     res = two_hole_stitched

@@ -5,7 +5,6 @@ from weldmap.errors import MisorderedArc, NumericalBreakdown
 from weldmap.koebe import (
     circularize_hole,
     circularize_outer,
-    disk_map_interior,
     koebe_refine,
     loop_circularity,
 )
@@ -34,7 +33,7 @@ def test_circularity_report_exact_circle():
 def test_disk_map_square():
     sq = square_loop()
     inner = np.array([0.5 + 0.5j, 0.2 + 0.7j, 0.9 + 0.1j])
-    b, (p, anchor) = disk_map_interior(sq, [inner, [0.5 + 0.5j]])
+    b, (p, anchor) = circularize_outer(sq, [inner, [0.5 + 0.5j]])
     assert np.abs(np.abs(b) - 1.0).max() < 1e-12
     assert np.abs(p).max() < 1.0
     # anchor (polygon centroid) went to the origin
@@ -45,7 +44,7 @@ def test_disk_map_circle_is_near_rotation():
     n = 100
     circ = circle_loop(n)
     inner = np.array([0.3 + 0.2j, -0.5j, 0.6 - 0.1j])
-    b, (p,) = disk_map_interior(circ, [inner])
+    b, (p,) = circularize_outer(circ, [inner])
     # uniform samples of a circle stay uniformly spread; the largest local
     # deviation sits next to the unzip start and shrinks with density
     steps = np.diff(np.unwrap(np.angle(b)))
@@ -56,7 +55,7 @@ def test_disk_map_circle_is_near_rotation():
 
 def test_disk_map_rejects_clockwise():
     with pytest.raises(MisorderedArc):
-        disk_map_interior(square_loop()[::-1])
+        circularize_outer(square_loop()[::-1])
 
 
 def test_hole_square_circularity():
@@ -129,12 +128,25 @@ def test_outer_shrinks_a_passenger_on_the_loop_into_the_disk():
     sq = square_loop()
     inner = np.array([0.01 + 0j, 0.5 + 0.5j])
     ob, (p,) = circularize_outer(sq, [inner])
-    b0, (p0,) = disk_map_interior(sq, [inner])
+    b0, (p0,) = koebe_reference.disk_map_interior(sq, [inner])
     assert np.abs(p0).max() >= 1.0 - 1e-12
     assert np.abs(p).max() < 1.0
     factor = (1.0 - 1e-12) / np.abs(p0).max()
     assert np.array_equal(ob, factor * b0)
     assert np.array_equal(p, factor * p0)
+
+
+def test_outer_map_matches_the_reference_when_nothing_shrinks():
+    # With every passenger well inside, the one-state map gives the images
+    # of the reference interior map bit for bit.
+    rng = np.random.default_rng(5)
+    sq = square_loop()
+    inner = 0.1 + 0.8 * (rng.random(30) + 1j * rng.random(30))
+    ob, (p,) = circularize_outer(sq, [inner])
+    b0, (p0,) = koebe_reference.disk_map_interior(sq, [inner])
+    assert np.abs(p0).max() < 1.0 - 1e-12
+    assert np.array_equal(ob, b0)
+    assert np.array_equal(p, p0)
 
 
 def test_refine_two_blob_holes():

@@ -45,22 +45,20 @@ LEDGER = [
 
 
 # Many holes, 2D and lifted onto a sphere: a success pins its flipped-face
-# count, a failure its code and stage. A part that default_partition makes
-# pinched at a vertex fails extraction, before any stage.
-PIN = "NON_MANIFOLD"
+# count, a failure its code and stage.
 MANY_HOLES = [
     ("many_hole_grid(30,3)", 1, "0", 0),
     ("many_hole_grid(30,3)", 1, "smooth", 0),
     ("many_hole_grid(30,3)", 4, "0", 0),
     ("many_hole_grid(30,3)", 4, "smooth", 0),
-    ("many_hole_grid(30,3)", 8, "0", (PIN, None)),
-    ("many_hole_grid(30,3)", 8, "smooth", (PIN, None)),
+    ("many_hole_grid(30,3)", 8, "0", 0),
+    ("many_hole_grid(30,3)", 8, "smooth", 0),
     ("many_hole_sphere(30,3)", 1, "0", 0),
     ("many_hole_sphere(30,3)", 1, "smooth", (MIS, "weld")),
     ("many_hole_sphere(30,3)", 4, "0", 0),
     ("many_hole_sphere(30,3)", 4, "smooth", (ZXI, "weld")),
-    ("many_hole_sphere(30,3)", 8, "0", (PIN, None)),
-    ("many_hole_sphere(30,3)", 8, "smooth", (PIN, None)),
+    ("many_hole_sphere(30,3)", 8, "0", 0),
+    ("many_hole_sphere(30,3)", 8, "smooth", (MIS, "weld")),
     ("many_hole_grid(30,6)", 1, "0", 0),
     ("many_hole_grid(30,6)", 1, "smooth", 0),
     ("many_hole_grid(30,6)", 4, "0", 0),

@@ -11,7 +11,6 @@ from weldmap.errors import (
     WrongTopology,
 )
 from weldmap.mesh import (
-    TriangleMesh,
     _parse_obj,
     _parse_off,
     build_mesh,
@@ -508,9 +507,6 @@ def test_twin_table_pairs_each_half_edge_with_its_reverse(make):
     inner = np.flatnonzero(twin >= 0)
     assert np.array_equal(twin[twin[inner]], inner)
     assert np.array_equal(tail[twin[inner]], head[inner])
-    # A mesh made without build_mesh computes the same table on first use.
-    bare = TriangleMesh(vertices=m.vertices, faces=m.faces)
-    assert np.array_equal(bare.twins(), m.twin)
 
 
 @pytest.mark.parametrize("make", _FIXTURES)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import weldmap.partition as partition
-from weldmap.errors import DisconnectedSubmesh, NoValidPlan, ParseError, SubmeshWithTwoHoles
+from weldmap.errors import (
+    DisconnectedSubmesh,
+    NoValidPlan,
+    NonManifold,
+    ParseError,
+    SubmeshWithTwoHoles,
+)
 from weldmap.mesh import build_mesh, region_loops, walk_boundary_loops
 from weldmap.partition import (
     PartitionLabeling,
@@ -360,8 +366,9 @@ def _label_file_one_line_too_many(mesh, tmp_path):
     [
         # Two strips at the far ends of a row share label 1.
         (grid_mesh(6, 1), [0, 1, 10, 11], "DISCONNECTED_SUBMESH"),
-        # Two cells of label 1 meet only at a vertex.
-        (grid_mesh(3, 3), _cells(3, [(0, 0), (1, 1)]), "DISCONNECTED_SUBMESH"),
+        # Two cells of label 1 meet only at a vertex, where label 0 (the
+        # rest) touches itself; label 0 is checked first.
+        (grid_mesh(3, 3), _cells(3, [(0, 0), (1, 1)]), "NON_MANIFOLD"),
         # Label 1 is one cell; label 0 keeps both holes.
         (
             grid_mesh(12, 6, hole_cells=square_hole(2, 2, 2) | square_hole(8, 2, 2)),
@@ -375,7 +382,7 @@ def _label_file_one_line_too_many(mesh, tmp_path):
     ids=["far-strips", "vertex-touch", "two-holes", "label-count", "label-file-count"],
 )
 def test_invalid_user_labels_fail_with_their_codes(mesh, labeled, code, tmp_path):
-    with pytest.raises((DisconnectedSubmesh, SubmeshWithTwoHoles, ParseError)) as info:
+    with pytest.raises((DisconnectedSubmesh, SubmeshWithTwoHoles, NonManifold, ParseError)) as info:
         if callable(labeled):
             labels = labeled(mesh, tmp_path)
         else:
@@ -384,11 +391,28 @@ def test_invalid_user_labels_fail_with_their_codes(mesh, labeled, code, tmp_path
             labels = PartitionLabeling(face_label=lab)
         compute_parameterization(mesh, labels, np.zeros(mesh.n_faces, complex))
     assert info.value.code == code
+    if code == "NON_MANIFOLD":
+        assert str(info.value) == "submesh 0 touches itself at vertex 5"
     if code == "PARSE_ERROR":
         # Both counts, and how to mend the input.
         counts = set(re.findall(r"\d+", str(info.value)))
         assert {str(mesh.n_faces), str(mesh.n_faces + 1)} <= counts
         assert info.value.hint
+
+
+def test_a_connected_part_that_touches_itself_fails_the_partition_rule():
+    # Label 0 runs around cell (2, 1) of a 4 x 4 grid, which is label 1,
+    # and its two ends meet only at the grid point (2, 2), across the
+    # diagonal from label 1: one connected part with one hole by the Euler
+    # count, pinched at that parent vertex. Label 2 is the rest.
+    mesh = grid_mesh(4, 4)
+    ring = [(1, 1), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (2, 2)]
+    lab = np.full(mesh.n_faces, 2, dtype=np.int64)
+    lab[_cells(4, ring)] = 0
+    lab[_cells(4, [(2, 1)])] = 1
+    assert region_hole_count(mesh, np.flatnonzero(lab == 0)) == 1
+    with pytest.raises(NonManifold, match=r"^submesh 0 touches itself at vertex 12$"):
+        compute_parameterization(mesh, PartitionLabeling(face_label=lab), np.zeros(mesh.n_faces, complex))
 
 
 def test_accepted_labeling_is_validated_once(monkeypatch):

@@ -8,7 +8,7 @@ from weldmap.errors import (
     WeldmapError,
     ZeroXi,
 )
-from weldmap.koebe import circularize_hole, circularize_outer, disk_map_interior
+from weldmap.koebe import circularize_hole, circularize_outer
 from weldmap.partition import default_partition
 from weldmap.pipeline import compute_parameterization
 from weldmap.welding import (
@@ -49,6 +49,26 @@ def is_simple_polygon(poly):
             if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
                 return False
     return True
+
+
+def diameter(*parts):
+    """Diameter of the points of all parts together."""
+    z = np.concatenate([np.ravel(p) for p in parts])
+    return float(np.hypot(np.ptp(z.real), np.ptp(z.imag)))
+
+
+def weld_with_markers(a, b, k):
+    """partial_weld of a and b with each side's interior point riding as a
+    passenger. The weld recentres each side on that point and appends a
+    normalization marker at the new origin, so the passenger starts at the
+    marker's value and takes its path. Returns the welded chains and the
+    images of the A and B markers."""
+    wa, wb, (ca,), (cb,) = partial_weld(
+        a, b, k,
+        passengers_a=[[welding._interior_point(a)]],
+        passengers_b=[[welding._interior_point(b)]],
+    )
+    return wa, wb, ca[0], cb[0]
 
 
 def disk_halves(ns=51, n_free=60):
@@ -216,27 +236,26 @@ def test_intermediate_form_right_half_plane():
 
 def test_weld_disk_halves():
     a, b, k = disk_halves()
-    st_a, st_b, _, _ = partial_weld(a, b, k)
-    scale = st_a.diameter()
-    assert np.abs(st_a.z[: k + 1] - st_b.z[: k + 1]).max() <= 1e-8 * scale
+    wa, wb, ca, cb = weld_with_markers(a, b, k)
+    scale = diameter(wa, ca)
+    assert np.abs(wa[: k + 1] - wb[: k + 1]).max() <= 1e-8 * scale
     # interior markers of the normalization
-    m, n = len(a), len(b)
-    assert abs(st_a.z[m] - (-1)) < 1e-9
-    assert abs(st_b.z[n] - 1) < 1e-9
+    assert abs(ca - (-1)) < 1e-9
+    assert abs(cb - 1) < 1e-9
     # welded outer boundary is a Jordan curve
-    boundary = np.concatenate([st_a.z[k:m], [st_a.z[0]], st_b.z[k + 1 : n][::-1]])
+    boundary = np.concatenate([wa[k:], [wa[0]], wb[k + 1 :][::-1]])
     assert is_simple_polygon(boundary)
     # the seam lies inside it
-    inside = [point_in_polygon(z, boundary) for z in st_a.z[1:k]]
+    inside = [point_in_polygon(z, boundary) for z in wa[1:k]]
     assert all(inside)
 
 
 def test_weld_two_triangles():
     a = np.array([0j, 1.0 + 0j, 0.5 + 1j])  # CCW, shared edge 0-1
     b = np.array([0j, 1.0 + 0j, 0.5 - 1j])  # CW
-    st_a, st_b, _, _ = partial_weld(a, b, 1)
-    scale = st_a.diameter()
-    assert np.abs(st_a.z[:2] - st_b.z[:2]).max() <= 1e-8 * scale
+    wa, wb, ca, _ = weld_with_markers(a, b, 1)
+    scale = diameter(wa, ca)
+    assert np.abs(wa[:2] - wb[:2]).max() <= 1e-8 * scale
 
 
 def test_weld_reflected_pair_symmetric():
@@ -244,24 +263,23 @@ def test_weld_reflected_pair_symmetric():
     th = np.linspace(0.0, np.pi, 40)[1:-1]
     a = np.concatenate([xs + 0j, np.exp(1j * th)])
     b = np.conj(a)
-    st_a, st_b, _, _ = partial_weld(a, b, 30)
-    scale = st_a.diameter()
+    wa, wb, ca, cb = weld_with_markers(a, b, 30)
+    scale = diameter(wa, ca)
     # The normalization pins the A marker at -1 and the B marker at +1, so
     # swapping the chains by reflection must negate the picture: the mirror
     # symmetry axis of the welded result is the imaginary axis.
-    asym = np.abs(st_a.z + np.conj(st_b.z)).max()
+    asym = max(np.abs(wa + np.conj(wb)).max(), abs(ca + np.conj(cb)))
     assert asym <= 1e-6 * scale
     # the seam lies on the symmetry axis
-    assert np.abs(st_a.z[:31].real).max() <= 1e-6 * scale
+    assert np.abs(wa[:31].real).max() <= 1e-6 * scale
 
 
 def test_weld_identity_correspondence_is_mobius():
     # Both pieces come from one disk with the identity correspondence, so the
     # welded picture must reproduce the disk up to a Mobius transformation.
     a, b, k = chord_split_disk()
-    st_a, st_b, _, _ = partial_weld(a, b, k)
-    m, n = len(a), len(b)
-    w = np.concatenate([st_a.z[k:m], [st_a.z[0]], st_b.z[k + 1 : n][::-1]])
+    wa, wb, _, _ = partial_weld(a, b, k)
+    w = np.concatenate([wa[k:], [wa[0]], wb[k + 1 :][::-1]])
     o = np.concatenate([a[k:], [a[0]], b[k + 1 :][::-1]])
     # Mobius maps preserve cross-ratios; check random quadruples.
     rng = np.random.default_rng(0)
@@ -280,9 +298,9 @@ def test_weld_frame_independent_pairs():
     # exactly coincident correspondence points.
     a, b, k = chord_split_disk()
     b = (2 * b + 0.3 + 0.2j) / (1 + (0.1 - 0.3j) * b)
-    st_a, st_b, _, _ = partial_weld(a, b, k)
-    scale = st_a.diameter()
-    assert np.abs(st_a.z[: k + 1] - st_b.z[: k + 1]).max() <= 1e-8 * scale
+    wa, wb, ca, _ = weld_with_markers(a, b, k)
+    scale = diameter(wa, ca)
+    assert np.abs(wa[: k + 1] - wb[: k + 1]).max() <= 1e-8 * scale
 
 
 def test_weld_rejects_wrong_orientation():
@@ -308,9 +326,9 @@ def test_passenger_on_boundary_point_lands_on_its_welded_image():
     # A passenger sitting on a side-A boundary point off the weld arcs goes
     # through the same maps as that point, so it lands on its welded image.
     a, b, k = chord_split_disk()
-    st_a, _, (moved,), _ = partial_weld(a, b, k, passengers_a=[a[k + 1 :]])
-    welded = st_a.z[k + 1 : len(a)]
-    diam = st_a.diameter(len(a))
+    wa, _, (moved,), _ = partial_weld(a, b, k, passengers_a=[a[k + 1 :]])
+    welded = wa[k + 1 :]
+    diam = diameter(wa)
     assert np.abs(moved - welded).max() <= 1e-12 * diam
 
     a, b, r, s, t = annulus_halves()
@@ -490,7 +508,6 @@ def test_zipper_matches_reference_on_smooth_chains_with_passengers(zipper_paths)
         outside = loop.mean() + 2.5 * np.exp(2j * np.pi * rng.random(30))
         st, _ = welding._pack_state(np.append(loop, 0.1 + 0.05j), [inner])
         intermediate_form(st, 40, +1, len(loop) + 1)
-        disk_map_interior(loop, [inner])
         circularize_hole(loop, [outside])
         circularize_outer(loop, [inner])
     a, b, k = chord_split_disk()
@@ -507,7 +524,7 @@ def test_zipper_matches_reference_with_passengers_at_the_first_point(zipper_path
     loop = smooth_chain(np.random.default_rng(3), 60)
     st, _ = welding._pack_state(np.append(loop, 0.0), [loop[:1]])
     intermediate_form(st, 20, -1, len(loop) + 1)
-    disk_map_interior(loop, [loop[:1]])
+    circularize_outer(loop, [loop[:1]])
     circularize_hole(loop, [loop[-1:]])
     a, b, k = disk_halves()
     partial_weld(a, b, k, passengers_a=[a[:1]], passengers_b=[b[:1]])
