@@ -11,7 +11,7 @@ from .assemble import (
 )
 from .errors import WeldmapError
 from .flatten import dncp_flatten, lsqc_flatten
-from .koebe import circularize_hole, circularize_outer, koebe_refine
+from .koebe import circularize_hole, circularize_outer
 from .mesh import TriangleMesh, build_mesh, load_mesh, save_obj_with_uv
 from .partition import (
     PartitionLabeling,
@@ -47,7 +47,6 @@ __all__ = [
     "default_partition",
     "dncp_flatten",
     "extract_submeshes",
-    "koebe_refine",
     "laplace_dirichlet",
     "load_labels",
     "load_mesh",

@@ -4,8 +4,9 @@ The two building blocks are an interior Riemann map of the outer loop onto
 the unit disk (circularize_outer) and its exterior counterpart for inner
 holes (circularize_hole), which conjugates the interior map by an inversion
 so that infinity stays fixed. Each maps one packed state: the loop, an
-anchor and the passengers. Cyclic refinement over all loops implements the
-classical iteration that drives every boundary toward a perfect circle.
+anchor and the passengers. The pipeline rounds one loop at a time with
+them; its refine stage repeats the holes and then the outer loop, Koebe's
+cyclic iteration, which drives every boundary toward a perfect circle.
 """
 
 import numpy as np
@@ -74,7 +75,7 @@ def _closed_geodesic(st, n):
     return st
 
 
-def circularize_hole(hole, passengers=()):
+def circularize_hole(hole, passengers):
     """Normalized conformal map of the hole's exterior onto the exterior of
     the unit disk: the hole boundary goes to the unit circle and infinity
     stays at infinity (up to a similarity far away).
@@ -114,7 +115,7 @@ def circularize_hole(hole, passengers=()):
     return _unpack(_mobius(st, 0.0, 1.0, 1.0, 0.0), n, offsets)
 
 
-def circularize_outer(outer, passengers=()):
+def circularize_outer(outer, passengers):
     """Riemann map of the interior of the counter-clockwise outer loop onto
     the unit disk, on one state: the loop, an interior anchor sent to 0 and
     the passengers. The loop lands on the unit circle unless a passenger's
@@ -136,29 +137,3 @@ def circularize_outer(outer, passengers=()):
         st = _mobius(st, (1.0 - 1e-12) / worst, 0.0, 0.0, 1.0)
     return _unpack(st, n, offsets)
 
-
-def koebe_refine(outer, holes, extras=(), passes=0):
-    """Cyclic refinement: circularize each hole in turn, then the outer
-    boundary, for `passes` full cycles.
-
-    Returns (outer, holes, extras, history) where history holds, after each
-    pass, the list of the holes' loop_circularity floats (history[0] is the
-    state before any refinement).
-    """
-    outer = np.asarray(outer, dtype=np.complex128)
-    holes = [np.asarray(h, dtype=np.complex128) for h in holes]
-    extras = [np.asarray(e, dtype=np.complex128) for e in extras]
-    history = [[loop_circularity(h) for h in holes]]
-    for _ in range(passes):
-        for j in range(len(holes)):
-            others = [outer] + holes[:j] + holes[j + 1 :] + extras
-            holes[j], moved = circularize_hole(holes[j], others)
-            outer = moved[0]
-            for i, h in enumerate(moved[1 : len(holes)]):
-                holes[i if i < j else i + 1] = h
-            extras = moved[len(holes) :]
-        outer, moved = circularize_outer(outer, holes + extras)
-        holes = moved[: len(holes)]
-        extras = moved[len(holes) :]
-        history.append([loop_circularity(h) for h in holes])
-    return outer, holes, extras, history

@@ -2,14 +2,15 @@
 
 Stage order: per-submesh flattening, the pre-planned welds that enclose each
 hole, per-component hole circularization, the remaining welds, outer
-circularization, optional cyclic refinement, per-submesh Dirichlet solves,
-and the sequential global assembly. Flattening runs per submesh in a thread
-pool, where sparse LU releases the GIL. The welds and circularizations run
-in plan order as one task (the chain): their zipper steps hold the GIL, and
-a plan seldom has two label-disjoint welds in a row. Lanes on the other
-workers (one lane, after the chain, at one thread) factor each submesh's
-Dirichlet system beside the chain and solve it once the chain has run.
-Results are reduced by index, so thread count never changes the numbers.
+circularization, optional cyclic refinement (the same hole and outer
+roundings, repeated), per-submesh Dirichlet solves, and the sequential
+global assembly. Flattening runs per submesh in a thread pool, where sparse
+LU releases the GIL. The welds and circularizations run in plan order as
+one task (the chain): their zipper steps hold the GIL, and a plan seldom
+has two label-disjoint welds in a row. Lanes on the other workers (one
+lane, after the chain, at one thread) factor each submesh's Dirichlet
+system beside the chain and solve it once the chain has run. Results are
+reduced by index, so thread count never changes the numbers.
 
 Orientation comes from the faces, never from signed areas: boundary loops
 keep the interior on their left, so the outer loop runs counter-clockwise,
@@ -17,7 +18,8 @@ and a weld takes side A's loop in face order (counter-clockwise) and side
 B's loop reversed (clockwise), both running the planner's directed arcs
 forward. An error names its stage: "flatten" and "laplace" with the
 submesh label, "weld" with the weld's two label sets, "koebe" with
-"hole <loop> of <labels>", "outer" or "refine", and "report".
+"hole <loop> of <labels>", "outer", "refine pass <p>, hole <loop>" or
+"refine pass <p>, outer", and "report".
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .flatten import (
     dncp_flatten,
     lsqc_flatten,
 )
-from .koebe import circularize_hole, circularize_outer, koebe_refine, loop_circularity
+from .koebe import circularize_hole, circularize_outer, loop_circularity
 from .mesh import region_loops
 from .partition import build_weld_specs, extract_submeshes
 from .welding import multiconnected_weld, partial_weld
@@ -113,27 +115,25 @@ class _Tracker:
     def get(self, comp, vids):
         return self.comps[comp][1][self._slots(comp, vids)]
 
-    def _layout(self, comp, loops):
-        slots = [self._slots(comp, lp) for lp in loops]
+    def _layout(self, comp, loop):
+        idx = self._slots(comp, loop)
         off = np.ones(len(self.comps[comp][0]), dtype=bool)
-        for idx in slots:
-            off[idx] = False
-        return slots, off
+        off[idx] = False
+        return idx, off
 
-    def take(self, comp, loops):
-        """Positions of each loop (parent vids) of comp, and of comp's
-        vertices off those loops."""
+    def take(self, comp, loop):
+        """Positions of a loop (parent vids) of comp, and of comp's
+        vertices off it."""
         pos = self.comps[comp][1]
-        slots, off = self._layout(comp, loops)
-        return [pos[idx] for idx in slots], pos[off]
+        idx, off = self._layout(comp, loop)
+        return pos[idx], pos[off]
 
-    def put(self, comp, loops, images, others):
-        """Store the images of take(comp, loops)."""
-        slots, off = self._layout(comp, loops)
+    def put(self, comp, loop, image, others):
+        """Store the images of take(comp, loop)."""
+        idx, off = self._layout(comp, loop)
         pos = np.empty(len(off), dtype=np.complex128)
         pos[off] = others
-        for idx, img in zip(slots, images):
-            pos[idx] = img
+        pos[idx] = image
         self.comps[comp] = (self.comps[comp][0], pos)
 
     def merge(self, left, right):
@@ -263,8 +263,8 @@ def _run_weld(spec, mesh, labels, tracker):
             runs_b.append((s_b, t_b))
 
         # Only the vertices off the two weld loops ride through the weld maps.
-        (pos_a,), rest_a = tracker.take(spec.left, [loop_a])
-        (pos_b,), rest_b = tracker.take(spec.right, [loop_b])
+        pos_a, rest_a = tracker.take(spec.left, loop_a)
+        pos_b, rest_b = tracker.take(spec.right, loop_b)
         failed = []
         for q in _DENSIFY:
             dp_a, sel_a = _subdivide_runs(pos_a, runs_a, q)
@@ -304,8 +304,8 @@ def _run_weld(spec, mesh, labels, tracker):
                     f"; q={fq} failed: {err.code} {err}" for fq, err in failed
                 ),
             )
-        tracker.put(spec.left, [loop_a], [new_a], moved_a[0])
-        tracker.put(spec.right, [loop_b], [new_b], moved_b[0])
+        tracker.put(spec.left, loop_a, new_a, moved_a[0])
+        tracker.put(spec.right, loop_b, new_b, moved_b[0])
         tracker.merge(spec.left, spec.right)
 
 
@@ -396,6 +396,13 @@ def compute_parameterization(
             charts = list(pool.map(_flatten_submesh, submeshes, mu_subs))
             tracker = _Tracker(submeshes, charts)
 
+        def round_loop(comp, ids, circularize):
+            """The one Koebe step: round loop ids of comp with circularize,
+            which callers name by its module global as the chain runs."""
+            poly, rest = tracker.take(comp, ids)
+            out, (moved,) = circularize(poly, [rest])
+            tracker.put(comp, ids, out, moved)
+
         def weld_chain():
             """The chain, in plan order; returns the refinement history."""
             with stage("pre_weld"):
@@ -403,31 +410,26 @@ def compute_parameterization(
                     _run_weld(spec, mesh, labels, tracker)
             with stage("koebe_holes"):
                 for li, comp in sorted(plan.hole_owner.items()):
-                    rim = mesh.boundary_loops[li]
                     with _stage("koebe", f"hole {li} of {sorted(comp)}"):
-                        (poly,), rest = tracker.take(comp, [rim])
-                        out_h, (out_p,) = circularize_hole(poly, [rest])
-                    tracker.put(comp, [rim], [out_h], out_p)
+                        round_loop(comp, mesh.boundary_loops[li], circularize_hole)
             with stage("post_weld"):
                 for spec in plan.welds[plan.n_pre :]:
                     _run_weld(spec, mesh, labels, tracker)
             with stage("outer"), _stage("koebe", "outer"):
                 (whole,) = tracker.comps  # every weld has run: one component
-                outer_ids = mesh.boundary_loops[0]
-                (poly,), rest = tracker.take(whole, [outer_ids])
-                out_o, (out_p,) = circularize_outer(poly, [rest])
-                tracker.put(whole, [outer_ids], [out_o], out_p)
+                round_loop(whole, mesh.boundary_loops[0], circularize_outer)
 
-            hole_loops = [mesh.boundary_loops[li] for li in sorted(plan.hole_owner)]
-            history = [[loop_circularity(tracker.get(whole, lp)) for lp in hole_loops]]
-            if koebe_passes > 0 and hole_loops:
-                with stage("refine"), _stage("koebe", "refine"):
-                    loops = [outer_ids, *hole_loops]
-                    (outer_poly, *hole_polys), rest = tracker.take(whole, loops)
-                    out_o, out_h, (out_e,), history = koebe_refine(
-                        outer_poly, hole_polys, extras=[rest], passes=koebe_passes
-                    )
-                    tracker.put(whole, loops, [out_o, *out_h], out_e)
+            holes = [(li, mesh.boundary_loops[li]) for li in sorted(plan.hole_owner)]
+            history = [[loop_circularity(tracker.get(whole, rim)) for _, rim in holes]]
+            if koebe_passes > 0 and holes:
+                with stage("refine"):  # Koebe's cyclic iteration
+                    for p in range(1, koebe_passes + 1):
+                        for li, rim in holes:
+                            with _stage("koebe", f"refine pass {p}, hole {li}"):
+                                round_loop(whole, rim, circularize_hole)
+                        with _stage("koebe", f"refine pass {p}, outer"):
+                            round_loop(whole, mesh.boundary_loops[0], circularize_outer)
+                        history.append([loop_circularity(tracker.get(whole, r)) for _, r in holes])
             return history
 
         def dirichlet_lane(block):

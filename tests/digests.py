@@ -13,9 +13,9 @@ perfbench/workloads.py; then the conformal_grid mesh again at 8, 12, 16 and
 map and one many-hole map at koebe_passes 1 and 2, whose lines also hash the
 refinement history; then the tiny annulus map that perfbench/workloads.py
 runs to warm up and perfbench/test_perfbench.py runs as its library map, at
-three mu fields. Each group comes after the ones before it, so that older
-digest files still compare line by line. The file name keeps pytest from
-collecting it.
+three mu fields; then one 3D many-hole map at koebe_passes 1 and 2. Each
+group comes after the ones before it, so that older digest files still
+compare line by line. The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -78,6 +78,13 @@ def refined_cases(workdir):
     ]
 
 
+def refined_3d_cases():
+    """A many-hole sphere map, to digest the refinement on a 3D mesh too."""
+    mesh = fixtures.many_hole_sphere(30, 9)
+    zero = np.zeros(mesh.n_faces, complex)
+    return [workloads.Case("many_hole_sphere(30,9)/parts=4/mu=0", mesh, 4, zero)]
+
+
 def warm_up_cases():
     """annulus_mesh(6,32) at 2 parts with the warm-up library map's mu
     (smooth_beltrami with seed 42), the warm-up CLI map's (0) and the
@@ -97,8 +104,7 @@ def _sha(data):
 
 def digest(case, threads, koebe_passes=0):
     """The line of one map at the given thread count and Koebe passes; a
-    line with passes also hashes the refinement history as floats (the
-    .circularity of an entry that has one)."""
+    line with passes also hashes the refinement history as floats."""
     head = f"{case.name} threads={threads}"
     if koebe_passes:
         head += f" koebe_passes={koebe_passes}"
@@ -113,9 +119,7 @@ def digest(case, threads, koebe_passes=0):
     report = json.dumps(res.report.as_dict(), sort_keys=True)
     line = f"{head} uv {_sha(res.param.uv.tobytes())} report {_sha(report.encode())}"
     if koebe_passes:
-        history = [
-            [float(getattr(c, "circularity", c)) for c in row] for row in res.refine_history
-        ]
+        history = [[float(c) for c in row] for row in res.refine_history]
         line += f" refine {_sha(np.array(history, dtype=float).tobytes())}"
     return line
 
@@ -132,6 +136,10 @@ def main():
         for case in warm_up_cases():
             for threads in THREADS:
                 print(digest(case, threads), flush=True)
+        for case in refined_3d_cases():
+            for koebe_passes in KOEBE_PASSES:
+                for threads in THREADS:
+                    print(digest(case, threads, koebe_passes), flush=True)
 
 
 if __name__ == "__main__":

@@ -12,12 +12,18 @@ and returns the same images, so a test can compare the two bit for bit.
 `disk_map_interior` is the interior map that circularize_outer makes before
 it shrinks: the package's outer map once called it and repacked its images
 to shrink them, so a test can check the shrink against it.
+
+`koebe_refine` is Koebe's cyclic iteration on every loop at once, the way
+the package ran its refine passes before the pipeline repeated its own hole
+and outer roundings on the tracked positions. It calls the package's two
+maps, so a test can pin the pipeline's refine stage to it bit for bit.
 """
 
 import numpy as np
 
+from weldmap import koebe
 from weldmap.errors import MisorderedArc, NumericalBreakdown
-from weldmap.koebe import _closed_geodesic
+from weldmap.koebe import _closed_geodesic, loop_circularity
 from weldmap.welding import (
     _interior_point,
     _mobius,
@@ -76,3 +82,30 @@ def circularize_hole(hole, passengers=()):
         out = out[::-1]
     st, offsets = _pack_state(out, out_p)
     return _unpack(_mobius(st, 0.0, 1.0, 1.0, 0.0), n, offsets)
+
+
+def koebe_refine(outer, holes, extras=(), passes=0):
+    """Cyclic refinement: circularize each hole in turn, then the outer
+    boundary, for `passes` full cycles.
+
+    Returns (outer, holes, extras, history) where history holds, after each
+    pass, the list of the holes' loop_circularity floats (history[0] is the
+    state before any refinement).
+    """
+    outer = np.asarray(outer, dtype=np.complex128)
+    holes = [np.asarray(h, dtype=np.complex128) for h in holes]
+    extras = [np.asarray(e, dtype=np.complex128) for e in extras]
+    history = [[loop_circularity(h) for h in holes]]
+    for _ in range(passes):
+        for j in range(len(holes)):
+            others = [outer] + holes[:j] + holes[j + 1 :] + extras
+            holes[j], moved = koebe.circularize_hole(holes[j], others)
+            outer = moved[0]
+            for i, h in enumerate(moved[1 : len(holes)]):
+                holes[i if i < j else i + 1] = h
+            extras = moved[len(holes) :]
+        outer, moved = koebe.circularize_outer(outer, holes + extras)
+        holes = moved[: len(holes)]
+        extras = moved[len(holes) :]
+        history.append([loop_circularity(h) for h in holes])
+    return outer, holes, extras, history

@@ -18,7 +18,6 @@ from weldmap.flatten import (
     lsqc_flatten,
     wirtinger_derivatives,
 )
-from weldmap.koebe import koebe_refine
 from weldmap.mesh import TriangleMesh, face_areas
 from weldmap.partition import default_partition, extract_submeshes
 from weldmap.pipeline import _flatten_submesh, compute_parameterization
@@ -37,6 +36,7 @@ from fixtures import (
     square_hole,
     two_hole_grid,
 )
+from koebe_reference import koebe_refine
 
 
 def _line(num, ok, detail):

@@ -47,6 +47,7 @@ from weldmap.partition import (
 from weldmap.pipeline import _DENSIFY, _run_weld, _subdivide_runs, compute_parameterization
 
 from fixtures import annulus_mesh, curved_annulus, grid_mesh, smooth_beltrami, two_hole_grid
+import koebe_reference
 
 
 def _zero_mu(mesh):
@@ -123,6 +124,53 @@ def test_refine_passes_recorded():
         mesh, labels, _zero_mu(mesh), koebe_passes=2, threads=1
     )
     assert len(res.refine_history) == 3  # initial verification + 2 passes
+
+
+def test_refine_without_a_hole_does_nothing():
+    mesh = grid_mesh(4, 4)
+    res = compute_parameterization(mesh, _halves(mesh), _zero_mu(mesh), koebe_passes=2)
+    assert res.refine_history == [[]]
+    assert "refine" not in res.report.timings
+
+
+def test_refine_matches_the_cyclic_reference_bit_for_bit():
+    # The refine stage rounds one loop at a time on the tracker; the
+    # reference takes every loop at once, with the other tracked vertices
+    # as extras. Both must give the same bits.
+    mesh = two_hole_grid(40)
+    labels = default_partition(mesh, 4)
+    res = compute_parameterization(
+        mesh, labels, _zero_mu(mesh), koebe_passes=2, deterministic=True,
+        want_snapshots=True,
+    )
+    subs = extract_submeshes(mesh, labels)
+
+    def positions(stage):
+        (loops,) = [loops for name, loops in res.snapshots if name == stage]
+        pos = {}
+        for (lab, pts), lp in zip(loops, (lp for s in subs for lp in s.mesh.boundary_loops)):
+            pos.update(zip(subs[lab].to_parent[lp].tolist(), pts))
+        return pos
+
+    before, after = positions("outer"), positions("refine")
+    assert before.keys() == after.keys()
+    on_loops = set(np.concatenate(mesh.boundary_loops).tolist())
+    extras = sorted(set(before) - on_loops)
+    holes = mesh.boundary_loops[1:]
+
+    def pick(pos, ids):
+        return np.array([pos[v] for v in ids])
+
+    outer, hs, (ex,), history = koebe_reference.koebe_refine(
+        pick(before, mesh.boundary_loops[0]), [pick(before, h) for h in holes],
+        [pick(before, extras)], passes=2,
+    )
+    assert len(holes) == 2 and len(extras) > 0
+    assert np.array_equal(outer, pick(after, mesh.boundary_loops[0]))
+    for h, ids in zip(hs, holes):
+        assert np.array_equal(h, pick(after, ids))
+    assert np.array_equal(ex, pick(after, extras))
+    assert history == res.refine_history
 
 
 def test_cli_end_to_end(tmp_path):
@@ -395,12 +443,31 @@ def test_failures_after_the_welds_name_their_stage(monkeypatch, target, error, s
 
 
 @pytest.mark.parametrize(
-    "target, where",
-    [("circularize_hole", "hole"), ("circularize_outer", "outer"), ("koebe_refine", "refine")],
+    "target, call, where",
+    [
+        ("circularize_hole", 1, "hole"),
+        ("circularize_outer", 1, "outer"),
+        ("circularize_hole", 2, "refine pass 1, hole 1"),
+        ("circularize_outer", 2, "refine pass 1, outer"),
+    ],
+    ids=[
+        "circularize_hole-hole",
+        "circularize_outer-outer",
+        "circularize_hole-refine-hole",
+        "circularize_outer-refine-outer",
+    ],
 )
-def test_koebe_failures_name_their_hole_and_component(monkeypatch, target, where):
+def test_koebe_failures_name_their_hole_and_component(monkeypatch, target, call, where):
+    # The map fails on its call-th call: the chain's rounding first, then
+    # the refine passes' roundings.
+    real = getattr(pipeline, target)
+    calls = []
+
     def failing(*args, **kwargs):
-        raise NumericalBreakdown("anchor left the unit disk")
+        calls.append(1)
+        if len(calls) == call:
+            raise NumericalBreakdown("anchor left the unit disk")
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, target, failing)
     mesh = annulus_mesh(6, 32)
