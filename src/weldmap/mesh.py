@@ -174,15 +174,6 @@ def walk_boundary_loops(faces, n_vertices):
     return _walk_loops(faces, half_edge_twins(faces, n_vertices) < 0)
 
 
-def region_boundary(mesh, face_ids):
-    """Mask, shaped like mesh.faces[face_ids], of the boundary half-edges of
-    that face set: those without a twin or with one in a face outside it."""
-    twin = mesh.twin[face_ids]
-    inside = np.zeros(mesh.n_faces, dtype=bool)
-    inside[face_ids] = True
-    return (twin < 0) | ~inside[twin // 3]  # twin -1 reads the last face
-
-
 def region_twins(mesh, face_ids):
     """The twin table of the face set face_ids of mesh, cut out of the
     mesh's: half-edge 3 i + k is corner k of face face_ids[i], and an entry
@@ -196,8 +187,9 @@ def region_twins(mesh, face_ids):
 
 
 def region_loops(mesh, face_ids):
-    """Boundary loops of the face set face_ids of mesh (see _walk_loops)."""
-    return _walk_loops(mesh.faces[face_ids], region_boundary(mesh, face_ids))
+    """Boundary loops of the face set face_ids of mesh (see _walk_loops):
+    its boundary half-edges are the -1 entries of its twin cut."""
+    return _walk_loops(mesh.faces[face_ids], region_twins(mesh, face_ids) < 0)
 
 
 def _walk_loops(faces, on_boundary):

@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     SubmeshWithTwoHoles,
 )
-from .mesh import TriangleMesh, build_mesh, region_boundary, region_twins
+from .mesh import TriangleMesh, build_mesh, region_twins
 
 
 @dataclass
@@ -98,7 +98,7 @@ def _region_error(mesh, face_ids, lab, twin):
     pinched = tails[1:][tails[1:] == tails[:-1]]
     if len(pinched):
         return NonManifold(f"submesh {lab} touches itself at vertex {int(pinched[0])}")
-    holes = region_hole_count(mesh, face_ids)
+    holes = region_hole_count(mesh, face_ids, twin)
     if holes > 1:
         return SubmeshWithTwoHoles(f"submesh {lab} has {holes} holes")
     return None
@@ -131,11 +131,12 @@ def _interior_edges(mesh):
     return tail[h], tail[twin[h]], h // 3, twin[h] // 3
 
 
-def region_hole_count(mesh, face_ids):
-    """Number of inner holes of the region spanned by face_ids (Euler count)."""
+def region_hole_count(mesh, face_ids, twin):
+    """Number of inner holes of the region spanned by face_ids, whose twin
+    cut (region_twins) is twin (Euler count)."""
     # Edges inside the region have two of its half-edges, edges on its
-    # boundary one.
-    n_boundary = int(np.count_nonzero(region_boundary(mesh, face_ids)))
+    # boundary one: the -1 entries of the twin cut.
+    n_boundary = int(np.count_nonzero(twin < 0))
     n_e = (3 * len(face_ids) + n_boundary) // 2
     faces = mesh.faces[face_ids]
     n_v = np.count_nonzero(np.bincount(faces.ravel(), minlength=mesh.n_vertices))
@@ -261,7 +262,8 @@ def build_weld_specs(mesh, labels, submeshes):
         if len(comp) == 1:
             return submeshes[next(iter(comp))].mesh.n_holes
         if comp not in holes_memo:
-            holes_memo[comp] = region_hole_count(mesh, labels.faces_in(comp))
+            face_ids = labels.faces_in(comp)
+            holes_memo[comp] = region_hole_count(mesh, face_ids, region_twins(mesh, face_ids))
         return holes_memo[comp]
 
     def comp_of(lab):

@@ -115,22 +115,18 @@ class _Tracker:
     def get(self, comp, vids):
         return self.comps[comp][1][self._slots(comp, vids)]
 
-    def _layout(self, comp, loop):
-        idx = self._slots(comp, loop)
-        off = np.ones(len(self.comps[comp][0]), dtype=bool)
-        off[idx] = False
-        return idx, off
-
     def take(self, comp, loop):
-        """Positions of a loop (parent vids) of comp, and of comp's
-        vertices off it."""
+        """Positions of a loop (parent vids) of comp and of comp's vertices
+        off it, and the slots of both, which put takes back."""
         pos = self.comps[comp][1]
-        idx, off = self._layout(comp, loop)
-        return pos[idx], pos[off]
+        idx = self._slots(comp, loop)
+        off = np.ones(len(pos), dtype=bool)
+        off[idx] = False
+        return pos[idx], pos[off], (idx, off)
 
-    def put(self, comp, loop, image, others):
-        """Store the images of take(comp, loop)."""
-        idx, off = self._layout(comp, loop)
+    def put(self, comp, slots, image, others):
+        """Store the images of what take gave with these slots."""
+        idx, off = slots
         pos = np.empty(len(off), dtype=np.complex128)
         pos[off] = others
         pos[idx] = image
@@ -188,19 +184,27 @@ def _subdivide_runs(pos, runs, q):
     return np.concatenate(parts), sel
 
 
-def _side_loop(loops, arc, reverse):
-    """The boundary loop through arc[0], rotated to start there and, for side
-    B, reversed; it must start with the arc."""
-    for lp in loops:
-        at = np.flatnonzero(lp == arc[0])
-        if len(at):
-            lp = np.roll(lp, -at[0])
-            if reverse:
-                lp = np.roll(lp[::-1], 1)
-            if np.array_equal(lp[: len(arc)], arc):
-                return lp
-            break
-    raise WrongTopology("weld arc is not on a side boundary loop in its direction")
+def _weld_side(loops, arcs, reverse):
+    """Lay out one side of a weld: its boundary loop through arcs[0][0],
+    rotated to start there and, for side B, reversed, and the (start, end)
+    run of each arc on that loop. The loop must start with arcs[0]
+    (WrongTopology) and hold every later arc (MisorderedArc)."""
+    arc = arcs[0]
+    lp = next((lp for lp in loops if arc[0] in lp), None)
+    if lp is not None:
+        lp = np.roll(lp, -int(np.argmax(lp == arc[0])))
+        if reverse:
+            lp = np.roll(lp[::-1], 1)
+    if lp is None or not np.array_equal(lp[: len(arc)], arc):
+        raise WrongTopology("weld arc is not on a side boundary loop in its direction")
+    runs = [(0, len(arc) - 1)]
+    for arc in arcs[1:]:
+        # argmax gives 0, where arcs[0] starts, when arc[0] is missing.
+        s = int(np.argmax(lp == arc[0]))
+        if not np.array_equal(lp[s : s + len(arc)], arc):
+            raise MisorderedArc("second weld arc is inconsistent between the two sides")
+        runs.append((s, s + len(arc) - 1))
+    return lp, runs
 
 
 @contextmanager
@@ -233,54 +237,35 @@ def _run_weld(spec, mesh, labels, tracker):
         # directions, so the face-ordered loop of side A (counter-clockwise)
         # and the reversed loop of side B (clockwise) both run the directed
         # arcs forward.
-        arc1 = spec.arcs[0]
-        loop_a = _side_loop(loops_l, arc1, reverse=False)
-        loop_b = _side_loop(loops_r, arc1, reverse=True)
-        r = len(arc1) - 1
-        runs_a = [(0, r)]
-        runs_b = [(0, r)]
-        two_arc = spec.arc_kind == "two-arc-multiply-connected"
-        if two_arc:
-            arc2 = spec.arcs[1]
-            # argmax gives 0, where arcs[0] starts, when arc2[0] is missing.
-            s_a, s_b = (int(np.argmax(lp == arc2[0])) for lp in (loop_a, loop_b))
-            t_a, t_b = s_a + len(arc2) - 1, s_b + len(arc2) - 1
-            if not (
-                np.array_equal(loop_a[s_a : t_a + 1], arc2)
-                and np.array_equal(loop_b[s_b : t_b + 1], arc2)
-            ):
-                raise MisorderedArc(
-                    "second weld arc is inconsistent between the two sides"
-                )
+        loop_a, runs_a = _weld_side(loops_l, spec.arcs, reverse=False)
+        loop_b, runs_b = _weld_side(loops_r, spec.arcs, reverse=True)
+        r = runs_a[0][1]
+        weld = partial_weld
+        if spec.arc_kind == "two-arc-multiply-connected":
             # Between the arcs, side A runs along its share of the hole rim
             # (the other gap is outer boundary).
             rim = mesh.boundary_loops[spec.hole_loop]
-            if not np.isin(loop_a[r + 1 : s_a], rim).all():
+            if not np.isin(loop_a[r + 1 : runs_a[1][0]], rim).all():
                 raise MisorderedArc(
                     "cannot order the two weld arcs around the hole rim"
                 )
-            runs_a.append((s_a, t_a))
-            runs_b.append((s_b, t_b))
+            weld = multiconnected_weld
 
         # Only the vertices off the two weld loops ride through the weld maps.
-        pos_a, rest_a = tracker.take(spec.left, loop_a)
-        pos_b, rest_b = tracker.take(spec.right, loop_b)
+        pos_a, rest_a, slots_a = tracker.take(spec.left, loop_a)
+        pos_b, rest_b, slots_b = tracker.take(spec.right, loop_b)
         failed = []
         for q in _DENSIFY:
             dp_a, sel_a = _subdivide_runs(pos_a, runs_a, q)
             dp_b, sel_b = _subdivide_runs(pos_b, runs_b, q)
+            # The (start, end) of each later arc on side A, then on side B.
+            markers = [int(sel[i]) for sel, runs in ((sel_a, runs_a), (sel_b, runs_b))
+                       for run in runs[1:] for i in run]
             try:
-                if two_arc:
-                    dn_a, dn_b, moved_a, moved_b = multiconnected_weld(
-                        dp_a, dp_b, r * q, int(sel_a[s_a]), int(sel_a[t_a]),
-                        int(sel_b[s_b]), int(sel_b[t_b]),
-                        passengers_a=[rest_a], passengers_b=[rest_b],
-                    )
-                else:
-                    dn_a, dn_b, moved_a, moved_b = partial_weld(
-                        dp_a, dp_b, r * q,
-                        passengers_a=[rest_a], passengers_b=[rest_b],
-                    )
+                dn_a, dn_b, moved_a, moved_b = weld(
+                    dp_a, dp_b, r * q, *markers,
+                    passengers_a=[rest_a], passengers_b=[rest_b],
+                )
             except NumericalBreakdown as err:
                 failed.append((q, err))
                 continue
@@ -304,8 +289,8 @@ def _run_weld(spec, mesh, labels, tracker):
                     f"; q={fq} failed: {err.code} {err}" for fq, err in failed
                 ),
             )
-        tracker.put(spec.left, loop_a, new_a, moved_a[0])
-        tracker.put(spec.right, loop_b, new_b, moved_b[0])
+        tracker.put(spec.left, slots_a, new_a, moved_a[0])
+        tracker.put(spec.right, slots_b, new_b, moved_b[0])
         tracker.merge(spec.left, spec.right)
 
 
@@ -399,9 +384,9 @@ def compute_parameterization(
         def round_loop(comp, ids, circularize):
             """The one Koebe step: round loop ids of comp with circularize,
             which callers name by its module global as the chain runs."""
-            poly, rest = tracker.take(comp, ids)
+            poly, rest, slots = tracker.take(comp, ids)
             out, (moved,) = circularize(poly, [rest])
-            tracker.put(comp, ids, out, moved)
+            tracker.put(comp, slots, out, moved)
 
         def weld_chain():
             """The chain, in plan order; returns the refinement history."""

@@ -569,13 +569,14 @@ def _weld_pairs(st_a, st_b, k, na, nb):
     return za.chain(), zb.chain()
 
 
-def partial_weld(a_points, b_points, k, passengers_a=(), passengers_b=()):
+def partial_weld(a_points, b_points, k, passengers_a, passengers_b):
     """Weld two boundary chains along their shared arc (indices 0..k).
 
     a_points must run counter-clockwise around polygon A and b_points
     clockwise around polygon B, with a_j and b_j the two copies of the same
-    arc point. passengers_a and passengers_b are lists of arrays of further
-    points of each side's plane that ride through the same conformal maps.
+    arc point. passengers_a and passengers_b are lists, maybe empty, of
+    arrays of further points of each side's plane that ride through the same
+    conformal maps.
 
     Returns (welded a, welded b, moved_a, moved_b): the welded chains, of
     the input lengths, and lists of the passengers' images. A passenger sent
@@ -714,7 +715,7 @@ def auxiliary_path(a_r, a_s, count, polygon):
 
 
 def multiconnected_weld(a_points, b_points, r, s_a, t_a, s_b, t_b,
-                        passengers_a=(), passengers_b=()):
+                        passengers_a, passengers_b):
     """Weld along two arcs: indices 0..r and s..t on each chain, where the
     gap r..s is that chain's share of an inner hole rim (the two shares may
     have different lengths).  Auxiliary points bridge the gap so the
@@ -725,7 +726,7 @@ def multiconnected_weld(a_points, b_points, r, s_a, t_a, s_b, t_b,
     clips either chain, PathInsidePolygon names the side.
 
     As in partial_weld, a_points must run counter-clockwise and b_points
-    clockwise. Returns (welded a, welded b, moved_a, moved_b): the welded
+    clockwise, and the passengers are lists of arrays. Returns (welded a, welded b, moved_a, moved_b): the welded
     chains in the original indexing and the passengers' images.
     """
     a_points = np.asarray(a_points, dtype=np.complex128)

@@ -13,9 +13,11 @@ perfbench/workloads.py; then the conformal_grid mesh again at 8, 12, 16 and
 map and one many-hole map at koebe_passes 1 and 2, whose lines also hash the
 refinement history; then the tiny annulus map that perfbench/workloads.py
 runs to warm up and perfbench/test_perfbench.py runs as its library map, at
-three mu fields; then one 3D many-hole map at koebe_passes 1 and 2. Each
-group comes after the ones before it, so that older digest files still
-compare line by line. The file name keeps pytest from collecting it.
+three mu fields; then one 3D many-hole map at koebe_passes 1 and 2; then the
+maps of tests/test_ledger.py at other resolutions (the 6-hole grid at n = 40
+and 60, and annulus_mesh(10,60) with mu = 0). Each group comes after the
+ones before it, so that older digest files still compare line by line. The
+file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -98,6 +100,25 @@ def warm_up_cases():
     return [workloads.Case(f"annulus_mesh(6,32)/parts=2/mu={tag}", mesh, 2, mu) for tag, mu in fields]
 
 
+def resolution_cases():
+    """The maps of tests/test_ledger.py that mesh a domain of the other
+    groups at another resolution."""
+    out = []
+    for make, args, parts_list, tags in (
+        (fixtures.many_hole_grid, (40, 6), (1, 4, 8), ("0", "smooth")),
+        (fixtures.many_hole_grid, (60, 6), (1, 4, 8), ("0", "smooth")),
+        (fixtures.annulus_mesh, (10, 60), (1, 2, 3, 4, 6, 8), ("0",)),
+    ):
+        mesh = make(*args)
+        fields = {"0": np.zeros(mesh.n_faces, complex),
+                  "smooth": fixtures.smooth_beltrami(mesh, 42)}
+        for parts in parts_list:
+            for tag in tags:
+                name = f"{make.__name__}({args[0]},{args[1]})/parts={parts}/mu={tag}"
+                out.append(workloads.Case(name, mesh, parts, fields[tag]))
+    return out
+
+
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
@@ -140,6 +161,9 @@ def main():
             for koebe_passes in KOEBE_PASSES:
                 for threads in THREADS:
                     print(digest(case, threads, koebe_passes), flush=True)
+        for case in resolution_cases():
+            for threads in THREADS:
+                print(digest(case, threads), flush=True)
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from weldmap.errors import DisconnectedSubmesh, ParseError, SubmeshWithTwoHoles, WeldmapError
+from weldmap.mesh import region_twins
 from weldmap.partition import PartitionLabeling, _interior_edges, region_hole_count
 
 
@@ -39,7 +40,8 @@ def validate(mesh, labels):
     for lab in range(labels.n_parts):
         if pieces[lab] != 1:
             raise DisconnectedSubmesh(f"submesh {lab} is not edge-connected")
-        holes = region_hole_count(mesh, np.flatnonzero(face_label == lab))
+        face_ids = np.flatnonzero(face_label == lab)
+        holes = region_hole_count(mesh, face_ids, region_twins(mesh, face_ids))
         if holes > 1:
             raise SubmeshWithTwoHoles(f"submesh {lab} has {holes} holes")
 

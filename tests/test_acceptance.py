@@ -285,7 +285,7 @@ def _chord_split_disk(c=0.35, ns=41):
 
 def test_criterion_07_weld_exactness(two_hole, two_hole_stitched):
     a, b, k = _chord_split_disk()
-    welded_a, welded_b, _, _ = partial_weld(a, b, k)
+    welded_a, welded_b, _, _ = partial_weld(a, b, k, passengers_a=[], passengers_b=[])
     weld_gap = float(np.abs(welded_a[: k + 1] - welded_b[: k + 1]).max())
     chain_diam = float(np.abs(welded_a[:, None] - welded_a[None, :]).max())
 

@@ -13,6 +13,7 @@ from weldmap.partition import default_partition
 from weldmap.pipeline import compute_parameterization
 
 from fixtures import (
+    annulus_mesh,
     curved_annulus,
     disk_mesh,
     hemisphere_cap,
@@ -27,6 +28,8 @@ MESHES = {
     "curved_annulus()": curved_annulus,
     **{f"many_hole_grid(30,{k})": (lambda k=k: many_hole_grid(30, k)) for k in (3, 6, 9)},
     **{f"many_hole_sphere(30,{k})": (lambda k=k: many_hole_sphere(30, k)) for k in (3, 6, 9)},
+    **{f"many_hole_grid({n},6)": (lambda n=n: many_hole_grid(n, 6)) for n in (40, 60)},
+    "annulus_mesh(10,60)": lambda: annulus_mesh(10, 60),
 }
 
 MIS = "MISORDERED_ARC"
@@ -74,6 +77,12 @@ MANY_HOLES = [
     *[("many_hole_grid(30,9)", p, mu, 0) for p in (1, 4, 8) for mu in ("0", "smooth")],
     *[("many_hole_sphere(30,9)", p, "0", 0) for p in (1, 4, 8)],
     *[("many_hole_sphere(30,9)", p, "smooth", (NUM, "koebe")) for p in (1, 4, 8)],
+    # The same domains at other resolutions: a finer or coarser mesh of the
+    # 6-hole lattice, or a coarse annulus, changes the outcome.
+    *[("many_hole_grid(40,6)", p, mu, (MIS, "weld")) for p in (1, 4, 8) for mu in ("0", "smooth")],
+    *[("many_hole_grid(60,6)", p, "0", (MIS, "weld")) for p in (1, 4, 8)],
+    *[("many_hole_grid(60,6)", p, "smooth", 0) for p in (1, 4, 8)],
+    *[("annulus_mesh(10,60)", p, "0", 0 if p in (1, 2, 8) else (MIS, "weld")) for p in PARTS],
 ]
 
 

@@ -11,7 +11,7 @@ from weldmap.errors import (
     ParseError,
     SubmeshWithTwoHoles,
 )
-from weldmap.mesh import build_mesh, region_loops, walk_boundary_loops
+from weldmap.mesh import build_mesh, region_loops, region_twins, walk_boundary_loops
 from weldmap.partition import (
     PartitionLabeling,
     _touching_labels,
@@ -273,10 +273,11 @@ def _built_holes(mesh, face_ids):
 def test_region_hole_count_matches_build_mesh(make, cuts, whole, regions):
     m = make()
     label = np.digitize(m.vertices[m.faces].mean(axis=1)[:, 0], cuts)
-    assert region_hole_count(m, np.arange(m.n_faces)) == m.n_holes == whole
+    every = np.arange(m.n_faces)
+    assert region_hole_count(m, every, region_twins(m, every)) == m.n_holes == whole
     for labs, want in regions.items():
         face_ids = np.flatnonzero(np.isin(label, labs))
-        count = region_hole_count(m, face_ids)
+        count = region_hole_count(m, face_ids, region_twins(m, face_ids))
         assert count == _built_holes(m, face_ids) == _holes_by_edge_sort(m, face_ids) == want, labs
 
 
@@ -288,7 +289,7 @@ def test_region_hole_count_matches_build_mesh(make, cuts, whole, regions):
     ],
 )
 def test_default_partition_raises_validation_bugs(monkeypatch, mesh, parts):
-    def broken(mesh, face_ids):
+    def broken(mesh, face_ids, twin):
         raise ValueError("bug inside validation")
 
     monkeypatch.setattr(partition, "region_hole_count", broken)
@@ -410,7 +411,8 @@ def test_a_connected_part_that_touches_itself_fails_the_partition_rule():
     lab = np.full(mesh.n_faces, 2, dtype=np.int64)
     lab[_cells(4, ring)] = 0
     lab[_cells(4, [(2, 1)])] = 1
-    assert region_hole_count(mesh, np.flatnonzero(lab == 0)) == 1
+    ring_ids = np.flatnonzero(lab == 0)
+    assert region_hole_count(mesh, ring_ids, region_twins(mesh, ring_ids)) == 1
     with pytest.raises(NonManifold, match=r"^submesh 0 touches itself at vertex 12$"):
         compute_parameterization(mesh, PartitionLabeling(face_label=lab), np.zeros(mesh.n_faces, complex))
 
@@ -505,6 +507,7 @@ def test_validate_checks_label_by_label_connectivity_first(
     cent = mesh.vertices[mesh.faces].mean(axis=1)
     cell = np.floor(cent * [nx, 6]).astype(np.int64)
     lab = np.array([tuple(c) in set(label_1_cells) for c in cell.tolist()], dtype=np.int64)
-    assert region_hole_count(mesh, np.flatnonzero(lab == 0)) == 2
+    face_ids = np.flatnonzero(lab == 0)
+    assert region_hole_count(mesh, face_ids, region_twins(mesh, face_ids)) == 2
     with pytest.raises(error, match=f"^{message}$"):
         validate(PartitionLabeling(face_label=lab), mesh)

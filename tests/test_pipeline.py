@@ -258,6 +258,16 @@ def test_benchmark_hooks_find_their_targets(monkeypatch):
     assert list(res.report.timings) == [*stages, "area_correct"]
 
 
+def test_benchmark_warm_up_maps_succeed(monkeypatch, tmp_path):
+    # perfbench/workloads.warm_up raises when one of its two small maps
+    # fails, which stops the benchmark before it times anything; welds
+    # amplify rounding, so a change that moves the charts slightly can do
+    # that.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    workloads.warm_up(str(tmp_path))
+
+
 def test_mu_csv_formats(tmp_path):
     p3 = tmp_path / "mu3.csv"
     p3.write_text("face_index,re,im\n1,0.25,-0.5\n")
@@ -365,6 +375,38 @@ def test_weld_arc_against_the_face_direction_is_wrong_topology():
     (spec,) = build_weld_specs(mesh, labels, extract_submeshes(mesh, labels)).welds
     spec.arcs = [spec.arcs[0][::-1]]
     with pytest.raises(WrongTopology, match="direction") as info:
+        _run_weld(spec, mesh, labels, tracker=None)
+    assert info.value.stage == "weld"
+    assert info.value.submesh == "[0] and [1]"
+
+
+def _annulus_two_arc_weld():
+    """An annulus cut in two by the y axis, and its one weld: two arcs
+    around the hole."""
+    mesh = annulus_mesh()
+    cent = mesh.vertices[mesh.faces].mean(axis=1)
+    labels = PartitionLabeling(face_label=(cent[:, 0] > 0).astype(np.int64))
+    (spec,) = build_weld_specs(mesh, labels, extract_submeshes(mesh, labels)).welds
+    assert spec.arc_kind == "two-arc-multiply-connected"
+    return mesh, labels, spec
+
+
+def test_weld_second_arc_off_the_sides_is_misordered():
+    mesh, labels, spec = _annulus_two_arc_weld()
+    spec.arcs[1] = spec.arcs[1][::-1]
+    with pytest.raises(MisorderedArc, match="^second weld arc is inconsistent between the two sides$") as info:
+        _run_weld(spec, mesh, labels, tracker=None)
+    assert info.value.stage == "weld"
+    assert info.value.submesh == "[0] and [1]"
+
+
+def test_weld_arcs_out_of_rim_order_are_misordered():
+    # Swapped, the arcs still lie on both sides, but side A runs along the
+    # outer boundary, not the hole rim, from the end of the first to the
+    # start of the second.
+    mesh, labels, spec = _annulus_two_arc_weld()
+    spec.arcs.reverse()
+    with pytest.raises(MisorderedArc, match="^cannot order the two weld arcs around the hole rim$") as info:
         _run_weld(spec, mesh, labels, tracker=None)
     assert info.value.stage == "weld"
     assert info.value.submesh == "[0] and [1]"

@@ -91,6 +91,26 @@ def test_every_optional_parameter_is_passed_in_src():
     assert not unpassed, "optional parameters no call in src passes: " + ", ".join(unpassed)
 
 
+def test_every_import_is_used_in_its_module():
+    # A module imports only what it uses itself: src keeps no import for
+    # another module, a test or the benchmark to reach through it.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, "imported but unused: " + ", ".join(unused)
+
+
 def test_one_sparse_lu_call_in_src():
     # The flatten, QC and Dirichlet systems all factor in flatten.factor_fixed.
     calls = [

@@ -278,7 +278,7 @@ def test_weld_identity_correspondence_is_mobius():
     # Both pieces come from one disk with the identity correspondence, so the
     # welded picture must reproduce the disk up to a Mobius transformation.
     a, b, k = chord_split_disk()
-    wa, wb, _, _ = partial_weld(a, b, k)
+    wa, wb, _, _ = partial_weld(a, b, k, passengers_a=[], passengers_b=[])
     w = np.concatenate([wa[k:], [wa[0]], wb[k + 1 :][::-1]])
     o = np.concatenate([a[k:], [a[0]], b[k + 1 :][::-1]])
     # Mobius maps preserve cross-ratios; check random quadruples.
@@ -306,7 +306,7 @@ def test_weld_frame_independent_pairs():
 def test_weld_rejects_wrong_orientation():
     a, b, k = disk_halves()
     with pytest.raises(MisorderedArc):
-        partial_weld(a, b[::-1], k)  # B made counter-clockwise
+        partial_weld(a, b[::-1], k, passengers_a=[], passengers_b=[])  # B made counter-clockwise
 
 
 def test_chain_preserves_beltrami():
@@ -317,7 +317,7 @@ def test_chain_preserves_beltrami():
     mesh = grid_mesh(10, 10, width=0.4, height=0.6)
     verts = mesh.vertices + np.array([0.45, -0.3])
     z = verts[:, 0] + 1j * verts[:, 1]
-    _, _, (img,), _ = partial_weld(a, b, k, passengers_a=[z])
+    _, _, (img,), _ = partial_weld(a, b, k, passengers_a=[z], passengers_b=[])
     fd = beltrami_per_face(verts, mesh.faces, np.column_stack([img.real, img.imag]))
     assert np.abs(fd.mu_face).max() <= 1e-6
 
@@ -326,7 +326,7 @@ def test_passenger_on_boundary_point_lands_on_its_welded_image():
     # A passenger sitting on a side-A boundary point off the weld arcs goes
     # through the same maps as that point, so it lands on its welded image.
     a, b, k = chord_split_disk()
-    wa, _, (moved,), _ = partial_weld(a, b, k, passengers_a=[a[k + 1 :]])
+    wa, _, (moved,), _ = partial_weld(a, b, k, passengers_a=[a[k + 1 :]], passengers_b=[])
     welded = wa[k + 1 :]
     diam = diameter(wa)
     assert np.abs(moved - welded).max() <= 1e-12 * diam
@@ -334,7 +334,7 @@ def test_passenger_on_boundary_point_lands_on_its_welded_image():
     a, b, r, s, t = annulus_halves()
     off_arcs = np.r_[r + 1 : s, t + 1 : len(a)]  # hole rim share, outer arc
     out_a, _, (moved,), _ = multiconnected_weld(
-        a, b, r, s, t, s, t, passengers_a=[a[off_arcs]]
+        a, b, r, s, t, s, t, passengers_a=[a[off_arcs]], passengers_b=[]
     )
     diam = np.abs(out_a[:, None] - out_a[None, :]).max()
     assert np.abs(moved - out_a[off_arcs]).max() <= 1e-12 * diam
@@ -371,7 +371,7 @@ def test_multiconnected_weld_annulus():
     a, b, r, s, t = annulus_halves()
     # Put B in its own coordinate frame, as separate flattenings would.
     b = (b - 0.05 + 0.1j) / (1 + 0.2j * b) * 1.5
-    out_a, out_b, _, _ = multiconnected_weld(a, b, r, s, t, s, t)
+    out_a, out_b, _, _ = multiconnected_weld(a, b, r, s, t, s, t, passengers_a=[], passengers_b=[])
     seam = list(range(r + 1)) + list(range(s, t + 1))
     scale = np.abs(out_a).max()
     assert np.abs(out_a[seam] - out_b[seam]).max() <= 1e-8 * scale
@@ -392,7 +392,7 @@ def test_multiconnected_weld_raises_when_the_mouth_chord_clips_a_side():
     a, b, r, s, t = annulus_halves()
     a[(r + s) // 2] = -0.1
     with pytest.raises(PathInsidePolygon) as info:
-        multiconnected_weld(a, b, r, s, t, s, t)
+        multiconnected_weld(a, b, r, s, t, s, t, passengers_a=[], passengers_b=[])
     err = info.value
     assert f"side A's rim share (chain indices {r}..{s})" in str(err)
     assert "fewer parts" in err.hint and "clear straight bridge" in err.hint
@@ -413,7 +413,7 @@ def test_multiconnected_weld_uneven_rims():
     a, b, r, s, t = annulus_halves(nrim=17)
     a2, b2, _, s2, t2 = annulus_halves(nrim=9)
     out_a, out_b, _, _ = multiconnected_weld(
-        a, b2, r, s, t, s_b=s2, t_b=t2
+        a, b2, r, s, t, s_b=s2, t_b=t2, passengers_a=[], passengers_b=[]
     )
     seam = list(range(r + 1))
     scale = np.abs(out_a).max()
@@ -424,7 +424,7 @@ def test_multiconnected_weld_uneven_rims():
 def test_multiconnected_weld_tiny_hole():
     # Hole rim of a single vertex per side still leaves a hole polygon.
     a, b, r, s, t = annulus_halves(r0=0.15, nrim=1, nseam=9)
-    out_a, out_b, _, _ = multiconnected_weld(a, b, r, s, t, s, t)
+    out_a, out_b, _, _ = multiconnected_weld(a, b, r, s, t, s, t, passengers_a=[], passengers_b=[])
     hole = np.concatenate([out_a[r : s + 1], out_b[r + 1 : s][::-1]])
     assert len(hole) == 4
     assert abs(polygon_area(hole)) > 0
@@ -515,7 +515,7 @@ def test_zipper_matches_reference_on_smooth_chains_with_passengers(zipper_paths)
     partial_weld(a, b, k, passengers_a=[0.6 + 0.1 * rng.standard_normal(20)],
                  passengers_b=[-0.5 + 0.1j * rng.standard_normal(20)])
     a, b, r, s, t = annulus_halves()
-    multiconnected_weld(a, b, r, s, t, s, t, passengers_a=[a[r + 1 : s]])
+    multiconnected_weld(a, b, r, s, t, s, t, passengers_a=[a[r + 1 : s]], passengers_b=[])
 
 
 def test_zipper_matches_reference_with_passengers_at_the_first_point(zipper_paths):
