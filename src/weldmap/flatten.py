@@ -1,7 +1,8 @@
 """Free-boundary conformal and quasi-conformal flattening of one submesh.
 
 The conformal map minimizes Dirichlet energy minus image area over all
-embeddings with two pinned vertices; the quasi-conformal variant replaces the
+embeddings with two pinned vertices (on a planar mesh that minimizer is a
+similarity, given in closed form); the quasi-conformal variant replaces the
 Dirichlet term with a Beltrami-weighted anisotropic energy so the minimizer
 attains a prescribed per-face Beltrami coefficient. factor_fixed factors
 every sparse system of the package, the Dirichlet solves of assemble
@@ -58,6 +59,15 @@ def face_frames_2d(vertices, faces):
     return out
 
 
+def _positive_areas(corners):
+    """Signed areas of the (m, 3, 2) corners; raises DegenerateFace unless
+    every one is positive."""
+    areas = signed_areas_2d(corners)
+    if np.any(areas <= 0):
+        raise DegenerateFace("non-positive face area in gradient assembly")
+    return areas
+
+
 def _hat_gradients(corners):
     """Gradients of the three linear hat functions per face.
 
@@ -65,9 +75,7 @@ def _hat_gradients(corners):
     grad lambda_i = rot90(p_{i+2} - p_{i+1}) / (2 A).
     """
     d = corners[:, [2, 0, 1], :] - corners[:, [1, 2, 0], :]
-    areas = signed_areas_2d(corners)
-    if np.any(areas <= 0):
-        raise DegenerateFace("non-positive face area in gradient assembly")
+    areas = _positive_areas(corners)
     rot = np.empty_like(d)
     rot[:, :, 0] = -d[:, :, 1]
     rot[:, :, 1] = d[:, :, 0]
@@ -125,6 +133,14 @@ def generalized_laplacian(mesh, mu):
     return _assemble_stiffness(mesh.faces, grads, areas, A=A)
 
 
+def _require_loops(mesh):
+    if not mesh.boundary_loops:
+        raise WrongTopology(
+            "mesh has no boundary loop, so the flattening has no area term",
+            hint="build the mesh with build_mesh, or pass its boundary_loops",
+        )
+
+
 def area_form_boundary(mesh):
     """Symmetric 2n x 2n matrix Q with (u;v)^T Q (u;v) = signed image area.
 
@@ -134,11 +150,7 @@ def area_form_boundary(mesh):
     Raises WrongTopology for a mesh without boundary loops, which has no
     area term.
     """
-    if not mesh.boundary_loops:
-        raise WrongTopology(
-            "mesh has no boundary loop, so the flattening has no area term",
-            hint="build the mesh with build_mesh, or pass its boundary_loops",
-        )
+    _require_loops(mesh)
     n = mesh.n_vertices
     rows, cols, vals = [], [], []
     for loop in mesh.boundary_loops:
@@ -211,8 +223,8 @@ def _free_boundary_flatten(mesh, L, pins):
     n = mesh.n_vertices
     M = 0.5 * sp.block_diag([L, L], format="csr") - area_form_boundary(mesh)
     if pins is None:
-        loop = mesh.boundary_loops[0]
-        pins = [(int(loop[0]), (0.0, 0.0)), (int(loop[len(loop) // 2]), (1.0, 0.0))]
+        p0, p1 = _default_pins(mesh)
+        pins = [(p0, (0.0, 0.0)), (p1, (1.0, 0.0))]
     pinned = {}
     for vid, (pu, pv) in pins:
         pinned[vid], pinned[vid + n] = pu, pv
@@ -221,9 +233,31 @@ def _free_boundary_flatten(mesh, L, pins):
     return np.column_stack([x[:n], x[n:]])
 
 
+def _default_pins(mesh):
+    """The outer loop's first vertex and its halfway vertex."""
+    loop = mesh.boundary_loops[0]
+    return int(loop[0]), int(loop[len(loop) // 2])
+
+
 def dncp_flatten(mesh):
     """Free-boundary conformal flattening (Dirichlet energy minus area): the
-    (n, 2) uv array of mesh's vertices."""
+    (n, 2) uv array of mesh's vertices.
+
+    On a planar mesh the energy, with the mesh's own cotan Laplacian, is
+    sum_T area_T (|grad u|^2 / 2 + |grad v|^2 / 2 - det grad f) >= 0, which
+    vanishes exactly on similarities; so the minimizer is the similarity
+    z -> (z - z_p0) / (z_p1 - z_p0) that the two pins fix, with no solve. A
+    3D mesh, or a planar one whose pins share a position, is solved.
+    """
+    if mesh.is_planar:
+        _positive_areas(mesh.vertices.take(mesh.faces, axis=0))
+        _require_loops(mesh)
+        p0, p1 = _default_pins(mesh)
+        z = mesh.vertices[:, 0] + 1j * mesh.vertices[:, 1]
+        if z[p0] != z[p1]:
+            w = (z - z[p0]) / (z[p1] - z[p0])
+            w[p0], w[p1] = 0.0, 1.0
+            return np.column_stack([w.real, w.imag])
     return _free_boundary_flatten(mesh, cotan_laplacian(mesh), None)
 
 

@@ -135,6 +135,13 @@ def many_hole_sphere(n, k):
     return build_mesh(np.column_stack([xy, z]), flat.faces)
 
 
+def lifted(mesh):
+    """mesh with a zero z column: the same flat surface taken as a 3D one,
+    whose free-boundary flatten factors a system instead of taking the
+    planar closed form."""
+    return build_mesh(np.column_stack([mesh.vertices, np.zeros(mesh.n_vertices)]), mesh.faces)
+
+
 def smooth_beltrami(mesh, seed=42, modes=4, amplitude=0.37):
     """Smooth random per-face Beltrami field, |mu| <= amplitude."""
     rng = np.random.default_rng(seed)

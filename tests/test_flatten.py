@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import weldmap.flatten as flatten
 from weldmap.assemble import dirichlet_factor, laplace_dirichlet
-from weldmap.errors import MuOutOfRange, SingularSystem, WrongTopology
+from weldmap.errors import DegenerateFace, MuOutOfRange, SingularSystem, WrongTopology
 from weldmap.flatten import (
     area_form_boundary,
     beltrami_per_face,
@@ -19,16 +19,21 @@ from weldmap.flatten import (
     wirtinger_derivatives,
 )
 from weldmap.mesh import TriangleMesh, build_mesh
+from weldmap.partition import default_partition, extract_submeshes
 
 from fixtures import (
     annulus_mesh,
     area_form_faces,
     complex_uv,
+    disk_mesh,
     grid_mesh,
     hemisphere_cap,
+    lifted,
+    many_hole_grid,
     quadratic_form_value,
     single_triangle,
     smooth_beltrami,
+    two_hole_grid,
 )
 
 
@@ -122,6 +127,102 @@ def test_dncp_hemisphere_cap():
     assert np.abs(fd.mu_face).mean() < 0.02
 
 
+def _jittered_grid():
+    m = grid_mesh(24, 20)
+    jitter = np.random.default_rng(4).uniform(-0.008, 0.008, m.vertices.shape)
+    return build_mesh(m.vertices + jitter, m.faces)
+
+
+@pytest.mark.parametrize(
+    "make, parts",
+    [
+        (_jittered_grid, 3),
+        (lambda: annulus_mesh(10, 60), 3),
+        (lambda: two_hole_grid(40), 4),
+        (lambda: disk_mesh(16, 64), 4),
+        (lambda: many_hole_grid(30, 3), 4),
+    ],
+    ids=["jittered_grid", "annulus", "two_hole_grid", "disk", "many_hole_grid"],
+)
+def test_planar_dncp_is_the_pinned_similarity(monkeypatch, make, parts):
+    # On a planar submesh the DNCP minimizer is the similarity its two pins
+    # fix: no factorization, the pins exact, the free rows of the pinned
+    # system solved to SOLVE_RTOL, and the LU minimizer equal to rounding.
+    mesh = make()
+    for sub in extract_submeshes(mesh, default_partition(mesh, parts)):
+        m = sub.mesh
+        loop = m.boundary_loops[0]
+        p0, p1 = int(loop[0]), int(loop[len(loop) // 2])
+        splu = flatten.spla.splu
+        monkeypatch.setattr(flatten.spla, "splu", None)
+        uv = dncp_flatten(m)
+        monkeypatch.setattr(flatten.spla, "splu", splu)
+        assert uv[p0].tolist() == [0.0, 0.0] and uv[p1].tolist() == [1.0, 0.0]
+
+        n = m.n_vertices
+        L = cotan_laplacian(m)
+        M = (0.5 * sp.block_diag([L, L]) - area_form_boundary(m)).tocsr()
+        x = np.concatenate([uv[:, 0], uv[:, 1]])
+        fixed = [p0, p1, p0 + n, p1 + n]
+        free = np.setdiff1d(np.arange(2 * n), fixed)
+        rhs = M[free][:, fixed] @ x[fixed]
+        assert np.linalg.norm(M[free] @ x) <= flatten.SOLVE_RTOL * np.linalg.norm(rhs)
+
+        lu = flatten._free_boundary_flatten(m, L, [(p0, (0.0, 0.0)), (p1, (1.0, 0.0))])
+        assert np.abs(lu - uv).max() <= 1e-8 * np.ptp(uv, axis=0).max()
+
+
+def test_planar_dncp_with_coincident_pins_takes_the_solve_path(monkeypatch):
+    # A slit annulus: the two sides of the slit share positions. With the
+    # outer loop started where its halfway vertex sits on the same point, no
+    # similarity maps the pins apart, so the system is factored; it is
+    # singular too (z -> z - z_p0 solves it with both pins at 0), and the
+    # flatten fails as the solve always did.
+    a = annulus_mesh(6, 32)
+    n_sect = 32
+    verts = np.vstack([a.vertices, a.vertices[::n_sect]])  # slit copies
+    copy = {r * n_sect: len(a.vertices) + r for r in range(7)}
+    faces = a.faces.copy()
+    for f in faces:  # the last sector's faces take the copies
+        if np.any(f % n_sect == n_sect - 1):
+            f[:] = [copy.get(v, v) for v in f]
+    (loop,) = build_mesh(verts, faces).boundary_loops
+    half = len(loop) // 2
+    start = next(
+        i for i in range(len(loop))
+        if np.array_equal(verts[loop[i]], verts[loop[(i + half) % len(loop)]])
+    )
+    m = TriangleMesh(vertices=verts, faces=faces, boundary_loops=[np.roll(loop, -start)])
+    calls = []
+    splu = flatten.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(flatten.spla, "splu", counting_splu)
+    with pytest.raises(SingularSystem) as closed:
+        dncp_flatten(m)
+    assert calls == [1]
+    with pytest.raises(SingularSystem) as solved:
+        flatten._free_boundary_flatten(m, cotan_laplacian(m), None)
+    assert str(closed.value) == str(solved.value)
+
+
+def test_planar_dncp_with_a_clockwise_face_is_degenerate():
+    # build_mesh rejects mixed orientations; a hand-built mesh reaches the
+    # flatten, which raises what the cotan assembly of the solve raises.
+    m = grid_mesh(3, 3)
+    faces = m.faces.copy()
+    faces[4] = faces[4][::-1]
+    bad = TriangleMesh(vertices=m.vertices, faces=faces, boundary_loops=m.boundary_loops)
+    with pytest.raises(DegenerateFace) as solved:
+        cotan_laplacian(bad)
+    with pytest.raises(DegenerateFace) as closed:
+        dncp_flatten(bad)
+    assert str(closed.value) == str(solved.value)
+
+
 def test_generalized_laplacian_mu_zero():
     m = grid_mesh(5, 5)
     L = cotan_laplacian(m)
@@ -170,7 +271,9 @@ def test_lsqc_system_couples_u_and_v_on_boundary_edges_only(monkeypatch):
     # the factored LSQC matrix stores exactly the entries of the DNCP one;
     # the face-assembled form would add a u-v entry on every interior edge.
     # The jitter breaks the symmetry that makes some cotan weights exactly 0,
-    # which the DNCP matrix drops and a nonzero mu fills in.
+    # which the DNCP matrix drops and a nonzero mu fills in. The DNCP system
+    # is factored on the lifted mesh, since a planar one takes the closed
+    # form; its frames give the same Laplacian up to rounding.
     stored = []
     splu = flatten.spla.splu
 
@@ -182,7 +285,7 @@ def test_lsqc_system_couples_u_and_v_on_boundary_edges_only(monkeypatch):
     m = annulus_mesh(n_rings=5, n_sect=28)
     jitter = np.random.default_rng(0).uniform(-0.005, 0.005, m.vertices.shape)
     m = build_mesh(m.vertices + jitter, m.faces)
-    dncp_flatten(m)
+    dncp_flatten(lifted(m))
     lsqc_flatten(m, smooth_beltrami(m, 5))
     assert len(stored) == 2
     assert stored[1] == stored[0]
@@ -219,11 +322,12 @@ def _stall_solves(monkeypatch, rel):
 def test_flatten_and_dirichlet_solves_keep_their_own_residual_bounds(monkeypatch):
     # One solve function serves both, with the caller's bound: a residual
     # of 3e-8 is inside the flattens' 1e3 * SOLVE_RTOL = 1e-7 and outside
-    # the Dirichlet solves' LAPLACE_RTOL = 1e-8.
+    # the Dirichlet solves' LAPLACE_RTOL = 1e-8. The DNCP flattens run on
+    # the lifted mesh, whose flatten is solved.
     m = grid_mesh(6, 6)
-    exact = dncp_flatten(m)
+    exact = dncp_flatten(lifted(m))
     _stall_solves(monkeypatch, 3e-8)
-    stalled = dncp_flatten(m)
+    stalled = dncp_flatten(lifted(m))
     assert 0 < np.abs(stalled - exact).max() < 1e-6
     lsqc_flatten(m, smooth_beltrami(m, 5))
     bidx = m.boundary_vertices()

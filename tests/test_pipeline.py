@@ -46,7 +46,14 @@ from weldmap.partition import (
 )
 from weldmap.pipeline import _DENSIFY, _run_weld, _subdivide_runs, compute_parameterization
 
-from fixtures import annulus_mesh, curved_annulus, grid_mesh, smooth_beltrami, two_hole_grid
+from fixtures import (
+    annulus_mesh,
+    curved_annulus,
+    grid_mesh,
+    lifted,
+    smooth_beltrami,
+    two_hole_grid,
+)
 import koebe_reference
 
 
@@ -447,6 +454,7 @@ def test_flatten_failure_names_its_stage_and_submesh(monkeypatch):
 def test_solver_failures_name_their_stage_and_submesh(monkeypatch, fail_at, stage):
     # At one thread, with mu = 0 and QC off, the four factorizations run in
     # order: the flattens of submeshes 0 and 1, then their Dirichlet solves.
+    # The grid is lifted to 3D, where the flatten is solved.
     splu = flatten.spla.splu
     calls = []
 
@@ -457,7 +465,7 @@ def test_solver_failures_name_their_stage_and_submesh(monkeypatch, fail_at, stag
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(flatten.spla, "splu", failing)
-    mesh = grid_mesh(4, 4)
+    mesh = lifted(grid_mesh(4, 4))
     with pytest.raises(SingularSystem) as info:
         compute_parameterization(mesh, _halves(mesh), _zero_mu(mesh), qc=False)
     assert (info.value.stage, info.value.submesh) == (stage, 1)
@@ -578,7 +586,8 @@ def test_lu_factors_are_freed_on_the_thread_that_factored_them(monkeypatch, thre
     labels = default_partition(mesh, 4)
     compute_parameterization(mesh, labels, smooth_beltrami(mesh), threads=threads)
     gc.collect()
-    # Flatten (DNCP, then LSQC), Dirichlet and QC factor on pool threads.
+    # Flatten (LSQC; the planar DNCP chart is a closed form), Dirichlet and
+    # QC factor on pool threads.
     assert len(made) >= 3 * labels.n_parts
     assert threading.get_ident() not in made
     assert len(freed) == len(made)
@@ -593,7 +602,7 @@ def test_lu_factors_are_freed_on_their_thread_when_the_chain_fails(monkeypatch, 
     monkeypatch.setattr(flatten, "spla", _FactorLinalg(flatten.spla, made, freed))
     mesh = two_hole_grid(40)
     labels = default_partition(mesh, 4)
-    flattens = 2 * labels.n_parts  # DNCP, then LSQC
+    flattens = labels.n_parts  # LSQC; the planar DNCP chart is a closed form
 
     def failing(*args, **kwargs):
         # With a lane beside the chain, fail once it holds a factor.
@@ -625,11 +634,12 @@ def test_lu_factors_of_failed_solves_are_freed_on_their_thread(
     # A negative residual bound fails every flatten (or every Dirichlet)
     # solve after its factor is made. The error leaves the pool task with
     # its traceback, whose frames must not carry the factor to the thread
-    # that drops the error.
+    # that drops the error. The grid is lifted to 3D, where the flatten is
+    # solved.
     made, freed = [], []
     monkeypatch.setattr(flatten, "spla", _FactorLinalg(flatten.spla, made, freed))
     monkeypatch.setattr(module, bound, -1.0)
-    mesh = two_hole_grid(40)
+    mesh = lifted(two_hole_grid(40))
     labels = default_partition(mesh, 4)
     with pytest.raises(SingularSystem) as info:
         compute_parameterization(mesh, labels, _zero_mu(mesh), qc=False, threads=threads)
@@ -640,6 +650,49 @@ def test_lu_factors_of_failed_solves_are_freed_on_their_thread(
     assert threading.get_ident() not in made
     assert len(freed) == len(made)
     assert all(maker == freer for maker, freer in freed)
+
+
+def _factored_sizes(monkeypatch):
+    """The unknown count of every splu call of weldmap.flatten, as a list
+    that fills while the test runs."""
+    sizes = []
+    splu = flatten.spla.splu
+
+    def counting(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(flatten.spla, "splu", counting)
+    return sizes
+
+
+def _interior_counts(subs):
+    counts = (s.mesh.n_vertices - len(s.mesh.boundary_vertices()) for s in subs)
+    return [k for k in counts if k]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_planar_conformal_maps_factor_only_their_dirichlet_systems(monkeypatch, threads):
+    # A planar submesh's DNCP chart is the similarity its two pins fix, so a
+    # mu = 0 map of a 2D mesh factors nothing in the flatten: one Dirichlet
+    # system per submesh with interior vertices, and no other.
+    sizes = _factored_sizes(monkeypatch)
+    mesh = two_hole_grid(40)
+    labels = default_partition(mesh, 4)
+    compute_parameterization(mesh, labels, _zero_mu(mesh), qc=False, threads=threads)
+    assert sorted(sizes) == sorted(_interior_counts(extract_submeshes(mesh, labels)))
+
+
+def test_3d_conformal_maps_factor_their_flatten(monkeypatch):
+    # A 3D submesh's DNCP chart is solved: a 2n-unknown system with two
+    # pinned vertices, beside its Dirichlet system.
+    sizes = _factored_sizes(monkeypatch)
+    mesh = curved_annulus()
+    labels = default_partition(mesh, 2)
+    compute_parameterization(mesh, labels, _zero_mu(mesh), qc=False, threads=2)
+    subs = extract_submeshes(mesh, labels)
+    flattens = [2 * s.mesh.n_vertices - 4 for s in subs]
+    assert sorted(sizes) == sorted(flattens + _interior_counts(subs))
 
 
 def test_dirichlet_lanes_under_a_short_switch_interval_match_one_thread():
@@ -665,8 +718,9 @@ def test_dirichlet_lanes_under_a_short_switch_interval_match_one_thread():
 def test_dirichlet_factors_start_while_the_welds_run(monkeypatch):
     # With mu = 0 and QC off, every factorization after the flattens is a
     # Dirichlet one. At two threads one must come while the chain still
-    # runs, before the outer circularization ends it.
-    mesh = grid_mesh(4, 4)
+    # runs, before the outer circularization ends it. The grid is lifted to
+    # 3D, where the flatten factors too.
+    mesh = lifted(grid_mesh(4, 4))
     labels = _halves(mesh)
     splu = flatten.spla.splu
     calls = []
@@ -693,8 +747,9 @@ def test_dirichlet_factors_start_while_the_welds_run(monkeypatch):
 
 def test_dirichlet_failures_beside_the_chain_name_their_submesh(monkeypatch):
     # At two threads one lane factors both halves' Dirichlet systems beside
-    # the chain, after the two flattens (mu = 0, QC off).
-    mesh = grid_mesh(4, 4)
+    # the chain, after the two flattens (mu = 0, QC off). The grid is lifted
+    # to 3D, where the flatten factors too.
+    mesh = lifted(grid_mesh(4, 4))
     labels = _halves(mesh)
     splu = flatten.spla.splu
     calls = []
