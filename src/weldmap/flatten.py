@@ -217,9 +217,9 @@ def _solve_factored(lu, n, fixed, free, K_free, Kff, values, fail_rtol):
 
 def _free_boundary_flatten(mesh, L, pins):
     """Minimize 1/2 (u^T L u + v^T L v) minus the image area over (u; v),
-    with (u, v) pinned at the given vertices. The default pins are two
-    outer-loop vertices at maximal cyclic distance, at (0, 0) and (1, 0).
-    Returns the (n, 2) uv array of mesh's vertices."""
+    with (u, v) pinned at the given vertices; the default pins
+    (_default_pins) go to (0, 0) and (1, 0). Returns the (n, 2) uv array of
+    mesh's vertices."""
     n = mesh.n_vertices
     M = 0.5 * sp.block_diag([L, L], format="csr") - area_form_boundary(mesh)
     if pins is None:
@@ -234,9 +234,15 @@ def _free_boundary_flatten(mesh, L, pins):
 
 
 def _default_pins(mesh):
-    """The outer loop's first vertex and its halfway vertex."""
+    """The outer loop's first vertex and its halfway vertex or, when those
+    share a position (as on a slit domain), the first outer-loop vertex
+    farthest from the first."""
     loop = mesh.boundary_loops[0]
-    return int(loop[0]), int(loop[len(loop) // 2])
+    p0, p1 = int(loop[0]), int(loop[len(loop) // 2])
+    pos = mesh.vertices
+    if np.array_equal(pos[p0], pos[p1]):
+        p1 = int(loop[np.argmax(np.linalg.norm(pos[loop] - pos[p0], axis=1))])
+    return p0, p1
 
 
 def dncp_flatten(mesh):
@@ -247,17 +253,16 @@ def dncp_flatten(mesh):
     sum_T area_T (|grad u|^2 / 2 + |grad v|^2 / 2 - det grad f) >= 0, which
     vanishes exactly on similarities; so the minimizer is the similarity
     z -> (z - z_p0) / (z_p1 - z_p0) that the two pins fix, with no solve. A
-    3D mesh, or a planar one whose pins share a position, is solved.
+    3D mesh is solved.
     """
     if mesh.is_planar:
         _positive_areas(mesh.vertices.take(mesh.faces, axis=0))
         _require_loops(mesh)
         p0, p1 = _default_pins(mesh)
         z = mesh.vertices[:, 0] + 1j * mesh.vertices[:, 1]
-        if z[p0] != z[p1]:
-            w = (z - z[p0]) / (z[p1] - z[p0])
-            w[p0], w[p1] = 0.0, 1.0
-            return np.column_stack([w.real, w.imag])
+        w = (z - z[p0]) / (z[p1] - z[p0])
+        w[p0], w[p1] = 0.0, 1.0
+        return np.column_stack([w.real, w.imag])
     return _free_boundary_flatten(mesh, cotan_laplacian(mesh), None)
 
 

@@ -186,28 +186,25 @@ def region_twins(mesh, face_ids):
     return np.where((twin >= 0) & (across >= 0), 3 * across + twin % 3, -1)
 
 
-def region_loops(mesh, face_ids):
-    """Boundary loops of the face set face_ids of mesh (see _walk_loops):
-    its boundary half-edges are the -1 entries of its twin cut."""
-    return _walk_loops(mesh.faces[face_ids], region_twins(mesh, face_ids) < 0)
-
-
 def _walk_loops(faces, on_boundary):
-    """Chain the half-edges of faces flagged in the (m, 3) mask on_boundary
-    into loops, directed by face orientation.
+    """Boundary loops of faces whose half-edges are flagged in the (m, 3)
+    mask on_boundary (see chain_loops), directed by face orientation."""
+    return chain_loops(faces[on_boundary], faces[:, [1, 2, 0]][on_boundary])
+
+
+def chain_loops(tails, heads):
+    """Chain the directed edges tails[i] -> heads[i] into loops.
 
     Each loop starts at its smallest vertex id, and loops are ordered by
-    that start. Raises NonManifold when the boundary branches at a vertex.
+    that start. Raises NonManifold when the edges branch at a vertex.
     """
-    bu = faces[on_boundary]
-    bv = faces[:, [1, 2, 0]][on_boundary]
-    sorted_bu = np.sort(bu)
-    repeated = sorted_bu[1:][sorted_bu[1:] == sorted_bu[:-1]]
+    sorted_tails = np.sort(tails)
+    repeated = sorted_tails[1:][sorted_tails[1:] == sorted_tails[:-1]]
     if len(repeated):
         raise NonManifold(
             f"boundary vertex {int(repeated[0])} has two outgoing boundary edges"
         )
-    remaining = dict(zip(bu.tolist(), bv.tolist()))
+    remaining = dict(zip(tails.tolist(), heads.tolist()))
     loops = []
     while remaining:
         start = min(remaining)

@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     SubmeshWithTwoHoles,
 )
-from .mesh import TriangleMesh, build_mesh, region_twins
+from .mesh import TriangleMesh, build_mesh, chain_loops, region_twins
 
 
 @dataclass
@@ -41,12 +41,6 @@ class PartitionLabeling:
     @property
     def n_parts(self):
         return int(self.face_label.max()) + 1 if self.face_label.size else 0
-
-    def faces_in(self, labs):
-        """Ids of the faces whose label is in labs, in increasing order."""
-        pick = np.zeros(self.n_parts, dtype=bool)
-        pick[list(labs)] = True
-        return np.flatnonzero(pick[self.face_label])
 
     def validate(self, mesh):
         """Check the label format, then the partition rule of each part in
@@ -186,7 +180,10 @@ class WeldSpec:
     # on the rim of hole_loop.
     arcs: list
     arc_kind: str  # "continuous" | "two-arc-multiply-connected"
+    left_loops: list  # each side's boundary loops: parent-vertex arrays, in face order
+    right_loops: list
     hole_loop: int | None = None  # parent boundary-loop index enclosed by this weld
+    rim: np.ndarray | None = None  # that loop's parent vertices
 
 
 @dataclass
@@ -240,12 +237,24 @@ def _touching_labels(mesh, labels):
     }
 
 
+def _union_loops(loops_a, loops_b):
+    """Boundary loops of the union of two face sets, from their loops: the
+    edges of both less those they share (run both ways), chained. Raises
+    NonManifold where the sides touch at a vertex off their shared edges."""
+    tails = np.concatenate(loops_a + loops_b)
+    heads = np.concatenate([np.roll(lp, -1) for lp in loops_a + loops_b])
+    n = int(tails.max()) + 1  # every head starts an edge too
+    keep = ~np.isin(tails * n + heads, heads * n + tails)
+    return chain_loops(tails[keep], heads[keep])
+
+
 def build_weld_specs(mesh, labels, submeshes):
     """Plan the pairwise welds (phase 1 encloses holes, phase 2 joins the rest).
 
     submeshes are extract_submeshes(mesh, labels), which has validated the
-    labels. Returns a WeldPlan; raises NoValidPlan when the partition cannot
-    be welded with pairwise continuous/two-arc welds.
+    labels; each welded component is tracked by its boundary loops, one more
+    than its holes. Returns a WeldPlan; raises NoValidPlan when the partition
+    cannot be welded with pairwise continuous/two-arc welds.
     """
     eu, ev, ef0, ef1 = _interior_edges(mesh)
     ela = labels.face_label[ef0]
@@ -253,57 +262,54 @@ def build_weld_specs(mesh, labels, submeshes):
     on_cut = ela != elb
     cut_cache = (eu[on_cut], ev[on_cut], ela[on_cut], elb[on_cut])
 
-    comps = [frozenset({lab}) for lab in range(labels.n_parts)]
+    # Each welded component and its boundary loops.
+    comps = {
+        frozenset({sub.label}): [sub.to_parent[lp] for lp in sub.mesh.boundary_loops]
+        for sub in submeshes
+    }
     touch = _touching_labels(mesh, labels)
     welds = []
-    holes_memo = {}
-
-    def region_holes(comp):
-        if len(comp) == 1:
-            return submeshes[next(iter(comp))].mesh.n_holes
-        if comp not in holes_memo:
-            face_ids = labels.faces_in(comp)
-            holes_memo[comp] = region_hole_count(mesh, face_ids, region_twins(mesh, face_ids))
-        return holes_memo[comp]
 
     def comp_of(lab):
         return next(c for c in comps if lab in c)
 
     def try_merge(p, q):
+        """The weld of p and q, and the loops of their union; None when the
+        pair does not weld."""
         arcs = _shared_arcs(p, q, cut_cache)
         if arcs is None:
             return None
-        hp = region_holes(p)
-        hq = region_holes(q)
-        hu = region_holes(p | q)
-        if len(arcs) == 1 and hu == hp + hq:
-            return WeldSpec(left=p, right=q, arcs=arcs, arc_kind="continuous")
-        if len(arcs) == 2 and hu == hp + hq + 1:
-            hole = None
-            for li, labs in touch.items():
-                cl = {comp_of(x) for x in labs}
-                if cl == {p, q}:
-                    hole = li
-                    break
+        try:
+            union = _union_loops(comps[p], comps[q])
+        except NonManifold:
+            return None  # the sides also touch at a vertex off their arcs
+        # The holes the weld adds, as a component has one hole fewer than loops.
+        extra = len(union) - len(comps[p]) - len(comps[q]) + 1
+        hole = None
+        if len(arcs) == 2 and extra == 1:
+            hole = next((li for li, labs in touch.items()
+                         if {comp_of(x) for x in labs} == {p, q}), None)
             if hole is None:
                 return None
             if not np.isin(arcs[0][-1], mesh.boundary_loops[hole]):
                 arcs.reverse()
-            return WeldSpec(
-                left=p, right=q, arcs=arcs,
-                arc_kind="two-arc-multiply-connected", hole_loop=hole,
-            )
-        return None
+        elif len(arcs) != 1 or extra != 0:
+            return None
+        return WeldSpec(
+            left=p, right=q, arcs=arcs,
+            arc_kind="continuous" if hole is None else "two-arc-multiply-connected",
+            left_loops=comps[p], right_loops=comps[q], hole_loop=hole,
+            rim=None if hole is None else mesh.boundary_loops[hole],
+        ), union
 
     def merge_first(cands, kinds):
         """Weld the first pair of cands, in sorted order, that try_merge
         plans with an arc kind in kinds; False when no pair welds."""
         for p, q in itertools.combinations(sorted(cands, key=sorted), 2):
-            spec = try_merge(p, q)
-            if spec is not None and spec.arc_kind in kinds:
-                comps.remove(p)
-                comps.remove(q)
-                comps.append(p | q)
+            merged = try_merge(p, q)
+            if merged is not None and merged[0].arc_kind in kinds:
+                spec, comps[p | q] = merged
+                del comps[p], comps[q]
                 welds.append(spec)
                 return True
         return False
@@ -316,7 +322,7 @@ def build_weld_specs(mesh, labels, submeshes):
                     f"cannot enclose hole (loop {li}) with pairwise welds"
                 )
         (owner,) = owners
-        if region_holes(owner) > 1:
+        if len(comps[owner]) > 2:
             raise NoValidPlan(f"component {sorted(owner)} encloses more than one hole")
 
     n_pre = len(welds)

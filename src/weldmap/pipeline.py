@@ -7,10 +7,12 @@ roundings, repeated), per-submesh Dirichlet solves, and the sequential
 global assembly. Flattening runs per submesh in a thread pool, where sparse
 LU releases the GIL. The welds and circularizations run in plan order as
 one task (the chain): their zipper steps hold the GIL, and a plan seldom
-has two label-disjoint welds in a row. Lanes on the other workers (one
-lane, after the chain, at one thread) factor each submesh's Dirichlet
-system beside the chain and solve it once the chain has run. Results are
-reduced by index, so thread count never changes the numbers.
+has two label-disjoint welds in a row. A weld reads only its WeldSpec,
+which carries both sides' boundary loops and the hole rim, and the
+tracker: nothing in the chain walks a boundary. Lanes on the other
+workers (one lane, after the chain, at one thread) factor each submesh's
+Dirichlet system beside the chain and solve it once the chain has run.
+Results are reduced by index, so thread count never changes the numbers.
 
 Orientation comes from the faces, never from signed areas: boundary loops
 keep the interior on their left, so the outer loop runs counter-clockwise,
@@ -46,7 +48,6 @@ from .assemble import (
 from .errors import (
     MisorderedArc,
     MuOutOfRange,
-    NonManifold,
     NumericalBreakdown,
     ParseError,
     WeldmapError,
@@ -60,7 +61,6 @@ from .flatten import (
     lsqc_flatten,
 )
 from .koebe import circularize_hole, circularize_outer, loop_circularity
-from .mesh import region_loops
 from .partition import build_weld_specs, extract_submeshes
 from .welding import multiconnected_weld, partial_weld
 
@@ -221,31 +221,22 @@ def _stage(stage, submesh=None):
         raise
 
 
-def _run_weld(spec, mesh, labels, tracker):
+def _run_weld(spec, tracker):
     """Weld spec.right onto spec.left, in stage "weld" with the weld's label
     sets."""
     with _stage("weld", f"{sorted(spec.left)} and {sorted(spec.right)}"):
-        try:
-            loops_l, loops_r = [
-                region_loops(mesh, labels.faces_in(comp))
-                for comp in (spec.left, spec.right)
-            ]
-        except NonManifold as err:
-            raise WrongTopology(f"weld side boundary: {err}") from err
-
         # The faces of the two sides run each cut edge in opposite
         # directions, so the face-ordered loop of side A (counter-clockwise)
         # and the reversed loop of side B (clockwise) both run the directed
         # arcs forward.
-        loop_a, runs_a = _weld_side(loops_l, spec.arcs, reverse=False)
-        loop_b, runs_b = _weld_side(loops_r, spec.arcs, reverse=True)
+        loop_a, runs_a = _weld_side(spec.left_loops, spec.arcs, reverse=False)
+        loop_b, runs_b = _weld_side(spec.right_loops, spec.arcs, reverse=True)
         r = runs_a[0][1]
         weld = partial_weld
         if spec.arc_kind == "two-arc-multiply-connected":
             # Between the arcs, side A runs along its share of the hole rim
             # (the other gap is outer boundary).
-            rim = mesh.boundary_loops[spec.hole_loop]
-            if not np.isin(loop_a[r + 1 : runs_a[1][0]], rim).all():
+            if not np.isin(loop_a[r + 1 : runs_a[1][0]], spec.rim).all():
                 raise MisorderedArc(
                     "cannot order the two weld arcs around the hole rim"
                 )
@@ -392,14 +383,14 @@ def compute_parameterization(
             """The chain, in plan order; returns the refinement history."""
             with stage("pre_weld"):
                 for spec in plan.welds[: plan.n_pre]:
-                    _run_weld(spec, mesh, labels, tracker)
+                    _run_weld(spec, tracker)
             with stage("koebe_holes"):
                 for li, comp in sorted(plan.hole_owner.items()):
                     with _stage("koebe", f"hole {li} of {sorted(comp)}"):
                         round_loop(comp, mesh.boundary_loops[li], circularize_hole)
             with stage("post_weld"):
                 for spec in plan.welds[plan.n_pre :]:
-                    _run_weld(spec, mesh, labels, tracker)
+                    _run_weld(spec, tracker)
             with stage("outer"), _stage("koebe", "outer"):
                 (whole,) = tracker.comps  # every weld has run: one component
                 round_loop(whole, mesh.boundary_loops[0], circularize_outer)

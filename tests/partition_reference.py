@@ -1,5 +1,7 @@
 """The region splitter that checked the whole labeling after every trial
-split, kept as the reference for weldmap.partition.default_partition.
+split, kept as the reference for weldmap.partition.default_partition; and
+the weld planner that Euler-counted the holes of every union it weighed,
+kept as the reference for weldmap.partition.build_weld_specs.
 
 Each trial split here is relabeled and validated as a whole labeling: one
 connected-components pass over all faces, then the hole count of every
@@ -10,15 +12,39 @@ adjacency matrix built from the interior edges (sliced to a region for a
 split), where the package runs them on the face graph of a twin table.
 `default_partition` takes the same arguments and returns the same labels as
 the package's, so a test can compare the two byte for byte.
+
+The reference planner cuts the parent's twin table for each union of labels
+it weighs and counts the union's holes from the cut (region_hole_count),
+where the package chains the two sides' boundary loops. Its weld sides'
+loops are walked from each side's twin cut, the way the weld chain walked
+them before the plan carried them. `build_weld_specs` takes the same
+arguments and returns the same plan as the package's, or raises the same
+NoValidPlan.
 """
+
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from weldmap.errors import DisconnectedSubmesh, ParseError, SubmeshWithTwoHoles, WeldmapError
-from weldmap.mesh import region_twins
-from weldmap.partition import PartitionLabeling, _interior_edges, region_hole_count
+from weldmap.errors import (
+    DisconnectedSubmesh,
+    NoValidPlan,
+    ParseError,
+    SubmeshWithTwoHoles,
+    WeldmapError,
+)
+from weldmap.mesh import _walk_loops, region_twins
+from weldmap.partition import (
+    PartitionLabeling,
+    WeldPlan,
+    WeldSpec,
+    _interior_edges,
+    _shared_arcs,
+    _touching_labels,
+    region_hole_count,
+)
 
 
 def validate(mesh, labels):
@@ -160,3 +186,104 @@ def _split_regions(mesh, adj, base, target_parts):
         next_label += 1
         accepted = part
     return accepted
+
+
+def faces_in(labels, labs):
+    """Ids of the faces whose label is in labs, in increasing order."""
+    pick = np.zeros(labels.n_parts, dtype=bool)
+    pick[list(labs)] = True
+    return np.flatnonzero(pick[labels.face_label])
+
+
+def region_loops(mesh, face_ids):
+    """Boundary loops of the face set face_ids of mesh: its boundary
+    half-edges are the -1 entries of its twin cut."""
+    return _walk_loops(mesh.faces[face_ids], region_twins(mesh, face_ids) < 0)
+
+
+def build_weld_specs(mesh, labels, submeshes):
+    """Plan the pairwise welds (phase 1 encloses holes, phase 2 joins the
+    rest), with each union's hole count from its twin cut."""
+    eu, ev, ef0, ef1 = _interior_edges(mesh)
+    ela = labels.face_label[ef0]
+    elb = labels.face_label[ef1]
+    on_cut = ela != elb
+    cut_cache = (eu[on_cut], ev[on_cut], ela[on_cut], elb[on_cut])
+
+    comps = [frozenset({lab}) for lab in range(labels.n_parts)]
+    touch = _touching_labels(mesh, labels)
+    welds = []
+    holes_memo = {}
+
+    def region_holes(comp):
+        if len(comp) == 1:
+            return submeshes[next(iter(comp))].mesh.n_holes
+        if comp not in holes_memo:
+            face_ids = faces_in(labels, comp)
+            holes_memo[comp] = region_hole_count(mesh, face_ids, region_twins(mesh, face_ids))
+        return holes_memo[comp]
+
+    def comp_of(lab):
+        return next(c for c in comps if lab in c)
+
+    def spec(p, q, arcs, kind, hole):
+        return WeldSpec(
+            left=p, right=q, arcs=arcs, arc_kind=kind,
+            left_loops=region_loops(mesh, faces_in(labels, p)),
+            right_loops=region_loops(mesh, faces_in(labels, q)),
+            hole_loop=hole, rim=None if hole is None else mesh.boundary_loops[hole],
+        )
+
+    def try_merge(p, q):
+        """(arcs, arc kind, hole loop) of the weld of p and q, or None."""
+        arcs = _shared_arcs(p, q, cut_cache)
+        if arcs is None:
+            return None
+        hp = region_holes(p)
+        hq = region_holes(q)
+        hu = region_holes(p | q)
+        if len(arcs) == 1 and hu == hp + hq:
+            return arcs, "continuous", None
+        if len(arcs) == 2 and hu == hp + hq + 1:
+            hole = None
+            for li, labs in touch.items():
+                cl = {comp_of(x) for x in labs}
+                if cl == {p, q}:
+                    hole = li
+                    break
+            if hole is None:
+                return None
+            if not np.isin(arcs[0][-1], mesh.boundary_loops[hole]):
+                arcs.reverse()
+            return arcs, "two-arc-multiply-connected", hole
+        return None
+
+    def merge_first(cands, kinds):
+        for p, q in itertools.combinations(sorted(cands, key=sorted), 2):
+            got = try_merge(p, q)
+            if got is not None and got[1] in kinds:
+                comps.remove(p)
+                comps.remove(q)
+                comps.append(p | q)
+                welds.append(spec(p, q, *got))
+                return True
+        return False
+
+    for li in sorted(touch):
+        while len(owners := {comp_of(x) for x in touch[li]}) > 1:
+            if not merge_first(owners, ("continuous", "two-arc-multiply-connected")):
+                raise NoValidPlan(
+                    f"cannot enclose hole (loop {li}) with pairwise welds"
+                )
+        (owner,) = owners
+        if region_holes(owner) > 1:
+            raise NoValidPlan(f"component {sorted(owner)} encloses more than one hole")
+
+    n_pre = len(welds)
+    hole_owner = {li: comp_of(next(iter(labs))) for li, labs in touch.items()}
+
+    while len(comps) > 1:
+        if not merge_first(comps, ("continuous",)):
+            raise NoValidPlan("remaining components share no weldable arc")
+
+    return WeldPlan(welds=welds, n_pre=n_pre, hole_owner=hole_owner)

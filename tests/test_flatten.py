@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -172,12 +173,11 @@ def test_planar_dncp_is_the_pinned_similarity(monkeypatch, make, parts):
         assert np.abs(lu - uv).max() <= 1e-8 * np.ptp(uv, axis=0).max()
 
 
-def test_planar_dncp_with_coincident_pins_takes_the_solve_path(monkeypatch):
+def test_planar_dncp_with_coincident_pins_flattens_in_closed_form(monkeypatch):
     # A slit annulus: the two sides of the slit share positions. With the
-    # outer loop started where its halfway vertex sits on the same point, no
-    # similarity maps the pins apart, so the system is factored; it is
-    # singular too (z -> z - z_p0 solves it with both pins at 0), and the
-    # flatten fails as the solve always did.
+    # outer loop started where its halfway vertex sits on the same point,
+    # the second pin is the outer-loop vertex farthest from the first, so a
+    # similarity maps the pins apart and nothing is factored.
     a = annulus_mesh(6, 32)
     n_sect = 32
     verts = np.vstack([a.vertices, a.vertices[::n_sect]])  # slit copies
@@ -192,7 +192,11 @@ def test_planar_dncp_with_coincident_pins_takes_the_solve_path(monkeypatch):
         i for i in range(len(loop))
         if np.array_equal(verts[loop[i]], verts[loop[(i + half) % len(loop)]])
     )
-    m = TriangleMesh(vertices=verts, faces=faces, boundary_loops=[np.roll(loop, -start)])
+    loop = np.roll(loop, -start)
+    m = TriangleMesh(vertices=verts, faces=faces, boundary_loops=[loop])
+    p0 = int(loop[0])
+    dist = np.linalg.norm(verts[loop] - verts[p0], axis=1)
+    p1 = int(loop[np.flatnonzero(dist == dist.max())[0]])
     calls = []
     splu = flatten.spla.splu
 
@@ -201,12 +205,16 @@ def test_planar_dncp_with_coincident_pins_takes_the_solve_path(monkeypatch):
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(flatten.spla, "splu", counting_splu)
-    with pytest.raises(SingularSystem) as closed:
-        dncp_flatten(m)
-    assert calls == [1]
-    with pytest.raises(SingularSystem) as solved:
-        flatten._free_boundary_flatten(m, cotan_laplacian(m), None)
-    assert str(closed.value) == str(solved.value)
+    uv = dncp_flatten(m)
+    assert calls == []
+    assert uv[p0].tolist() == [0.0, 0.0] and uv[p1].tolist() == [1.0, 0.0]
+    z, w = complex_uv(verts), complex_uv(uv)
+    scale = 1.0 / (z[p1] - z[p0])
+    assert np.abs(w - scale * (z - z[p0])).max() <= 1e-12
+    # The solve takes the same pins.
+    monkeypatch.setattr(flatten.spla, "splu", splu)
+    mu = np.full(m.n_faces, 0.2 + 0.1j)
+    assert np.isfinite(lsqc_flatten(replace(m, vertices=uv), mu)).all()
 
 
 def test_planar_dncp_with_a_clockwise_face_is_degenerate():

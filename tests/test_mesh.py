@@ -13,9 +13,10 @@ from weldmap.errors import (
 from weldmap.mesh import (
     _parse_obj,
     _parse_off,
+    _walk_loops,
     build_mesh,
     load_mesh,
-    region_loops,
+    region_twins,
     save_obj_with_uv,
     walk_boundary_loops,
 )
@@ -511,8 +512,11 @@ def test_twin_table_pairs_each_half_edge_with_its_reverse(make):
 
 @pytest.mark.parametrize("make", _FIXTURES)
 def test_region_loops_of_all_faces_are_the_mesh_loops(make):
+    # The loops of a face set walked from its twin cut, for the set of all
+    # faces, whose cut is the mesh's own twin table.
     m = make()
-    loops = region_loops(m, np.arange(m.n_faces))
+    every = np.arange(m.n_faces)
+    loops = _walk_loops(m.faces[every], region_twins(m, every) < 0)
     walked = walk_boundary_loops(m.faces, m.n_vertices)
     assert len(loops) == len(walked)
     assert all(np.array_equal(a, b) for a, b in zip(loops, walked))

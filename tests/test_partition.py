@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 import weldmap.partition as partition
 from weldmap.errors import (
@@ -11,10 +12,13 @@ from weldmap.errors import (
     ParseError,
     SubmeshWithTwoHoles,
 )
-from weldmap.mesh import build_mesh, region_loops, region_twins, walk_boundary_loops
+from weldmap.mesh import build_mesh, region_twins, walk_boundary_loops
 from weldmap.partition import (
     PartitionLabeling,
+    _face_graph,
+    _shared_arcs,
     _touching_labels,
+    _union_loops,
     build_weld_specs,
     default_partition,
     extract_submeshes,
@@ -30,6 +34,8 @@ from fixtures import (
     disk_mesh,
     grid_mesh,
     hemisphere_cap,
+    many_hole_grid,
+    many_hole_sphere,
     square_hole,
     two_hole_grid,
 )
@@ -329,22 +335,150 @@ _CORPUS_PARTS = (1, 2, 3, 4, 6, 8)
 )
 def test_weld_side_loops_from_the_table_match_a_walk_of_the_side(make, parts):
     # The declared benchmark maps and the corpus sweep: every weld side of
-    # every plan, its loops cut from the parent's twin table against a walk
-    # of the side's own faces.
+    # every plan, its loops as the plan carries them against a walk of the
+    # side's own faces; and every plan against the Euler-count reference.
     m = make()
     sides = 0
     for n in parts:
         part = default_partition(m, n)
-        for spec in build_weld_specs(m, part, extract_submeshes(m, part)).welds:
-            for comp in (spec.left, spec.right):
-                got = region_loops(m, part.faces_in(comp))
+        subs = extract_submeshes(m, part)
+        plan = build_weld_specs(m, part, subs)
+        assert _plan_key(plan) == _reference_plan_key(m, part, subs), n
+        for spec in plan.welds:
+            for comp, loops in ((spec.left, spec.left_loops), (spec.right, spec.right_loops)):
                 want = walk_boundary_loops(
                     m.faces[np.isin(part.face_label, sorted(comp))], m.n_vertices
                 )
-                assert len(got) == len(want)
-                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                assert _cyclic(loops) == _cyclic(want)
                 sides += 1
     assert sides > 0
+
+
+def _cyclic(loops):
+    """Loops as cyclic sequences: each rotated to start at its smallest
+    vertex, listed by that start."""
+    return sorted(np.roll(lp, -int(np.argmin(lp))).tolist() for lp in loops)
+
+
+def _plan_key(plan):
+    """A WeldPlan as comparable data, each side's loops as cyclic sequences."""
+    welds = [
+        (
+            spec.left, spec.right, [arc.tolist() for arc in spec.arcs], spec.arc_kind,
+            spec.hole_loop, None if spec.rim is None else spec.rim.tolist(),
+            _cyclic(spec.left_loops), _cyclic(spec.right_loops),
+        )
+        for spec in plan.welds
+    ]
+    return welds, plan.n_pre, plan.hole_owner
+
+
+def _reference_plan_key(mesh, labels, subs):
+    return _plan_key(partition_reference.build_weld_specs(mesh, labels, subs))
+
+
+def _plans_or_errors(mesh, labels):
+    """(package, reference): each planner's _plan_key, or its NoValidPlan
+    message."""
+    subs = extract_submeshes(mesh, labels)
+    out = []
+    for planner in (build_weld_specs, partition_reference.build_weld_specs):
+        try:
+            out.append(_plan_key(planner(mesh, labels, subs)))
+        except NoValidPlan as err:
+            out.append(str(err))
+    return out
+
+
+def _hop_labelings(mesh, seed, count):
+    """count labelings of mesh that pass validate, each the hop-distance
+    regions around 2 to 8 random seed faces, from one seeded generator."""
+    rng = np.random.default_rng(seed)
+    graph = _face_graph(mesh.twin)
+    found = []
+    while len(found) < count:
+        seeds = rng.choice(mesh.n_faces, size=int(rng.integers(2, 9)), replace=False)
+        _, _, sources = csgraph.dijkstra(
+            graph, directed=False, unweighted=True, indices=seeds,
+            min_only=True, return_predecessors=True,
+        )
+        labels = PartitionLabeling(face_label=np.unique(sources, return_inverse=True)[1])
+        try:
+            labels.validate(mesh)
+        except (DisconnectedSubmesh, NonManifold, SubmeshWithTwoHoles):
+            continue
+        found.append(labels)
+    return found
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: two_hole_grid(20),
+        lambda: annulus_mesh(6, 40),
+        lambda: disk_mesh(8, 32),
+        lambda: many_hole_grid(24, 3),
+        lambda: hemisphere_cap(8, 24),
+    ],
+    ids=["two_hole_grid(20)", "annulus_mesh(6,40)", "disk_mesh(8,32)",
+         "many_hole_grid(24,3)", "hemisphere_cap(8,24)"],
+)
+def test_planner_matches_the_euler_count_reference_on_random_labelings(make):
+    # Hop-distance regions around random seeds make cuts that
+    # default_partition does not: parts that meet along several arcs, or
+    # at a vertex, and unions with branching loops.
+    m = make()
+    planned = 0
+    for labels in _hop_labelings(m, 7, 20):
+        got, want = _plans_or_errors(m, labels)
+        assert got == want, labels.face_label.tolist()
+        planned += not isinstance(got, str)
+    assert planned
+
+
+@pytest.mark.parametrize("k", (3, 6, 9))
+@pytest.mark.parametrize("make", (many_hole_grid, many_hole_sphere))
+def test_planner_matches_the_euler_count_reference_on_many_holes(make, k):
+    m = make(30, k)
+    for parts in (1, 4, 8):
+        labels = default_partition(m, parts)
+        got, want = _plans_or_errors(m, labels)
+        assert got == want, parts
+
+
+def test_parts_that_share_an_arc_and_touch_at_a_vertex_do_not_weld():
+    # A 4 x 4 grid: label 0 wraps cell (2, 1), which is label 2, on three
+    # sides; label 1, the top-right 2 x 2 block, shares one cut edge with
+    # label 0, from (3, 2) to (4, 2), and also meets it corner to corner at
+    # grid point (2, 2), where label 3, the top-left block, meets label 2
+    # corner to corner. The union of labels 0 and 1 touches itself there,
+    # so its loops branch; label 0 welds label 2 first, and label 1 joins
+    # them along the one arc from (2, 2) to (4, 2).
+    mesh = grid_mesh(4, 4)
+    lab = np.zeros(mesh.n_faces, dtype=np.int64)
+    lab[_cells(4, [(2, 2), (3, 2), (2, 3), (3, 3)])] = 1
+    lab[_cells(4, [(2, 1)])] = 2
+    lab[_cells(4, [(0, 2), (1, 2), (0, 3), (1, 3)])] = 3
+    labels = PartitionLabeling(face_label=lab)
+    subs = extract_submeshes(mesh, labels)
+    a, b = frozenset({0}), frozenset({1})
+    eu, ev, ef0, ef1 = partition._interior_edges(mesh)
+    la, lb = lab[ef0], lab[ef1]
+    cut = la != lb
+    (arc,) = _shared_arcs(a, b, (eu[cut], ev[cut], la[cut], lb[cut]))
+    point = lambda vid: tuple((mesh.vertices[vid] * 4).round().astype(int).tolist())
+    assert sorted(map(point, arc)) == [(3, 2), (4, 2)]
+    with pytest.raises(NonManifold, match="^boundary vertex 12 has two outgoing"):
+        _union_loops(*(
+            [sub.to_parent[lp] for lp in sub.mesh.boundary_loops] for sub in subs[:2]
+        ))
+    assert point(12) == (2, 2)
+
+    plan = build_weld_specs(mesh, labels, subs)
+    assert [(sorted(s.left), sorted(s.right)) for s in plan.welds] == [
+        ([0], [2]), ([0, 2], [1]), ([0, 1, 2], [3])
+    ]
+    assert _plan_key(plan) == _reference_plan_key(mesh, labels, subs)
 
 
 def _cells(nx, cells):

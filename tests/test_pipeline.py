@@ -16,6 +16,8 @@ import pytest
 
 import weldmap.assemble as assemble
 import weldmap.flatten as flatten
+import weldmap.mesh as mesh_module
+import weldmap.partition as partition
 import weldmap.pipeline as pipeline
 from weldmap.assemble import area_distortion
 from weldmap.cli import (
@@ -39,7 +41,6 @@ from weldmap.errors import (
 from weldmap.flatten import EPS_MU
 from weldmap.partition import (
     PartitionLabeling,
-    WeldSpec,
     build_weld_specs,
     default_partition,
     extract_submeshes,
@@ -357,20 +358,6 @@ def test_snapshot_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_weld_side_with_branching_boundary_is_wrong_topology():
-    # 2x2 grid; each side is two diagonal cells that touch only at the centre
-    # vertex, so both side boundaries branch there.
-    mesh = grid_mesh(2, 2)
-    labels = PartitionLabeling(face_label=np.array([0, 0, 1, 1, 1, 1, 0, 0]))
-    # 1 -> 4 -> 3 is the way the label-0 faces run the cut.
-    spec = WeldSpec(
-        left=frozenset({0}), right=frozenset({1}),
-        arcs=[np.array([1, 4, 3])], arc_kind="continuous",
-    )
-    with pytest.raises(WrongTopology, match="branch|outgoing"):
-        _run_weld(spec, mesh, labels, tracker=None)
-
-
 def _halves(mesh):
     cent = mesh.vertices[mesh.faces].mean(axis=1)
     return PartitionLabeling(face_label=(cent[:, 0] > 0.5).astype(np.int64))
@@ -382,9 +369,60 @@ def test_weld_arc_against_the_face_direction_is_wrong_topology():
     (spec,) = build_weld_specs(mesh, labels, extract_submeshes(mesh, labels)).welds
     spec.arcs = [spec.arcs[0][::-1]]
     with pytest.raises(WrongTopology, match="direction") as info:
-        _run_weld(spec, mesh, labels, tracker=None)
+        _run_weld(spec, tracker=None)
     assert info.value.stage == "weld"
     assert info.value.submesh == "[0] and [1]"
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize(
+    "make, parts",
+    [(lambda: annulus_mesh(20, 120), 4), (lambda: two_hole_grid(40), 8)],
+    ids=["annulus_mesh(20,120)", "two_hole_grid(40)"],
+)
+def test_the_planner_cuts_no_union_and_the_chain_walks_no_boundary(monkeypatch, make, parts, threads):
+    # The planner tracks each welded component by its boundary loops: it
+    # cuts no twin table for a union and Euler-counts none. The weld chain
+    # reads the loops from the plan, so once the plan is made nothing walks
+    # or chains a boundary (QC, off here, walks its own image mesh).
+    calls = []
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in [
+        (mesh_module, "_walk_loops"), (mesh_module, "chain_loops"),
+        (partition, "chain_loops"), (partition, "region_twins"),
+        (partition, "region_hole_count"),
+    ]:
+        count(owner, name)
+    plan = pipeline.build_weld_specs
+    welds = []
+
+    def planned(*args):
+        calls.append("plan")
+        out = plan(*args)
+        calls.append("planned")
+        welds.extend(out.welds)
+        return out
+
+    monkeypatch.setattr(pipeline, "build_weld_specs", planned)
+    mesh = make()
+    labels = default_partition(mesh, parts)
+    compute_parameterization(mesh, labels, _zero_mu(mesh), qc=False, threads=threads)
+    start, end = calls.index("plan"), calls.index("planned")
+    inside, after = calls[start + 1 : end], calls[end + 1 :]
+    assert "chain_loops" in inside
+    assert "region_twins" not in inside and "region_hole_count" not in inside
+    assert after == []
+    if mesh.n_holes == 1:
+        assert any(w.arc_kind == "two-arc-multiply-connected" for w in welds)
 
 
 def _annulus_two_arc_weld():
@@ -395,14 +433,14 @@ def _annulus_two_arc_weld():
     labels = PartitionLabeling(face_label=(cent[:, 0] > 0).astype(np.int64))
     (spec,) = build_weld_specs(mesh, labels, extract_submeshes(mesh, labels)).welds
     assert spec.arc_kind == "two-arc-multiply-connected"
-    return mesh, labels, spec
+    return spec
 
 
 def test_weld_second_arc_off_the_sides_is_misordered():
-    mesh, labels, spec = _annulus_two_arc_weld()
+    spec = _annulus_two_arc_weld()
     spec.arcs[1] = spec.arcs[1][::-1]
     with pytest.raises(MisorderedArc, match="^second weld arc is inconsistent between the two sides$") as info:
-        _run_weld(spec, mesh, labels, tracker=None)
+        _run_weld(spec, tracker=None)
     assert info.value.stage == "weld"
     assert info.value.submesh == "[0] and [1]"
 
@@ -411,10 +449,10 @@ def test_weld_arcs_out_of_rim_order_are_misordered():
     # Swapped, the arcs still lie on both sides, but side A runs along the
     # outer boundary, not the hole rim, from the end of the first to the
     # start of the second.
-    mesh, labels, spec = _annulus_two_arc_weld()
+    spec = _annulus_two_arc_weld()
     spec.arcs.reverse()
     with pytest.raises(MisorderedArc, match="^cannot order the two weld arcs around the hole rim$") as info:
-        _run_weld(spec, mesh, labels, tracker=None)
+        _run_weld(spec, tracker=None)
     assert info.value.stage == "weld"
     assert info.value.submesh == "[0] and [1]"
 
