@@ -201,12 +201,13 @@ def _solve_factored(lu, n, fixed, free, K_free, Kff, values, fail_rtol):
     rhs = -(K_free[:, fixed] @ values)
     xf = lu.solve(rhs)
     scale = max(np.linalg.norm(rhs), 1e-300)
+    r = rhs - Kff @ xf
     for _ in range(5):
-        r = rhs - Kff @ xf
         if np.linalg.norm(r) <= SOLVE_RTOL * scale:
             break
         xf = xf + lu.solve(r)
-    res = np.linalg.norm(rhs - Kff @ xf)
+        r = rhs - Kff @ xf
+    res = np.linalg.norm(r)
     if not np.all(np.isfinite(xf)) or res > fail_rtol * scale:
         raise SingularSystem(
             f"relative residual {res / scale:.1e} stays above {fail_rtol:.0e}"

@@ -114,17 +114,6 @@ def load_labels(path, n_faces):
     return PartitionLabeling(face_label=inv)
 
 
-def _interior_edges(mesh):
-    """Interior (two-face) edges of the mesh, each once, as arrays
-    (u, v, f0, f1): face f0 runs the edge u -> v, face f1 runs it v -> u."""
-    twin = mesh.twin.ravel()
-    # Half-edge h of face h // 3 runs its edge from faces.ravel()[h]; the
-    # twin runs it back, from the other end.
-    h = np.flatnonzero(twin > np.arange(len(twin)))
-    tail = mesh.faces.ravel()
-    return tail[h], tail[twin[h]], h // 3, twin[h] // 3
-
-
 def region_hole_count(mesh, face_ids, twin):
     """Number of inner holes of the region spanned by face_ids, whose twin
     cut (region_twins) is twin (Euler count)."""
@@ -193,81 +182,84 @@ class WeldPlan:
     hole_owner: dict  # parent loop index -> frozenset of labels at circularization
 
 
-def _shared_arcs(comp_a, comp_b, cut_cache):
-    """Cut edges between two label sets, chained into maximal vertex paths
-    directed the way the faces of comp_a run them, listed by first vertex."""
-    cu, cv, cla, clb = cut_cache
-    fwd = np.isin(cla, sorted(comp_a)) & np.isin(clb, sorted(comp_b))
-    rev = np.isin(cla, sorted(comp_b)) & np.isin(clb, sorted(comp_a))
-    tails = np.concatenate([cu[fwd], cv[rev]]).tolist()
-    heads = np.concatenate([cv[fwd], cu[rev]]).tolist()
-    if not tails:
+def _join(loops_a, loops_b):
+    """The weld of two sides, from their boundary loops (parent-vertex
+    arrays): (arcs, loops of the union), or None when the sides do not weld.
+
+    An edge that side a's loops run u -> v and side b's run v -> u is on an
+    arc: those edges, the way side a runs them, are chained into maximal
+    vertex paths listed by first vertex; the sides do not weld when they
+    share no edge, or the shared edges branch or close a cycle. The other
+    edges are chained into the union's loops; the sides do not weld when
+    those branch (NonManifold), where the sides touch at a vertex off their
+    arcs."""
+    tails = np.concatenate(loops_a + loops_b)
+    heads = np.concatenate([np.roll(lp, -1) for lp in loops_a + loops_b])
+    n = int(tails.max()) + 1  # every head starts an edge too
+    shared = np.isin(tails * n + heads, heads * n + tails)
+    # An edge's reverse is never on its own side's loops, so side a's
+    # shared edges are the arcs, once each.
+    on_a = np.arange(len(tails)) < sum(len(lp) for lp in loops_a)
+    arc_tails = tails[shared & on_a].tolist()
+    arc_heads = heads[shared & on_a].tolist()
+    if not arc_tails:
         return None
-    succ = dict(zip(tails, heads))
-    if len(succ) < len(tails) or len(set(heads)) < len(heads):
+    succ = dict(zip(arc_tails, arc_heads))
+    if len(succ) < len(arc_tails) or len(set(arc_heads)) < len(arc_heads):
         return None  # branching cut between the same two components
     arcs = []
-    for start in sorted(succ.keys() - set(heads)):
+    for start in sorted(succ.keys() - set(arc_heads)):
         path = [start]
         while path[-1] in succ:
             path.append(succ[path[-1]])
         arcs.append(np.asarray(path, dtype=np.int64))
-    if sum(len(arc) - 1 for arc in arcs) < len(tails):
+    if sum(len(arc) - 1 for arc in arcs) < len(arc_tails):
         return None  # closed cut cycle: full welding is out of scope
-    return arcs
+    try:
+        return arcs, chain_loops(tails[~shared], heads[~shared])
+    except NonManifold:
+        return None
 
 
-def _corner_loops(mesh):
-    """Boundary-loop index of the vertex at each face corner, -1 off the
-    boundary, shaped like mesh.faces. A boundary vertex lies on one loop
-    only: build_mesh rejects a vertex with two outgoing boundary edges."""
+def _loop_index(mesh):
+    """Boundary-loop index of each vertex, -1 off the boundary. A boundary
+    vertex lies on one loop only: build_mesh rejects a vertex with two
+    outgoing boundary edges."""
     loop_of = np.full(mesh.n_vertices, -1, dtype=np.int64)
     for li, loop in enumerate(mesh.boundary_loops):
         loop_of[loop] = li
-    return loop_of[mesh.faces]
+    return loop_of
 
 
-def _touching_labels(mesh, labels):
-    """For each inner loop: set of labels owning a face incident to the loop."""
-    corner = _corner_loops(mesh).ravel()
-    flat_labels = np.repeat(labels.face_label, 3)
-    return {
-        li: set(np.unique(flat_labels[corner == li]).tolist())
-        for li in range(1, len(mesh.boundary_loops))
-    }
+def _hole_owners(mesh, submeshes):
+    """For each inner loop of mesh: the set of labels with a vertex on the
+    loop, which are those with a face incident to it, as a submesh's
+    vertices are its faces' corners."""
+    loop_of = _loop_index(mesh)
+    owners = {li: set() for li in range(1, len(mesh.boundary_loops))}
+    for sub in submeshes:
+        for li in np.unique(loop_of[sub.to_parent]).tolist():
+            if li > 0:
+                owners[li].add(sub.label)
+    return owners
 
 
-def _union_loops(loops_a, loops_b):
-    """Boundary loops of the union of two face sets, from their loops: the
-    edges of both less those they share (run both ways), chained. Raises
-    NonManifold where the sides touch at a vertex off their shared edges."""
-    tails = np.concatenate(loops_a + loops_b)
-    heads = np.concatenate([np.roll(lp, -1) for lp in loops_a + loops_b])
-    n = int(tails.max()) + 1  # every head starts an edge too
-    keep = ~np.isin(tails * n + heads, heads * n + tails)
-    return chain_loops(tails[keep], heads[keep])
-
-
-def build_weld_specs(mesh, labels, submeshes):
+def build_weld_specs(mesh, submeshes):
     """Plan the pairwise welds (phase 1 encloses holes, phase 2 joins the rest).
 
     submeshes are extract_submeshes(mesh, labels), which has validated the
     labels; each welded component is tracked by its boundary loops, one more
-    than its holes. Returns a WeldPlan; raises NoValidPlan when the partition
-    cannot be welded with pairwise continuous/two-arc welds.
+    than its holes, and a weld's arcs are the edges its two sides' loops run
+    both ways (_join). Of the mesh only boundary_loops and n_vertices are
+    read. Returns a WeldPlan; raises NoValidPlan when the partition cannot
+    be welded with pairwise continuous/two-arc welds.
     """
-    eu, ev, ef0, ef1 = _interior_edges(mesh)
-    ela = labels.face_label[ef0]
-    elb = labels.face_label[ef1]
-    on_cut = ela != elb
-    cut_cache = (eu[on_cut], ev[on_cut], ela[on_cut], elb[on_cut])
-
     # Each welded component and its boundary loops.
     comps = {
         frozenset({sub.label}): [sub.to_parent[lp] for lp in sub.mesh.boundary_loops]
         for sub in submeshes
     }
-    touch = _touching_labels(mesh, labels)
+    touch = _hole_owners(mesh, submeshes)
     welds = []
 
     def comp_of(lab):
@@ -276,13 +268,10 @@ def build_weld_specs(mesh, labels, submeshes):
     def try_merge(p, q):
         """The weld of p and q, and the loops of their union; None when the
         pair does not weld."""
-        arcs = _shared_arcs(p, q, cut_cache)
-        if arcs is None:
+        joined = _join(comps[p], comps[q])
+        if joined is None:
             return None
-        try:
-            union = _union_loops(comps[p], comps[q])
-        except NonManifold:
-            return None  # the sides also touch at a vertex off their arcs
+        arcs, union = joined
         # The holes the weld adds, as a component has one hole fewer than loops.
         extra = len(union) - len(comps[p]) - len(comps[q]) + 1
         hole = None
@@ -400,7 +389,7 @@ def _hole_voronoi(mesh):
     n_holes = mesh.n_holes
     # Faces touching several rims go to the lowest hole index; hole i is
     # loop i + 1, and n_holes marks a face on no rim.
-    corner = _corner_loops(mesh)
+    corner = _loop_index(mesh)[mesh.faces]
     seed_label = np.where(corner > 0, corner - 1, n_holes).min(axis=1)
     seeds = np.flatnonzero(seed_label < n_holes)
     if len(seeds) == 0:

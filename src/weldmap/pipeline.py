@@ -349,7 +349,7 @@ def compute_parameterization(
             f"|mu| < {1 - EPS_MU}",
         )
     submeshes = extract_submeshes(mesh, labels)
-    plan = build_weld_specs(mesh, labels, submeshes)
+    plan = build_weld_specs(mesh, submeshes)
     mu_subs = [mu[sub.faces] for sub in submeshes]
     timings = {}
     snapshots = []

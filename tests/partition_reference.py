@@ -15,11 +15,14 @@ the package's, so a test can compare the two byte for byte.
 
 The reference planner cuts the parent's twin table for each union of labels
 it weighs and counts the union's holes from the cut (region_hole_count),
-where the package chains the two sides' boundary loops. Its weld sides'
-loops are walked from each side's twin cut, the way the weld chain walked
-them before the plan carried them. `build_weld_specs` takes the same
-arguments and returns the same plan as the package's, or raises the same
-NoValidPlan.
+where the package chains the two sides' boundary loops. It finds each
+weld's arcs among the mesh's cut edges, by the labels of their two faces,
+and the labels around each hole by the labels of the faces on its rim,
+where the package reads both from the parts' boundary loops and vertices.
+Its weld sides' loops are walked from each side's twin cut, the way the
+weld chain walked them before the plan carried them. `build_weld_specs`
+takes the labels besides the package's arguments and returns the same
+plan, or raises the same NoValidPlan.
 """
 
 import itertools
@@ -35,16 +38,79 @@ from weldmap.errors import (
     SubmeshWithTwoHoles,
     WeldmapError,
 )
-from weldmap.mesh import _walk_loops, region_twins
+from weldmap.mesh import _walk_loops, chain_loops, region_twins
 from weldmap.partition import (
     PartitionLabeling,
     WeldPlan,
     WeldSpec,
-    _interior_edges,
-    _shared_arcs,
-    _touching_labels,
     region_hole_count,
 )
+
+
+def _interior_edges(mesh):
+    """Interior (two-face) edges of the mesh, each once, as arrays
+    (u, v, f0, f1): face f0 runs the edge u -> v, face f1 runs it v -> u."""
+    twin = mesh.twin.ravel()
+    # Half-edge h of face h // 3 runs its edge from faces.ravel()[h]; the
+    # twin runs it back, from the other end.
+    h = np.flatnonzero(twin > np.arange(len(twin)))
+    tail = mesh.faces.ravel()
+    return tail[h], tail[twin[h]], h // 3, twin[h] // 3
+
+
+def _shared_arcs(comp_a, comp_b, cut_cache):
+    """Cut edges between two label sets, chained into maximal vertex paths
+    directed the way the faces of comp_a run them, listed by first vertex."""
+    cu, cv, cla, clb = cut_cache
+    fwd = np.isin(cla, sorted(comp_a)) & np.isin(clb, sorted(comp_b))
+    rev = np.isin(cla, sorted(comp_b)) & np.isin(clb, sorted(comp_a))
+    tails = np.concatenate([cu[fwd], cv[rev]]).tolist()
+    heads = np.concatenate([cv[fwd], cu[rev]]).tolist()
+    if not tails:
+        return None
+    succ = dict(zip(tails, heads))
+    if len(succ) < len(tails) or len(set(heads)) < len(heads):
+        return None  # branching cut between the same two components
+    arcs = []
+    for start in sorted(succ.keys() - set(heads)):
+        path = [start]
+        while path[-1] in succ:
+            path.append(succ[path[-1]])
+        arcs.append(np.asarray(path, dtype=np.int64))
+    if sum(len(arc) - 1 for arc in arcs) < len(tails):
+        return None  # closed cut cycle: full welding is out of scope
+    return arcs
+
+
+def _corner_loops(mesh):
+    """Boundary-loop index of the vertex at each face corner, -1 off the
+    boundary, shaped like mesh.faces. A boundary vertex lies on one loop
+    only: build_mesh rejects a vertex with two outgoing boundary edges."""
+    loop_of = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    for li, loop in enumerate(mesh.boundary_loops):
+        loop_of[loop] = li
+    return loop_of[mesh.faces]
+
+
+def _touching_labels(mesh, labels):
+    """For each inner loop: set of labels owning a face incident to the loop."""
+    corner = _corner_loops(mesh).ravel()
+    flat_labels = np.repeat(labels.face_label, 3)
+    return {
+        li: set(np.unique(flat_labels[corner == li]).tolist())
+        for li in range(1, len(mesh.boundary_loops))
+    }
+
+
+def _union_loops(loops_a, loops_b):
+    """Boundary loops of the union of two face sets, from their loops: the
+    edges of both less those they share (run both ways), chained. Raises
+    NonManifold where the sides touch at a vertex off their shared edges."""
+    tails = np.concatenate(loops_a + loops_b)
+    heads = np.concatenate([np.roll(lp, -1) for lp in loops_a + loops_b])
+    n = int(tails.max()) + 1  # every head starts an edge too
+    keep = ~np.isin(tails * n + heads, heads * n + tails)
+    return chain_loops(tails[keep], heads[keep])
 
 
 def validate(mesh, labels):

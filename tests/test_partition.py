@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,9 +17,8 @@ from weldmap.mesh import build_mesh, region_twins, walk_boundary_loops
 from weldmap.partition import (
     PartitionLabeling,
     _face_graph,
-    _shared_arcs,
-    _touching_labels,
-    _union_loops,
+    _hole_owners,
+    _join,
     build_weld_specs,
     default_partition,
     extract_submeshes,
@@ -79,7 +79,7 @@ def test_cut_edges_avoid_boundary():
     # labelled faces, even where the arc ends on the boundary.
     m = disk_mesh()
     part = split_by_x(m, 0.0)
-    plan = build_weld_specs(m, part, extract_submeshes(m, part))
+    plan = build_weld_specs(m, extract_submeshes(m, part))
     edge_labels = {}
     for f, lab in zip(m.faces.tolist(), part.face_label.tolist()):
         for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
@@ -100,7 +100,7 @@ def test_plan_disk_two_parts():
     m = disk_mesh()
     part = split_by_x(m, 0.0)
     subs = extract_submeshes(m, part)
-    plan = build_weld_specs(m, part, subs)
+    plan = build_weld_specs(m, subs)
     assert len(plan.welds) == 1
     assert plan.welds[0].arc_kind == "continuous"
     assert plan.n_pre == 0
@@ -110,7 +110,7 @@ def test_plan_annulus_two_parts():
     m = annulus_mesh()
     part = split_by_x(m, 0.0)
     subs = extract_submeshes(m, part)
-    plan = build_weld_specs(m, part, subs)
+    plan = build_weld_specs(m, subs)
     assert len(plan.welds) == 1
     w = plan.welds[0]
     assert w.arc_kind == "two-arc-multiply-connected"
@@ -161,7 +161,7 @@ def test_weld_chain_at_eight_parts(name):
     make, n_pre, hole_owner, chain = WELD_CHAINS[name]
     m = make()
     part = default_partition(m, 8)
-    plan = build_weld_specs(m, part, extract_submeshes(m, part))
+    plan = build_weld_specs(m, extract_submeshes(m, part))
     assert plan.n_pre == n_pre
     assert {li: sorted(c) for li, c in plan.hole_owner.items()} == hole_owner
     assert [(sorted(w.left), sorted(w.right), w.arc_kind) for w in plan.welds] == chain
@@ -177,7 +177,7 @@ def test_plan_quadrants():
     m = disk_mesh()
     part = split_in_quadrants(m)
     subs = extract_submeshes(m, part)
-    plan = build_weld_specs(m, part, subs)
+    plan = build_weld_specs(m, subs)
     assert len(plan.welds) == 3
     assert all(w.arc_kind == "continuous" for w in plan.welds)
 
@@ -196,7 +196,7 @@ def test_plan_quadrants():
 def test_weld_arcs_run_along_the_left_faces(make, split):
     m = make()
     part = split(m)
-    plan = build_weld_specs(m, part, extract_submeshes(m, part))
+    plan = build_weld_specs(m, extract_submeshes(m, part))
     assert plan.welds
     for spec in plan.welds:
         left = m.faces[np.isin(part.face_label, sorted(spec.left))]
@@ -219,7 +219,7 @@ def test_plan_fully_enclosed_rejected():
     part = PartitionLabeling(face_label=lab)
     subs = extract_submeshes(m, part)
     with pytest.raises(NoValidPlan):
-        build_weld_specs(m, part, subs)
+        build_weld_specs(m, subs)
 
 
 def test_default_partition_two_holes():
@@ -228,7 +228,7 @@ def test_default_partition_two_holes():
     part.validate(m)
     assert part.n_parts == 2
     subs = extract_submeshes(m, part)
-    plan = build_weld_specs(m, part, subs)
+    plan = build_weld_specs(m, subs)
     assert plan.n_pre == 0  # each hole already inside one part
     assert len(plan.welds) == 1
 
@@ -320,7 +320,7 @@ _CORPUS_PARTS = (1, 2, 3, 4, 6, 8)
 @pytest.mark.parametrize(
     "make, parts",
     [
-        (_conformal_grid_mesh, (4,)),
+        (_conformal_grid_mesh, (4, 24)),
         (lambda: two_hole_grid(100), (4,)),
         (lambda: two_hole_grid(40), _CORPUS_PARTS),
         (lambda: annulus_mesh(20, 120), _CORPUS_PARTS),
@@ -342,7 +342,7 @@ def test_weld_side_loops_from_the_table_match_a_walk_of_the_side(make, parts):
     for n in parts:
         part = default_partition(m, n)
         subs = extract_submeshes(m, part)
-        plan = build_weld_specs(m, part, subs)
+        plan = build_weld_specs(m, subs)
         assert _plan_key(plan) == _reference_plan_key(m, part, subs), n
         for spec in plan.welds:
             for comp, loops in ((spec.left, spec.left_loops), (spec.right, spec.right_loops)):
@@ -382,9 +382,12 @@ def _plans_or_errors(mesh, labels):
     message."""
     subs = extract_submeshes(mesh, labels)
     out = []
-    for planner in (build_weld_specs, partition_reference.build_weld_specs):
+    for plan in (
+        lambda: build_weld_specs(mesh, subs),
+        lambda: partition_reference.build_weld_specs(mesh, labels, subs),
+    ):
         try:
-            out.append(_plan_key(planner(mesh, labels, subs)))
+            out.append(_plan_key(plan()))
         except NoValidPlan as err:
             out.append(str(err))
     return out
@@ -462,23 +465,43 @@ def test_parts_that_share_an_arc_and_touch_at_a_vertex_do_not_weld():
     labels = PartitionLabeling(face_label=lab)
     subs = extract_submeshes(mesh, labels)
     a, b = frozenset({0}), frozenset({1})
-    eu, ev, ef0, ef1 = partition._interior_edges(mesh)
+    eu, ev, ef0, ef1 = partition_reference._interior_edges(mesh)
     la, lb = lab[ef0], lab[ef1]
     cut = la != lb
-    (arc,) = _shared_arcs(a, b, (eu[cut], ev[cut], la[cut], lb[cut]))
+    (arc,) = partition_reference._shared_arcs(a, b, (eu[cut], ev[cut], la[cut], lb[cut]))
     point = lambda vid: tuple((mesh.vertices[vid] * 4).round().astype(int).tolist())
     assert sorted(map(point, arc)) == [(3, 2), (4, 2)]
+    loops_a, loops_b = (
+        [sub.to_parent[lp] for lp in sub.mesh.boundary_loops] for sub in subs[:2]
+    )
     with pytest.raises(NonManifold, match="^boundary vertex 12 has two outgoing"):
-        _union_loops(*(
-            [sub.to_parent[lp] for lp in sub.mesh.boundary_loops] for sub in subs[:2]
-        ))
+        partition_reference._union_loops(loops_a, loops_b)
     assert point(12) == (2, 2)
+    assert _join(loops_a, loops_b) is None
 
-    plan = build_weld_specs(mesh, labels, subs)
+    plan = build_weld_specs(mesh, subs)
     assert [(sorted(s.left), sorted(s.right)) for s in plan.welds] == [
         ([0], [2]), ([0, 2], [1]), ([0, 1, 2], [3])
     ]
     assert _plan_key(plan) == _reference_plan_key(mesh, labels, subs)
+
+
+@pytest.mark.parametrize(
+    "make, parts",
+    [(lambda: two_hole_grid(40), 8), (lambda: annulus_mesh(20, 120), 8), (disk_mesh, 4)],
+    ids=["two_hole_grid(40)", "annulus_mesh(20,120)", "disk_mesh()"],
+)
+def test_the_planner_reads_only_the_boundary_loops_of_the_mesh(make, parts):
+    # A stand-in mesh with no faces and no twin table plans the same welds:
+    # the arcs come from the parts' loops, the hole owners from their
+    # vertices.
+    m = make()
+    labels = default_partition(m, parts)
+    subs = extract_submeshes(m, labels)
+    loops_only = SimpleNamespace(boundary_loops=m.boundary_loops, n_vertices=m.n_vertices)
+    plan = build_weld_specs(loops_only, subs)
+    assert plan.welds
+    assert _plan_key(plan) == _plan_key(build_weld_specs(m, subs))
 
 
 def _cells(nx, cells):
@@ -604,14 +627,15 @@ def _four_hole_grid():
 )
 def test_default_partition_matches_the_whole_labeling_reference(make):
     # Checking only the two halves of a split accepts the same splits as
-    # validating every trial labeling whole; the loop table finds the same
-    # labels around each hole as an np.isin pass per hole.
+    # validating every trial labeling whole; the parts' vertices on each
+    # hole's rim name the same labels as an np.isin pass per hole.
     m = make()
     for parts in range(1, 13):
         got = default_partition(m, parts)
         want = partition_reference.default_partition(m, parts)
         assert got.face_label.tobytes() == want.face_label.tobytes(), parts
-        assert _touching_labels(m, got) == partition_reference.touching_labels(m, got), parts
+        owners = _hole_owners(m, extract_submeshes(m, got))
+        assert owners == partition_reference.touching_labels(m, got), parts
 
 
 def _validate_by_reference(labels, mesh):

@@ -366,7 +366,7 @@ def _halves(mesh):
 def test_weld_arc_against_the_face_direction_is_wrong_topology():
     mesh = grid_mesh(4, 4)
     labels = _halves(mesh)
-    (spec,) = build_weld_specs(mesh, labels, extract_submeshes(mesh, labels)).welds
+    (spec,) = build_weld_specs(mesh, extract_submeshes(mesh, labels)).welds
     spec.arcs = [spec.arcs[0][::-1]]
     with pytest.raises(WrongTopology, match="direction") as info:
         _run_weld(spec, tracker=None)
@@ -431,7 +431,7 @@ def _annulus_two_arc_weld():
     mesh = annulus_mesh()
     cent = mesh.vertices[mesh.faces].mean(axis=1)
     labels = PartitionLabeling(face_label=(cent[:, 0] > 0).astype(np.int64))
-    (spec,) = build_weld_specs(mesh, labels, extract_submeshes(mesh, labels)).welds
+    (spec,) = build_weld_specs(mesh, extract_submeshes(mesh, labels)).welds
     assert spec.arc_kind == "two-arc-multiply-connected"
     return spec
 
@@ -561,7 +561,7 @@ def test_koebe_failures_name_their_hole_and_component(monkeypatch, target, call,
     mesh = annulus_mesh(6, 32)
     labels = default_partition(mesh, 2)
     if where == "hole":
-        plan = build_weld_specs(mesh, labels, extract_submeshes(mesh, labels))
+        plan = build_weld_specs(mesh, extract_submeshes(mesh, labels))
         ((loop, comp),) = plan.hole_owner.items()
         where = f"hole {loop} of {sorted(comp)}"
     with pytest.raises(NumericalBreakdown, match="^anchor left the unit disk$") as info:
