@@ -78,9 +78,25 @@ class PipelineConfig:
                 hint="pass --mu zero for a conformal run",
             )
         if self.koebe_passes < 0:
-            raise ConfigError("koebe passes must be >= 0", code="CONFIG_BAD_PASSES")
+            raise ConfigError(
+                f"koebe passes must be >= 0, got {self.koebe_passes}", code="CONFIG_BAD_PASSES"
+            )
         if self.threads < 1:
-            raise ConfigError("thread count must be >= 1", code="CONFIG_BAD_THREADS")
+            raise ConfigError(
+                f"thread count must be >= 1, got {self.threads}", code="CONFIG_BAD_THREADS"
+            )
+        # out_dir is made after the map: the deepest part of its path that
+        # exists must be a directory.
+        existing = os.path.abspath(self.out_dir)
+        while not os.path.lexists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise ConfigError(
+                f"cannot make output directory {self.out_dir!r}: "
+                f"{existing!r} is not a directory",
+                code="CONFIG_BAD_OUT",
+                hint="pass an existing directory, or a new path inside one, via --out",
+            )
 
 
 def load_mu_csv(path, n_faces):
@@ -115,8 +131,12 @@ def load_mu_csv(path, n_faces):
         raise ConfigError(
             f"cannot read {path!r}: {exc}", code="CONFIG_BELTRAMI_NOT_FOUND"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"Beltrami CSV {path!r} is not UTF-8 text: {exc}", code="CONFIG_BAD_BELTRAMI"
+        ) from exc
     if not rows:
-        raise ConfigError("empty Beltrami CSV", code="CONFIG_BAD_BELTRAMI")
+        raise ConfigError(f"Beltrami CSV {path!r} has no rows", code="CONFIG_BAD_BELTRAMI")
     widths = {len(r) for _, r in rows}
     if widths == {3}:
         mu = np.zeros(n_faces, dtype=np.complex128)
@@ -147,7 +167,8 @@ def load_mu_csv(path, n_faces):
         arr = np.asarray([r for _, r in rows], dtype=np.float64)
         return arr[:, 0] + 1j * arr[:, 1]
     raise ConfigError(
-        "Beltrami CSV must have 2 or 3 columns", code="CONFIG_BAD_BELTRAMI"
+        f"Beltrami CSV {path!r} has rows of {sorted(widths)} columns; expected 2 or 3",
+        code="CONFIG_BAD_BELTRAMI",
     )
 
 
@@ -201,6 +222,12 @@ def _dump_stage_csv(path, loops):
                 fh.write(f"{int(lab)},{i},{z.real!r},{z.imag!r}\n")
 
 
+def _write_json(path, data):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def run_pipeline(config):
     """Execute one configured run and write all artifacts; returns 0."""
     config.validate()
@@ -232,25 +259,24 @@ def run_pipeline(config):
         want_snapshots=config.snapshots,
     )
 
-    os.makedirs(config.out_dir, exist_ok=True)
-    save_obj_with_uv(
-        os.path.join(config.out_dir, "parameterization.obj"), mesh, result.param.uv
-    )
     metrics = {"schema_version": SCHEMA_VERSION, **result.report.as_dict()}
     metrics["refine_history"] = result.refine_history
-    with open(
-        os.path.join(config.out_dir, "metrics.json"), "w", encoding="utf-8"
-    ) as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    outputs = [
+        ("parameterization.obj", save_obj_with_uv, mesh, result.param.uv),
+        ("metrics.json", _write_json, metrics),
+    ]
     if config.snapshots:
         for stage, loops in result.snapshots:
-            emit_snapshot(
-                os.path.join(config.out_dir, f"snapshot_{stage}.svg"), loops
-            )
-            _dump_stage_csv(
-                os.path.join(config.out_dir, f"chains_{stage}.csv"), loops
-            )
+            outputs.append((f"snapshot_{stage}.svg", emit_snapshot, loops))
+            outputs.append((f"chains_{stage}.csv", _dump_stage_csv, loops))
+    path = config.out_dir
+    try:
+        os.makedirs(path, exist_ok=True)
+        for name, write, *args in outputs:
+            path = os.path.join(config.out_dir, name)
+            write(path, *args)
+    except OSError as exc:
+        raise WeldmapError(f"cannot write {path!r}: {exc}", code="IO_ERROR") from exc
     log.info(
         "wrote %s (e=%.3g, %d flipped faces)",
         config.out_dir,

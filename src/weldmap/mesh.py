@@ -135,7 +135,10 @@ def build_mesh(vertices, faces, twin=None):
         if np.any(signed < 0):
             if np.all(signed < 0):
                 raise WrongTopology("2D mesh is clockwise oriented; expected CCW")
-            raise NonManifold("2D mesh has mixed face orientations")
+            raise NonManifold(
+                f"2D mesh has mixed face orientations: face {int(np.argmax(signed < 0))} "
+                "is clockwise"
+            )
 
     # Each directed edge at most once, which also keeps every undirected
     # edge to at most two faces, run in opposite directions.
@@ -233,7 +236,7 @@ def load_mesh(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
     vertices, faces = parse(text)
     return build_mesh(vertices, faces)

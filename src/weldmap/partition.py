@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     SubmeshWithTwoHoles,
 )
-from .mesh import TriangleMesh, build_mesh, chain_loops, region_twins
+from .mesh import TriangleMesh, _walk_loops, build_mesh, chain_loops, region_twins
 
 
 @dataclass
@@ -54,12 +54,15 @@ class PartitionLabeling:
                 hint="give one label per face, in face order",
             )
         if self.face_label.min() < 0:
-            raise ParseError("negative partition label")
-        # Consecutive labels from 0 never exceed the face count, which also
-        # bounds the bincount below.
-        counts = np.bincount(self.face_label)
-        if self.face_label.max() >= len(self.face_label) or not np.all(counts):
-            raise ParseError("partition labels must be consecutive from 0")
+            face = int(np.argmin(self.face_label))
+            raise ParseError(f"negative partition label {self.face_label[face]} on face {face}")
+        # Consecutive labels from 0 never exceed the face count, checked
+        # first to bound the bincount.
+        top = int(self.face_label.max())
+        counts = np.bincount(self.face_label) if top < len(self.face_label) else np.zeros(1)
+        if not np.all(counts):
+            raise ParseError(f"partition labels must be consecutive from 0 up to {top}",
+                             hint="number the parts 0, 1, ..., n - 1")
         by_label = np.argsort(self.face_label, kind="stable")
         parts = []
         for lab, face_ids in enumerate(np.split(by_label, np.cumsum(counts)[:-1])):
@@ -84,15 +87,14 @@ def _region_error(mesh, face_ids, lab, twin):
     """The partition rule for one part, given its face ids in increasing
     order and its twin cut (region_twins): None when the faces are
     edge-connected, touch themselves at no vertex and hold at most one hole,
-    else the error naming submesh lab, checked in that order."""
+    else the error naming submesh lab, checked in that order; the last two
+    from one walk of the part's boundary loops (region_hole_count)."""
     if csgraph.connected_components(_face_graph(twin), directed=False, return_labels=False) != 1:
         return DisconnectedSubmesh(f"submesh {lab} is not edge-connected")
-    # A vertex that starts two of the part's boundary half-edges is a pinch.
-    tails = np.sort(mesh.faces[face_ids][twin < 0])
-    pinched = tails[1:][tails[1:] == tails[:-1]]
-    if len(pinched):
-        return NonManifold(f"submesh {lab} touches itself at vertex {int(pinched[0])}")
-    holes = region_hole_count(mesh, face_ids, twin)
+    try:
+        holes = region_hole_count(mesh, face_ids, twin)
+    except NonManifold as exc:
+        return NonManifold(f"submesh {lab} touches itself: {exc}")
     if holes > 1:
         return SubmeshWithTwoHoles(f"submesh {lab} has {holes} holes")
     return None
@@ -116,15 +118,11 @@ def load_labels(path, n_faces):
 
 def region_hole_count(mesh, face_ids, twin):
     """Number of inner holes of the region spanned by face_ids, whose twin
-    cut (region_twins) is twin (Euler count)."""
-    # Edges inside the region have two of its half-edges, edges on its
-    # boundary one: the -1 entries of the twin cut.
-    n_boundary = int(np.count_nonzero(twin < 0))
-    n_e = (3 * len(face_ids) + n_boundary) // 2
-    faces = mesh.faces[face_ids]
-    n_v = np.count_nonzero(np.bincount(faces.ravel(), minlength=mesh.n_vertices))
-    chi = n_v - n_e + len(faces)
-    return 1 - chi
+    cut (region_twins) is twin: its boundary loops less one, which is its
+    Euler count when it is edge-connected, as build_mesh takes only genus-0
+    parents. Raises NonManifold at the smallest vertex that starts two of
+    its boundary half-edges (the -1 entries of twin)."""
+    return len(_walk_loops(mesh.faces[face_ids], twin < 0)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +344,7 @@ def default_partition(mesh, target_parts):
     one part when no valid finer partition is found.
     """
     if target_parts < 1:
-        raise ParseError("target_parts must be >= 1")
+        raise ParseError(f"target_parts must be >= 1, got {target_parts}")
     n_holes = mesh.n_holes
     base = _hole_voronoi(mesh) if n_holes else np.zeros(mesh.n_faces, dtype=np.int64)
     # The face ids of each raw label, and whether that region passes.

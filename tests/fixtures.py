@@ -186,6 +186,22 @@ def complex_uv(uv):
     return uv[:, 0] + 1j * uv[:, 1]
 
 
+def fit_circle(points):
+    """Algebraic least-squares circle through complex samples.
+
+    Returns (center, radius, max residual of |z - c| - r). Insensitive to
+    uneven spacing along the circle, unlike the centroid-based circularity.
+    """
+    z = np.asarray(points, dtype=np.complex128)
+    A = np.column_stack([2 * z.real, 2 * z.imag, np.ones(len(z))])
+    b = np.abs(z) ** 2
+    (cx, cy, c0), *_ = np.linalg.lstsq(A, b, rcond=None)
+    center = complex(cx, cy)
+    radius = float(np.sqrt(max(c0 + cx * cx + cy * cy, 0.0)))
+    resid = float(np.abs(np.abs(z - center) - radius).max())
+    return center, radius, resid
+
+
 def harmonic_residual(mesh, uv):
     """Relative residual of the interior cotan Laplacian rows of the (n, 2)
     map uv."""

@@ -23,6 +23,11 @@ Its weld sides' loops are walked from each side's twin cut, the way the
 weld chain walked them before the plan carried them. `build_weld_specs`
 takes the labels besides the package's arguments and returns the same
 plan, or raises the same NoValidPlan.
+
+`region_hole_count` and `region_error` are the package's partition rule
+as it was before it read a part's pinch and holes from one walk of its
+boundary loops: the Euler count over the part's vertices, and a sort of
+its boundary half-edges' tails for the pinch.
 """
 
 import itertools
@@ -34,17 +39,44 @@ from scipy.sparse import csgraph
 from weldmap.errors import (
     DisconnectedSubmesh,
     NoValidPlan,
+    NonManifold,
     ParseError,
     SubmeshWithTwoHoles,
     WeldmapError,
 )
 from weldmap.mesh import _walk_loops, chain_loops, region_twins
-from weldmap.partition import (
-    PartitionLabeling,
-    WeldPlan,
-    WeldSpec,
-    region_hole_count,
-)
+from weldmap.partition import PartitionLabeling, WeldPlan, WeldSpec, _face_graph
+
+
+def region_hole_count(mesh, face_ids, twin):
+    """Number of inner holes of the region spanned by face_ids, whose twin
+    cut (region_twins) is twin (Euler count)."""
+    # Edges inside the region have two of its half-edges, edges on its
+    # boundary one: the -1 entries of the twin cut.
+    n_boundary = int(np.count_nonzero(twin < 0))
+    n_e = (3 * len(face_ids) + n_boundary) // 2
+    faces = mesh.faces[face_ids]
+    n_v = np.count_nonzero(np.bincount(faces.ravel(), minlength=mesh.n_vertices))
+    chi = n_v - n_e + len(faces)
+    return 1 - chi
+
+
+def region_error(mesh, face_ids, lab, twin):
+    """The partition rule for one part, given its face ids in increasing
+    order and its twin cut (region_twins): None when the faces are
+    edge-connected, touch themselves at no vertex and hold at most one hole,
+    else the error naming submesh lab, checked in that order."""
+    if csgraph.connected_components(_face_graph(twin), directed=False, return_labels=False) != 1:
+        return DisconnectedSubmesh(f"submesh {lab} is not edge-connected")
+    # A vertex that starts two of the part's boundary half-edges is a pinch.
+    tails = np.sort(mesh.faces[face_ids][twin < 0])
+    pinched = tails[1:][tails[1:] == tails[:-1]]
+    if len(pinched):
+        return NonManifold(f"submesh {lab} touches itself at vertex {int(pinched[0])}")
+    holes = region_hole_count(mesh, face_ids, twin)
+    if holes > 1:
+        return SubmeshWithTwoHoles(f"submesh {lab} has {holes} holes")
+    return None
 
 
 def _interior_edges(mesh):

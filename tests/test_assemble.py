@@ -21,7 +21,7 @@ from weldmap.flatten import (
 from weldmap.mesh import build_mesh
 from weldmap.partition import default_partition, extract_submeshes
 
-from fixtures import complex_uv, disk_mesh, grid_mesh, harmonic_residual
+from fixtures import complex_uv, disk_mesh, fit_circle, grid_mesh, harmonic_residual
 
 
 # ---------------------------------------------------------------------------
@@ -241,22 +241,6 @@ def test_mobius_recovers_known_automorphism():
     obj_out = float((d_out**2).sum())
     # the identity composition restores the original (zero) distortion
     assert obj_out <= 0.01 * obj_in
-
-
-def fit_circle(points):
-    """Algebraic least-squares circle through complex samples.
-
-    Returns (center, radius, max residual of |z - c| - r). Insensitive to
-    uneven spacing along the circle, unlike the centroid-based circularity.
-    """
-    z = np.asarray(points, dtype=np.complex128)
-    A = np.column_stack([2 * z.real, 2 * z.imag, np.ones(len(z))])
-    b = np.abs(z) ** 2
-    (cx, cy, c0), *_ = np.linalg.lstsq(A, b, rcond=None)
-    center = complex(cx, cy)
-    radius = float(np.sqrt(max(c0 + cx * cx + cy * cy, 0.0)))
-    resid = float(np.abs(np.abs(z - center) - radius).max())
-    return center, radius, resid
 
 
 def test_mobius_preserves_circles():

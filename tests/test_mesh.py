@@ -72,6 +72,19 @@ def test_cw_mesh_rejected():
         build_mesh(v, np.array([[0, 2, 1]]))
 
 
+def test_mixed_orientations_name_a_clockwise_face():
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(NonManifold, match="^2D mesh has mixed face orientations: face 1 is clockwise$"):
+        build_mesh(v, np.array([[0, 1, 2], [1, 2, 3]]))
+
+
+def test_closed_surface_rejected():
+    # A tetrahedron, every edge run both ways.
+    v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(WrongTopology, match=r"^closed surface \(no boundary\)$"):
+        build_mesh(v, np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]]))
+
+
 def test_degenerate_face_rejected():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(DegenerateFace):
@@ -185,6 +198,18 @@ def test_unknown_mesh_extension_is_parse_error(tmp_path):
     with pytest.raises(ParseError, match="cannot infer mesh format") as info:
         load_mesh(path)
     assert path in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["binary.obj", "binary.off", "folder.obj"])
+def test_an_unreadable_mesh_file_is_parse_error_naming_it(tmp_path, name):
+    path = tmp_path / name
+    if name.startswith("folder"):
+        path.mkdir()
+    else:
+        path.write_bytes(b"v 0 0\xff\n")
+    with pytest.raises(ParseError, match="^cannot read ") as info:
+        load_mesh(str(path))
+    assert repr(str(path)) in str(info.value)
 
 
 def test_off_reader_matches_obj_reader(tmp_path):

@@ -19,6 +19,7 @@ from weldmap.partition import (
     _face_graph,
     _hole_owners,
     _join,
+    _region_error,
     build_weld_specs,
     default_partition,
     extract_submeshes,
@@ -303,6 +304,31 @@ def test_default_partition_raises_validation_bugs(monkeypatch, mesh, parts):
         default_partition(mesh, parts)
 
 
+@pytest.mark.parametrize(
+    "face_label, named",
+    [
+        ([0, -3] + [0] * 14, "negative partition label -3 on face 1"),
+        ([0, 2] + [0] * 14, "consecutive from 0 up to 2"),
+        ([0, 40] + [0] * 14, "consecutive from 0 up to 40"),  # above the face count
+    ],
+    ids=["negative", "gap", "above-face-count"],
+)
+def test_malformed_labels_are_parse_errors_naming_them(face_label, named):
+    with pytest.raises(ParseError, match=named):
+        PartitionLabeling(face_label=face_label).validate(grid_mesh(4, 2))
+
+
+def test_an_unreadable_label_file_is_parse_error_naming_it(tmp_path):
+    with pytest.raises(ParseError, match="^cannot read labels from ") as info:
+        load_labels(str(tmp_path), 16)  # a directory
+    assert repr(str(tmp_path)) in str(info.value)
+
+
+def test_default_partition_asks_for_at_least_one_part():
+    with pytest.raises(ParseError, match="^target_parts must be >= 1, got 0$"):
+        default_partition(grid_mesh(4, 2), 0)
+
+
 def test_load_labels_numbers_labels_in_sorted_order(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("5\n2\n5\n")
@@ -393,19 +419,27 @@ def _plans_or_errors(mesh, labels):
     return out
 
 
-def _hop_labelings(mesh, seed, count):
-    """count labelings of mesh that pass validate, each the hop-distance
-    regions around 2 to 8 random seed faces, from one seeded generator."""
+def _hop_draws(mesh, seed):
+    """Labelings of mesh without end, each the hop-distance regions around
+    2 to 8 random seed faces, from one seeded generator."""
     rng = np.random.default_rng(seed)
     graph = _face_graph(mesh.twin)
-    found = []
-    while len(found) < count:
+    while True:
         seeds = rng.choice(mesh.n_faces, size=int(rng.integers(2, 9)), replace=False)
         _, _, sources = csgraph.dijkstra(
             graph, directed=False, unweighted=True, indices=seeds,
             min_only=True, return_predecessors=True,
         )
-        labels = PartitionLabeling(face_label=np.unique(sources, return_inverse=True)[1])
+        yield PartitionLabeling(face_label=np.unique(sources, return_inverse=True)[1])
+
+
+def _hop_labelings(mesh, seed, count):
+    """The first count labelings of _hop_draws(mesh, seed) that pass
+    validate."""
+    found = []
+    draws = _hop_draws(mesh, seed)
+    while len(found) < count:
+        labels = next(draws)
         try:
             labels.validate(mesh)
         except (DisconnectedSubmesh, NonManifold, SubmeshWithTwoHoles):
@@ -414,7 +448,8 @@ def _hop_labelings(mesh, seed, count):
     return found
 
 
-@pytest.mark.parametrize(
+# The meshes of the random hop-distance labelings.
+_HOP_MESHES = pytest.mark.parametrize(
     "make",
     [
         lambda: two_hole_grid(20),
@@ -426,6 +461,32 @@ def _hop_labelings(mesh, seed, count):
     ids=["two_hole_grid(20)", "annulus_mesh(6,40)", "disk_mesh(8,32)",
          "many_hole_grid(24,3)", "hemisphere_cap(8,24)"],
 )
+
+
+def _rule_outcome(err):
+    """A partition-rule outcome as comparable data: None for a valid part,
+    else the error's class and, for a pinch, its vertex, or its message."""
+    if err is None:
+        return None
+    if isinstance(err, NonManifold):
+        return NonManifold, re.search(r"vertex (\d+)", str(err)).group(1)
+    return type(err), str(err)
+
+
+def _judge_like_the_reference(mesh, face_ids, lab, twin):
+    """The package's partition rule on one part, asserted to give the
+    Euler-count reference's outcome, and its hole count when the part is
+    connected and pinch-free."""
+    got = _region_error(mesh, face_ids, lab, twin)
+    want = partition_reference.region_error(mesh, face_ids, lab, twin)
+    assert _rule_outcome(got) == _rule_outcome(want), face_ids.tolist()
+    if not isinstance(got, (DisconnectedSubmesh, NonManifold)):
+        holes = region_hole_count(mesh, face_ids, twin)
+        assert holes == partition_reference.region_hole_count(mesh, face_ids, twin)
+    return got
+
+
+@_HOP_MESHES
 def test_planner_matches_the_euler_count_reference_on_random_labelings(make):
     # Hop-distance regions around random seeds make cuts that
     # default_partition does not: parts that meet along several arcs, or
@@ -447,6 +508,84 @@ def test_planner_matches_the_euler_count_reference_on_many_holes(make, k):
         labels = default_partition(m, parts)
         got, want = _plans_or_errors(m, labels)
         assert got == want, parts
+
+
+@_HOP_MESHES
+def test_the_partition_rule_matches_the_euler_count_reference_on_random_labelings(make):
+    # Every part of every labeling drawn for the random-labelings planner
+    # test, those that fail validation included: one walk of the part's
+    # boundary loops finds the pinch the tails sort found, and the holes
+    # the Euler count found.
+    m = make()
+    draws = _hop_draws(m, 7)
+    valid = 0
+    while valid < 20:
+        labels = next(draws)
+        errors = []
+        for lab in range(labels.n_parts):
+            face_ids = np.flatnonzero(labels.face_label == lab)
+            errors.append(_judge_like_the_reference(m, face_ids, lab, region_twins(m, face_ids)))
+        valid += all(err is None for err in errors)
+
+
+@pytest.mark.parametrize("make", (many_hole_grid, many_hole_sphere))
+def test_the_partition_rule_matches_the_euler_count_reference_on_many_holes(monkeypatch, make):
+    # Every part the region splitter and extraction judge, the trial
+    # halves the splitter refuses included.
+    judged = []
+
+    def judge(mesh, face_ids, lab, twin):
+        err = _judge_like_the_reference(mesh, face_ids, lab, twin)
+        judged.append(type(err))
+        return err
+
+    monkeypatch.setattr(partition, "_region_error", judge)
+    for k in (3, 6, 9):
+        m = make(30, k)
+        for parts in (1, 4, 8):
+            extract_submeshes(m, default_partition(m, parts))
+    assert type(None) in judged
+
+
+def _ball(graph, centre, radius):
+    """Mask of the faces within radius hops of face centre."""
+    hops = csgraph.dijkstra(graph, directed=False, unweighted=True, indices=centre, limit=radius)
+    return np.isfinite(hops)
+
+
+def _random_regions(mesh, seed, count):
+    """count face sets of mesh from one seeded generator: each grows from a
+    random face by 1 to 3 hop-distance balls of radius 3 to 9, centred in
+    the set so far, then has 1 to 4 balls of radius 0 or 1 punched out,
+    which may open holes, cut the set apart or pinch it at a vertex."""
+    rng = np.random.default_rng(seed)
+    graph = _face_graph(mesh.twin)
+    regions = []
+    while len(regions) < count:
+        keep = np.zeros(mesh.n_faces, dtype=bool)
+        keep[rng.integers(mesh.n_faces)] = True
+        for _ in range(int(rng.integers(1, 4))):
+            keep |= _ball(graph, int(rng.choice(np.flatnonzero(keep))), int(rng.integers(3, 10)))
+        for centre in rng.choice(np.flatnonzero(keep), size=int(rng.integers(1, 5))):
+            keep &= ~_ball(graph, int(centre), int(rng.integers(0, 2)))
+        if keep.any():
+            regions.append(np.flatnonzero(keep))
+    return regions
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: many_hole_grid(24, 3), hemisphere_cap],
+    ids=["many_hole_grid(24,3)", "hemisphere_cap()"],
+)
+def test_the_partition_rule_matches_the_euler_count_reference_on_random_regions(make):
+    m = make()
+    outcomes = [
+        type(_judge_like_the_reference(m, ids, 0, region_twins(m, ids)))
+        for ids in _random_regions(m, 11, 80)
+    ]
+    # Every outcome of the rule: valid parts, cut ones, pinched ones and
+    # ones with two or more holes.
+    assert set(outcomes) == {type(None), DisconnectedSubmesh, NonManifold, SubmeshWithTwoHoles}
 
 
 def test_parts_that_share_an_arc_and_touch_at_a_vertex_do_not_weld():
@@ -550,7 +689,9 @@ def test_invalid_user_labels_fail_with_their_codes(mesh, labeled, code, tmp_path
         compute_parameterization(mesh, labels, np.zeros(mesh.n_faces, complex))
     assert info.value.code == code
     if code == "NON_MANIFOLD":
-        assert str(info.value) == "submesh 0 touches itself at vertex 5"
+        assert str(info.value) == (
+            "submesh 0 touches itself: boundary vertex 5 has two outgoing boundary edges"
+        )
     if code == "PARSE_ERROR":
         # Both counts, and how to mend the input.
         counts = set(re.findall(r"\d+", str(info.value)))
@@ -562,15 +703,20 @@ def test_a_connected_part_that_touches_itself_fails_the_partition_rule():
     # Label 0 runs around cell (2, 1) of a 4 x 4 grid, which is label 1,
     # and its two ends meet only at the grid point (2, 2), across the
     # diagonal from label 1: one connected part with one hole by the Euler
-    # count, pinched at that parent vertex. Label 2 is the rest.
+    # count, pinched at that parent vertex, where its boundary loops branch.
+    # Label 2 is the rest.
     mesh = grid_mesh(4, 4)
     ring = [(1, 1), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (2, 2)]
     lab = np.full(mesh.n_faces, 2, dtype=np.int64)
     lab[_cells(4, ring)] = 0
     lab[_cells(4, [(2, 1)])] = 1
     ring_ids = np.flatnonzero(lab == 0)
-    assert region_hole_count(mesh, ring_ids, region_twins(mesh, ring_ids)) == 1
-    with pytest.raises(NonManifold, match=r"^submesh 0 touches itself at vertex 12$"):
+    ring_twin = region_twins(mesh, ring_ids)
+    assert partition_reference.region_hole_count(mesh, ring_ids, ring_twin) == 1
+    with pytest.raises(NonManifold, match=r"^boundary vertex 12 has two outgoing"):
+        region_hole_count(mesh, ring_ids, ring_twin)
+    message = "submesh 0 touches itself: boundary vertex 12 has two outgoing boundary edges"
+    with pytest.raises(NonManifold, match=f"^{message}$"):
         compute_parameterization(mesh, PartitionLabeling(face_label=lab), np.zeros(mesh.n_faces, complex))
 
 
@@ -666,6 +812,8 @@ def test_validate_checks_label_by_label_connectivity_first(
     cell = np.floor(cent * [nx, 6]).astype(np.int64)
     lab = np.array([tuple(c) in set(label_1_cells) for c in cell.tolist()], dtype=np.int64)
     face_ids = np.flatnonzero(lab == 0)
-    assert region_hole_count(mesh, face_ids, region_twins(mesh, face_ids)) == 2
+    # Label 0 also breaks the hole rule: 2 holes, or 4 = 5 loops - 1 when it
+    # is in two pieces.
+    assert region_hole_count(mesh, face_ids, region_twins(mesh, face_ids)) > 1
     with pytest.raises(error, match=f"^{message}$"):
         validate(PartitionLabeling(face_label=lab), mesh)

@@ -225,6 +225,110 @@ def test_cli_missing_input():
     assert ei.value.code == "CONFIG_INPUT_NOT_FOUND"
 
 
+def _mapping_forbidden(monkeypatch):
+    """Make reading a mesh or mapping one fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the run went past its config check")
+
+    monkeypatch.setattr(cli, "load_mesh", forbidden)
+    monkeypatch.setattr(cli, "compute_parameterization", forbidden)
+
+
+@pytest.mark.parametrize(
+    "flags, code, named",
+    [
+        (["--partition", "auto:x"], "CONFIG_BAD_PARTITION", "'auto:x'"),
+        (["--partition", "{tmp}/labels.txt"], "CONFIG_PARTITION_NOT_FOUND", "labels.txt"),
+        (["--koebe-passes", "-1"], "CONFIG_BAD_PASSES", "got -1"),
+        (["--threads", "0"], "CONFIG_BAD_THREADS", "got 0"),
+        # An existing regular file, and a path inside one.
+        (["--out", "{tmp}/annulus.obj"], "CONFIG_BAD_OUT", "annulus.obj"),
+        (["--out", "{tmp}/annulus.obj/out"], "CONFIG_BAD_OUT", "annulus.obj/out"),
+    ],
+    ids=["partition-spec", "label-file", "koebe-passes", "threads", "out-file", "out-in-file"],
+)
+def test_cli_refuses_a_bad_flag_before_it_reads_the_mesh(
+    tmp_path, capsys, monkeypatch, flags, code, named
+):
+    obj = tmp_path / "annulus.obj"
+    _write_obj(obj, annulus_mesh(6, 32))
+    _mapping_forbidden(monkeypatch)
+    argv = ["--input", str(obj), *(f.format(tmp=tmp_path) for f in flags)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {code} | ") and named in err
+
+
+@pytest.mark.parametrize(
+    "writer, name",
+    [
+        ("save_obj_with_uv", "parameterization.obj"),
+        ("_write_json", "metrics.json"),
+        ("emit_snapshot", "snapshot_"),
+    ],
+)
+def test_cli_failing_to_write_an_output_is_an_io_error(tmp_path, capsys, monkeypatch, writer, name):
+    obj = tmp_path / "annulus.obj"
+    _write_obj(obj, annulus_mesh(6, 32))
+
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, writer, full_disk)
+    argv = ["--input", str(obj), "--partition", "auto:2", "--snapshots", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: IO_ERROR | ")
+    assert f"{tmp_path / 'out' / name}" in err and "No space left on device" in err
+
+
+def test_cli_with_a_label_file_and_a_mu_csv_maps_like_the_library(tmp_path):
+    # The user-input branches of run_pipeline: labels read from a file and
+    # mu from a CSV written with repr give the library's uv, bit for bit.
+    mesh = annulus_mesh(6, 32)
+    obj = tmp_path / "annulus.obj"
+    obj.write_text("".join(f"v {x!r} {y!r}\n" for x, y in mesh.vertices.tolist())
+                   + "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.faces.tolist()))
+    cent = mesh.vertices[mesh.faces].mean(axis=1)
+    labels = PartitionLabeling(face_label=(cent[:, 0] > 0).astype(np.int64))
+    (tmp_path / "labels.txt").write_text("".join(f"{lab}\n" for lab in labels.face_label.tolist()))
+    mu = smooth_beltrami(mesh)
+    (tmp_path / "mu.csv").write_text("face_index,re,im\n" + "".join(
+        f"{f},{z.real!r},{z.imag!r}\n" for f, z in enumerate(mu.tolist())
+    ))
+    argv = [
+        "--input", str(obj), "--partition", str(tmp_path / "labels.txt"),
+        "--mu", str(tmp_path / "mu.csv"), "--deterministic", "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 0
+    vt = [line.split()[1:] for line in (tmp_path / "out" / "parameterization.obj").open()
+          if line.startswith("vt ")]
+    want = compute_parameterization(mesh, labels, mu, deterministic=True).param.uv
+    assert np.array_equal(np.array(vt, dtype=np.float64), want)
+
+
+@pytest.mark.parametrize(
+    "text, code, named",
+    [
+        (None, "CONFIG_BELTRAMI_NOT_FOUND", "cannot read"),  # a directory
+        (b"0.1,0.2\xff\n", "CONFIG_BAD_BELTRAMI", "not UTF-8"),
+        (b"# no rows\n\n", "CONFIG_BAD_BELTRAMI", "has no rows"),
+        (b"0,0.1,0.2,0.3\n", "CONFIG_BAD_BELTRAMI", "rows of [4] columns"),
+    ],
+    ids=["unreadable", "not-utf8", "empty", "four-columns"],
+)
+def test_mu_csv_that_cannot_be_read_names_itself(tmp_path, text, code, named):
+    path = tmp_path / "mu.csv"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_bytes(text)
+    with pytest.raises(ConfigError) as ei:
+        load_mu_csv(str(path), 3)
+    assert ei.value.code == code
+    assert repr(str(path)) in str(ei.value) and named in str(ei.value)
+
+
 def test_main_builds_the_config_from_the_flags(monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "run_pipeline", lambda config: seen.append(config) or 0)
