@@ -419,50 +419,6 @@ def _plans_or_errors(mesh, labels):
     return out
 
 
-def _hop_draws(mesh, seed):
-    """Labelings of mesh without end, each the hop-distance regions around
-    2 to 8 random seed faces, from one seeded generator."""
-    rng = np.random.default_rng(seed)
-    graph = _face_graph(mesh.twin)
-    while True:
-        seeds = rng.choice(mesh.n_faces, size=int(rng.integers(2, 9)), replace=False)
-        _, _, sources = csgraph.dijkstra(
-            graph, directed=False, unweighted=True, indices=seeds,
-            min_only=True, return_predecessors=True,
-        )
-        yield PartitionLabeling(face_label=np.unique(sources, return_inverse=True)[1])
-
-
-def _hop_labelings(mesh, seed, count):
-    """The first count labelings of _hop_draws(mesh, seed) that pass
-    validate."""
-    found = []
-    draws = _hop_draws(mesh, seed)
-    while len(found) < count:
-        labels = next(draws)
-        try:
-            labels.validate(mesh)
-        except (DisconnectedSubmesh, NonManifold, SubmeshWithTwoHoles):
-            continue
-        found.append(labels)
-    return found
-
-
-# The meshes of the random hop-distance labelings.
-_HOP_MESHES = pytest.mark.parametrize(
-    "make",
-    [
-        lambda: two_hole_grid(20),
-        lambda: annulus_mesh(6, 40),
-        lambda: disk_mesh(8, 32),
-        lambda: many_hole_grid(24, 3),
-        lambda: hemisphere_cap(8, 24),
-    ],
-    ids=["two_hole_grid(20)", "annulus_mesh(6,40)", "disk_mesh(8,32)",
-         "many_hole_grid(24,3)", "hemisphere_cap(8,24)"],
-)
-
-
 def _rule_outcome(err):
     """A partition-rule outcome as comparable data: None for a valid part,
     else the error's class and, for a pinch, its vertex, or its message."""
@@ -486,7 +442,44 @@ def _judge_like_the_reference(mesh, face_ids, lab, twin):
     return got
 
 
-@_HOP_MESHES
+def _hop_labelings(mesh, seed, count):
+    """count labelings of mesh that pass validate, each the hop-distance
+    regions around 2 to 8 random seed faces, from one seeded generator.
+    Every part of every draw, those that fail validate included, is judged
+    by _judge_like_the_reference."""
+    rng = np.random.default_rng(seed)
+    graph = _face_graph(mesh.twin)
+    found = []
+    while len(found) < count:
+        seeds = rng.choice(mesh.n_faces, size=int(rng.integers(2, 9)), replace=False)
+        _, _, sources = csgraph.dijkstra(
+            graph, directed=False, unweighted=True, indices=seeds,
+            min_only=True, return_predecessors=True,
+        )
+        labels = PartitionLabeling(face_label=np.unique(sources, return_inverse=True)[1])
+        for lab in range(labels.n_parts):
+            face_ids = np.flatnonzero(labels.face_label == lab)
+            _judge_like_the_reference(mesh, face_ids, lab, region_twins(mesh, face_ids))
+        try:
+            labels.validate(mesh)
+        except (DisconnectedSubmesh, NonManifold, SubmeshWithTwoHoles):
+            continue
+        found.append(labels)
+    return found
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: two_hole_grid(20),
+        lambda: annulus_mesh(6, 40),
+        lambda: disk_mesh(8, 32),
+        lambda: many_hole_grid(24, 3),
+        lambda: hemisphere_cap(8, 24),
+    ],
+    ids=["two_hole_grid(20)", "annulus_mesh(6,40)", "disk_mesh(8,32)",
+         "many_hole_grid(24,3)", "hemisphere_cap(8,24)"],
+)
 def test_planner_matches_the_euler_count_reference_on_random_labelings(make):
     # Hop-distance regions around random seeds make cuts that
     # default_partition does not: parts that meet along several arcs, or
@@ -502,49 +495,22 @@ def test_planner_matches_the_euler_count_reference_on_random_labelings(make):
 
 @pytest.mark.parametrize("k", (3, 6, 9))
 @pytest.mark.parametrize("make", (many_hole_grid, many_hole_sphere))
-def test_planner_matches_the_euler_count_reference_on_many_holes(make, k):
+def test_planner_matches_the_euler_count_reference_on_many_holes(monkeypatch, make, k):
+    # Every part the region splitter and extraction judge, the trial halves
+    # the splitter refuses included, is judged like the reference.
+    judged = []
+
+    def judge(mesh, face_ids, lab, twin):
+        judged.append(lab)
+        return _judge_like_the_reference(mesh, face_ids, lab, twin)
+
+    monkeypatch.setattr(partition, "_region_error", judge)
     m = make(30, k)
     for parts in (1, 4, 8):
         labels = default_partition(m, parts)
         got, want = _plans_or_errors(m, labels)
         assert got == want, parts
-
-
-@_HOP_MESHES
-def test_the_partition_rule_matches_the_euler_count_reference_on_random_labelings(make):
-    # Every part of every labeling drawn for the random-labelings planner
-    # test, those that fail validation included: one walk of the part's
-    # boundary loops finds the pinch the tails sort found, and the holes
-    # the Euler count found.
-    m = make()
-    draws = _hop_draws(m, 7)
-    valid = 0
-    while valid < 20:
-        labels = next(draws)
-        errors = []
-        for lab in range(labels.n_parts):
-            face_ids = np.flatnonzero(labels.face_label == lab)
-            errors.append(_judge_like_the_reference(m, face_ids, lab, region_twins(m, face_ids)))
-        valid += all(err is None for err in errors)
-
-
-@pytest.mark.parametrize("make", (many_hole_grid, many_hole_sphere))
-def test_the_partition_rule_matches_the_euler_count_reference_on_many_holes(monkeypatch, make):
-    # Every part the region splitter and extraction judge, the trial
-    # halves the splitter refuses included.
-    judged = []
-
-    def judge(mesh, face_ids, lab, twin):
-        err = _judge_like_the_reference(mesh, face_ids, lab, twin)
-        judged.append(type(err))
-        return err
-
-    monkeypatch.setattr(partition, "_region_error", judge)
-    for k in (3, 6, 9):
-        m = make(30, k)
-        for parts in (1, 4, 8):
-            extract_submeshes(m, default_partition(m, parts))
-    assert type(None) in judged
+    assert judged
 
 
 def _ball(graph, centre, radius):
@@ -791,20 +757,21 @@ def _validate_by_reference(labels, mesh):
 @pytest.mark.parametrize("validate", [PartitionLabeling.validate, _validate_by_reference],
                          ids=["per-label", "reference"])
 @pytest.mark.parametrize(
-    "nx, hole_columns, label_1_cells, error, message",
+    "nx, hole_columns, label_1_cells, loops_less_one, error, message",
     [
         # Label 0 encloses both holes; label 1, two far corner cells, is
         # disconnected. The lower label fails first.
-        (12, (2, 8), [(0, 0), (11, 5)], SubmeshWithTwoHoles, "submesh 0 has 2 holes"),
+        (12, (2, 8), [(0, 0), (11, 5)], 2, SubmeshWithTwoHoles, "submesh 0 has 2 holes"),
         # Label 1, a full column, cuts label 0 into a piece around two holes
         # and a piece around the third: connectivity fails before holes.
-        (18, (2, 6, 14), [(11, j) for j in range(6)], DisconnectedSubmesh,
+        # Label 0 has 5 loops, two outer and three holes.
+        (18, (2, 6, 14), [(11, j) for j in range(6)], 4, DisconnectedSubmesh,
          "submesh 0 is not edge-connected"),
     ],
     ids=["label-order", "connectivity-first"],
 )
 def test_validate_checks_label_by_label_connectivity_first(
-    validate, nx, hole_columns, label_1_cells, error, message
+    validate, nx, hole_columns, label_1_cells, loops_less_one, error, message
 ):
     # Square holes of 2 x 2 cells in a grid of nx x 6 unit-square cells.
     mesh = grid_mesh(nx, 6, hole_cells=set().union(*(square_hole(i, 2, 2) for i in hole_columns)))
@@ -812,8 +779,9 @@ def test_validate_checks_label_by_label_connectivity_first(
     cell = np.floor(cent * [nx, 6]).astype(np.int64)
     lab = np.array([tuple(c) in set(label_1_cells) for c in cell.tolist()], dtype=np.int64)
     face_ids = np.flatnonzero(lab == 0)
-    # Label 0 also breaks the hole rule: 2 holes, or 4 = 5 loops - 1 when it
-    # is in two pieces.
-    assert region_hole_count(mesh, face_ids, region_twins(mesh, face_ids)) > 1
+    # Label 0 also breaks the hole rule: 2 holes by the Euler count.
+    twin = region_twins(mesh, face_ids)
+    assert partition_reference.region_hole_count(mesh, face_ids, twin) == 2
+    assert region_hole_count(mesh, face_ids, twin) == loops_less_one
     with pytest.raises(error, match=f"^{message}$"):
         validate(PartitionLabeling(face_label=lab), mesh)
