@@ -255,11 +255,11 @@ def run_pipeline(config):
         qc=config.qc_correction,
         area_correct=config.area_correct,
         threads=config.threads,
-        deterministic=config.deterministic,
-        want_snapshots=config.snapshots,
     )
 
     metrics = {"schema_version": SCHEMA_VERSION, **result.report.as_dict()}
+    if config.deterministic:
+        metrics["timings"] = {}  # wall-clock times would change the bytes
     metrics["refine_history"] = result.refine_history
     outputs = [
         ("parameterization.obj", save_obj_with_uv, mesh, result.param.uv),

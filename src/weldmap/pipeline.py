@@ -326,13 +326,11 @@ def compute_parameterization(
     qc=True,
     area_correct=False,
     threads=1,
-    deterministic=False,
-    want_snapshots=False,
 ):
     """Run the full stage DAG on an already-loaded mesh and partition.
 
     mu is a per-face complex array on the parent mesh. Returns a
-    PipelineResult.
+    PipelineResult, with its stage timings and its per-stage snapshots.
     """
     mu = np.asarray(mu, dtype=np.complex128)
     if mu.shape != (mesh.n_faces,):
@@ -356,13 +354,12 @@ def compute_parameterization(
 
     @contextmanager
     def stage(name, snap=True):
-        """Time the block into timings (not in deterministic mode), then
-        snapshot the tracked loops if asked."""
+        """Time the block into timings, then snapshot the tracked loops
+        unless snap is off."""
         t0 = time.perf_counter()
         yield
-        if not deterministic:
-            timings[name] = time.perf_counter() - t0
-        if want_snapshots and snap:
+        timings[name] = time.perf_counter() - t0
+        if snap:
             snapshots.append((name, tracker.loops(submeshes)))
 
     # A worker per submesh and one for the chain at most: more get no work.
@@ -431,6 +428,7 @@ def compute_parameterization(
                         with _stage("laplace", sub.label):
                             boundary = tracker.get(whole, sub.to_parent[bidx])
                             embeddings[sub.label] = laplace_dirichlet(flat, boundary, factor)
+                        factor = None  # at one thread, dropped before the next is made
             finally:
                 # A SuperLU factor dies on the thread that made it.
                 held.clear()

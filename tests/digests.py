@@ -4,8 +4,8 @@ keeps the outputs bit-identical.
     python tests/digests.py > digests.txt
 
 Run it on two trees and compare the files. One line per map and thread count
-(1 and 2): the map's name and threads, then, in deterministic mode, the
-sha256 of its uv and of report.as_dict() or, for a failed map, the error's
+(1 and 2): the map's name and threads, then the sha256 of its uv and of
+report.as_dict() with its timings blanked or, for a failed map, the error's
 code and describe(). The maps are the beltrami workload, the conformal_grid
 mesh as a library call, and the 60 corpus maps, all taken read-only from
 perfbench/workloads.py; then the conformal_grid mesh again at 8, 12, 16 and
@@ -15,7 +15,10 @@ refinement history; then the tiny annulus map that perfbench/workloads.py
 runs to warm up and perfbench/test_perfbench.py runs as its library map, at
 three mu fields; then one 3D many-hole map at koebe_passes 1 and 2; then the
 maps of tests/test_ledger.py at other resolutions (the 6-hole grid at n = 40
-and 60, and annulus_mesh(10,60) with mu = 0). Each group comes after the
+and 60, and annulus_mesh(10,60) with mu = 0); then the beltrami and
+conformal_grid maps again, each line hashing the tracked boundary points of
+every stage snapshot, so that a change which moves an intermediate boundary
+shows even where the final uv does not. Each group comes after the
 ones before it, so that older digest files still compare line by line. The
 file name keeps pytest from collecting it.
 """
@@ -123,6 +126,14 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _map(case, threads, koebe_passes=0):
+    labels = default_partition(case.mesh, case.parts)
+    return compute_parameterization(
+        case.mesh, labels, case.mu, koebe_passes=koebe_passes, qc=case.qc,
+        threads=threads,
+    )
+
+
 def digest(case, threads, koebe_passes=0):
     """The line of one map at the given thread count and Koebe passes; a
     line with passes also hashes the refinement history as floats."""
@@ -130,19 +141,29 @@ def digest(case, threads, koebe_passes=0):
     if koebe_passes:
         head += f" koebe_passes={koebe_passes}"
     try:
-        labels = default_partition(case.mesh, case.parts)
-        res = compute_parameterization(
-            case.mesh, labels, case.mu, koebe_passes=koebe_passes, qc=case.qc,
-            threads=threads, deterministic=True,
-        )
+        res = _map(case, threads, koebe_passes)
     except WeldmapError as err:
         return f"{head} error {err.code} {err.describe()}"
-    report = json.dumps(res.report.as_dict(), sort_keys=True)
+    report = json.dumps({**res.report.as_dict(), "timings": {}}, sort_keys=True)
     line = f"{head} uv {_sha(res.param.uv.tobytes())} report {_sha(report.encode())}"
     if koebe_passes:
         history = [[float(c) for c in row] for row in res.refine_history]
         line += f" refine {_sha(np.array(history, dtype=float).tobytes())}"
     return line
+
+
+def snapshot_digest(case, threads):
+    """The line of one map that hashes, per stage snapshot, the tracked
+    points of every boundary loop in snapshot order."""
+    head = f"{case.name} threads={threads} snapshots"
+    try:
+        res = _map(case, threads)
+    except WeldmapError as err:
+        return f"{head} error {err.code} {err.describe()}"
+    return head + "".join(
+        f" {name} {_sha(np.concatenate([pts for _, pts in loops]).tobytes())}"
+        for name, loops in res.snapshots
+    )
 
 
 def main():
@@ -164,6 +185,9 @@ def main():
         for case in resolution_cases():
             for threads in THREADS:
                 print(digest(case, threads), flush=True)
+        for case in workloads.beltrami(workdir) + workloads.conformal_grid(workdir):
+            for threads in THREADS:
+                print(snapshot_digest(case, threads), flush=True)
 
 
 if __name__ == "__main__":

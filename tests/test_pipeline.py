@@ -62,6 +62,11 @@ def _zero_mu(mesh):
     return np.zeros(mesh.n_faces, dtype=np.complex128)
 
 
+def _untimed(report):
+    """report.as_dict() without its wall-clock timings."""
+    return {**report.as_dict(), "timings": {}}
+
+
 def _write_obj(path, mesh):
     with open(path, "w", encoding="utf-8") as fh:
         for p in mesh.vertices:
@@ -103,15 +108,11 @@ def test_serial_parallel_bitwise_identical(n, parts):
     mesh = two_hole_grid(n)
     labels = default_partition(mesh, parts)
     mu = smooth_beltrami(mesh, seed=5)
-    r1 = compute_parameterization(
-        mesh, labels, mu, threads=1, deterministic=True
-    )
+    r1 = compute_parameterization(mesh, labels, mu, threads=1)
     for threads in (2, 4):
-        rt = compute_parameterization(
-            mesh, labels, mu, threads=threads, deterministic=True
-        )
+        rt = compute_parameterization(mesh, labels, mu, threads=threads)
         assert np.array_equal(r1.param.uv, rt.param.uv), threads
-        assert r1.report.as_dict() == rt.report.as_dict(), threads
+        assert _untimed(r1.report) == _untimed(rt.report), threads
 
 
 def test_outer_loop_lands_on_the_unit_circle():
@@ -119,7 +120,7 @@ def test_outer_loop_lands_on_the_unit_circle():
     # no copy of the loop sits on the circle to trigger its shrink.
     mesh = two_hole_grid(40)
     labels = default_partition(mesh, 4)
-    res = compute_parameterization(mesh, labels, _zero_mu(mesh), deterministic=True)
+    res = compute_parameterization(mesh, labels, _zero_mu(mesh))
     uv = res.param.uv[mesh.boundary_loops[0]]
     z = uv[:, 0] + 1j * uv[:, 1]
     assert np.abs(np.abs(z) - 1.0).max() <= 4.5e-16
@@ -147,10 +148,12 @@ def test_refine_matches_the_cyclic_reference_bit_for_bit():
     # as extras. Both must give the same bits.
     mesh = two_hole_grid(40)
     labels = default_partition(mesh, 4)
-    res = compute_parameterization(
-        mesh, labels, _zero_mu(mesh), koebe_passes=2, deterministic=True,
-        want_snapshots=True,
-    )
+    res = compute_parameterization(mesh, labels, _zero_mu(mesh), koebe_passes=2)
+    # Every map snapshots the tracked loops after the flatten and each
+    # chain stage.
+    assert [name for name, _ in res.snapshots] == [
+        "flatten", "pre_weld", "koebe_holes", "post_weld", "outer", "refine"
+    ]
     subs = extract_submeshes(mesh, labels)
 
     def positions(stage):
@@ -303,7 +306,7 @@ def test_cli_with_a_label_file_and_a_mu_csv_maps_like_the_library(tmp_path):
     assert main(argv) == 0
     vt = [line.split()[1:] for line in (tmp_path / "out" / "parameterization.obj").open()
           if line.startswith("vt ")]
-    want = compute_parameterization(mesh, labels, mu, deterministic=True).param.uv
+    want = compute_parameterization(mesh, labels, mu).param.uv
     assert np.array_equal(np.array(vt, dtype=np.float64), want)
 
 
@@ -699,17 +702,20 @@ class _Factor:
 
 class _FactorLinalg:
     """scipy.sparse.linalg as weldmap.flatten sees it, with splu handing
-    back recording factors."""
+    back recording factors. live holds, per splu call, how many factors
+    were alive when it came."""
 
     def __init__(self, real, made, freed):
         self._real = real
         self._made = made
         self._freed = freed
+        self.live = []
 
     def __getattr__(self, name):
         return getattr(self._real, name)
 
     def splu(self, *args, **kwargs):
+        self.live.append(len(self._made) - len(self._freed))
         self._made.append(threading.get_ident())
         return _Factor(self._real.splu(*args, **kwargs), self._freed)
 
@@ -734,6 +740,18 @@ def test_lu_factors_are_freed_on_the_thread_that_factored_them(monkeypatch, thre
     assert threading.get_ident() not in made
     assert len(freed) == len(made)
     assert all(maker == freer for maker, freer in freed)
+
+
+def test_one_thread_drops_each_dirichlet_factor_before_the_next(monkeypatch):
+    # At one thread the lane runs after the chain and solves each system as
+    # soon as it is factored, so no factor may outlive its solve. With
+    # mu = 0 on a planar mesh and QC off, every factor is a Dirichlet one.
+    linalg = _FactorLinalg(flatten.spla, [], [])
+    monkeypatch.setattr(flatten, "spla", linalg)
+    mesh = two_hole_grid(40)
+    labels = default_partition(mesh, 4)
+    compute_parameterization(mesh, labels, _zero_mu(mesh), qc=False, threads=1)
+    assert linalg.live == [0] * labels.n_parts
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -844,14 +862,12 @@ def test_dirichlet_lanes_under_a_short_switch_interval_match_one_thread():
     mesh = two_hole_grid(40)
     labels = default_partition(mesh, 4)
     mu = _zero_mu(mesh)
-    r1 = compute_parameterization(mesh, labels, mu, qc=False, deterministic=True)
+    r1 = compute_parameterization(mesh, labels, mu, qc=False)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            r5 = compute_parameterization(
-                mesh, labels, mu, qc=False, threads=5, deterministic=True
-            )
+            r5 = compute_parameterization(mesh, labels, mu, qc=False, threads=5)
             assert np.array_equal(r1.param.uv, r5.param.uv)
     finally:
         sys.setswitchinterval(interval)
@@ -1011,7 +1027,7 @@ def test_each_weld_logs_its_attempts_and_seam_gap(caplog):
     labels = default_partition(mesh, 4)
     mu = smooth_beltrami(mesh)
     with caplog.at_level(logging.INFO, logger="weldmap"):
-        logged = compute_parameterization(mesh, labels, mu, deterministic=True)
+        logged = compute_parameterization(mesh, labels, mu)
     welds = [m for m in caplog.messages if m.startswith("weld ")]
     print("\n".join(welds))
     assert len(welds) == 3
@@ -1020,9 +1036,9 @@ def test_each_weld_logs_its_attempts_and_seam_gap(caplog):
     assert len(retried) == 1
     assert retried[0].startswith("weld [0] and [1, 2]: densify q=2,")
     assert "; q=1 failed: NUMERICAL_BREAKDOWN weld pair" in retried[0]
-    quiet = compute_parameterization(mesh, labels, mu, deterministic=True)
+    quiet = compute_parameterization(mesh, labels, mu)
     assert np.array_equal(logged.param.uv, quiet.param.uv)
-    assert logged.report.as_dict() == quiet.report.as_dict()
+    assert _untimed(logged.report) == _untimed(quiet.report)
 
 
 @pytest.mark.xfail(
